@@ -14,9 +14,9 @@
 //    existing edges, half fresh insertions, applied and then exactly
 //    inverted each iteration. Removing edges inside a strongly connected
 //    component cascades the overdeletion through most of the closure, so
-//    the DRed bail-out hands the SCC to recompute-and-diff
-//    (IncrementalOptions::dred_recompute_threshold) — this case tracks
-//    the cost of that deletion path, not a speedup claim.
+//    the DRed bail-out hands the SCC to recompute-and-diff (past 1/5 of
+//    the SCC's rows, see engine/datalog/incremental.cc) — this case
+//    tracks the cost of that deletion path, not a speedup claim.
 //  * BM_IncrementalKnowsDelta — the headline shape on the LDBC-like SNB
 //    generator's Person_KNOWS_Person graph (heavy-tailed degrees) instead
 //    of the synthetic uniform graph.

@@ -1,7 +1,6 @@
 #include "engine/datalog/engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <limits>
 #include <map>
@@ -13,6 +12,7 @@
 #include <vector>
 
 #include "analysis/dependency_graph.h"
+#include "engine/datalog/evaluator.h"
 #include "engine/value_ops.h"
 #include "obs/trace.h"
 #include "runtime/failpoint.h"
@@ -21,10 +21,21 @@
 
 namespace raqlet::engine {
 
+// Aggregation accumulator: per group, aggregates over the set of distinct
+// body-variable bindings (witnesses), which realizes set-semantics
+// aggregation (§3: RETURN DISTINCT-style translation).
+struct AggState {
+  std::unordered_set<Tuple, TupleHash> witnesses;
+  int64_t count = 0;
+  double sum = 0.0;
+  bool any_float = false;
+  std::optional<Value> min;
+  std::optional<Value> max;
+};
+
 namespace {
 
 using dlir::AggFunc;
-using dlir::ArithOp;
 using dlir::Atom;
 using dlir::CmpOp;
 using dlir::Constant;
@@ -34,69 +45,6 @@ using dlir::RelationDecl;
 using dlir::Rule;
 using dlir::Term;
 using dlir::TermKind;
-
-// ---------------------------------------------------------------------------
-// Compiled rule representation: variables become dense integer slots and
-// IR constants become interned runtime Values, so the inner join loops
-// touch no strings.
-// ---------------------------------------------------------------------------
-
-struct CompiledTerm {
-  enum Kind { kConst, kVar, kWildcard, kBinary };
-  Kind kind = kWildcard;
-  Value constant;
-  int var = -1;
-  ArithOp op = ArithOp::kAdd;
-  std::vector<CompiledTerm> children;
-
-  bool IsBoundUnder(const std::vector<bool>& bound) const {
-    switch (kind) {
-      case kConst:
-        return true;
-      case kVar:
-        return bound[static_cast<size_t>(var)];
-      case kWildcard:
-        return false;
-      case kBinary:
-        return children[0].IsBoundUnder(bound) &&
-               children[1].IsBoundUnder(bound);
-    }
-    return false;
-  }
-};
-
-struct CompiledAtom {
-  std::string predicate;
-  const Relation* relation = nullptr;
-  bool negated = false;
-  bool recursive = false;  // predicate in the same SCC as the rule head
-  std::vector<CompiledTerm> args;
-};
-
-struct CompiledConstraint {
-  CmpOp op = CmpOp::kEq;
-  CompiledTerm lhs;
-  CompiledTerm rhs;
-  bool applied = false;  // scratch flag during planning
-};
-
-struct CompiledRule {
-  const Rule* source = nullptr;
-  std::string head_predicate;
-  Relation* head_relation = nullptr;
-  LatticeKind head_lattice = LatticeKind::kNone;
-  std::vector<CompiledTerm> head_args;
-  size_t num_vars = 0;
-  std::vector<CompiledAtom> atoms;  // positive first, then negated
-  std::vector<CompiledConstraint> constraints;
-  // Indices into `atoms` of positive atoms whose predicate is recursive.
-  std::vector<int> recursive_atoms;
-
-  bool has_agg = false;
-  AggFunc agg_func = AggFunc::kCount;
-  CompiledTerm agg_arg;
-  int agg_pos = -1;
-};
 
 // Runtime variable environment, plus per-plan-step scratch buffers. The
 // scratch is indexed by step: ExecuteStep never re-enters the same step
@@ -138,6 +86,17 @@ Result<Value> EvalCompiledTerm(const CompiledTerm& term, const Env& env) {
 // constraint, or bind a variable from an equality constraint.
 // ---------------------------------------------------------------------------
 
+// One non-empty segment of an atom's row source, resolved before execution
+// fans out: the borrowed storage columns (join steps) and the prebuilt
+// index over the step's probe columns (null iff there are none). Probing
+// it is lock- and lookup-free; both stay valid for the fan-out because no
+// relation mutates while tasks run.
+struct PlanSegment {
+  RowSegment rows;
+  std::vector<Relation::ColumnView> cols;
+  const Relation::KeyIndex* index = nullptr;
+};
+
 struct PlanStep {
   enum Kind { kJoinAtom, kNegCheck, kFilter, kBind };
   Kind kind = kJoinAtom;
@@ -149,34 +108,36 @@ struct PlanStep {
   // Statically known: the set of bound slots at each step is determined by
   // the plan prefix, not by runtime values.
   std::vector<int> probe_cols;
-  // Prebuilt index over probe_cols, resolved via Relation::EnsureIndex
-  // before execution fans out (null iff probe_cols is empty). Probing it
-  // is lock- and lookup-free.
-  const Relation::KeyIndex* index = nullptr;
-  // Borrowed storage columns of the joined relation (kJoinAtom only),
-  // resolved alongside `index` before the fan-out. Valid for the round:
-  // plans are rebuilt (and columns re-borrowed) every round, and no
-  // relation mutates while tasks run.
-  std::vector<Relation::ColumnView> cols;
+  std::vector<PlanSegment> segments;  // the atom's rows, in scan order
 };
 
 struct VariantPlan {
   std::vector<PlanStep> steps;
-  int delta_atom = -1;  // index into rule.atoms, or -1 (no delta restriction)
   // Atom whose row range may be partitioned across worker threads: the
-  // delta atom if any, else the plan's outermost positive join. -1 when
+  // outermost positive join (the delta atom when it joins first). -1 when
   // the plan has no join at all.
   int range_atom = -1;
 };
 
+// True when every computed argument of `atom` can be evaluated under
+// `bound`, so a row can be unified against it.
+bool Evaluable(const CompiledAtom& atom, const std::vector<bool>& bound) {
+  for (const CompiledTerm& arg : atom.args) {
+    if (arg.kind == CompiledTerm::kBinary && !arg.IsBoundUnder(bound)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // Builds the join order for one variant. Greedy: repeatedly pick the
-// positive atom with the most statically-bound argument positions
-// (constants + already-bound variables), preferring smaller relations on
-// ties. Constraints are woven in as soon as their variables allow.
+// evaluable positive atom with the most statically-bound argument
+// positions (constants + already-bound variables), preferring fewer source
+// rows on ties. Constraints are woven in as soon as their variables allow.
 Result<VariantPlan> PlanVariant(const CompiledRule& rule, int delta_atom,
-                                bool reorder) {
+                                bool reorder,
+                                const std::vector<size_t>& atom_rows) {
   VariantPlan plan;
-  plan.delta_atom = delta_atom;
   std::vector<bool> bound(rule.num_vars, false);
   std::vector<bool> atom_done(rule.atoms.size(), false);
   std::vector<bool> constraint_done(rule.constraints.size(), false);
@@ -267,20 +228,27 @@ Result<VariantPlan> PlanVariant(const CompiledRule& rule, int delta_atom,
     }
   };
 
-  schedule_constraints();
-
-  // Delta atom always joins first: semi-naive correctness does not require
-  // it, but it makes the delta the outer loop, which is the whole point.
-  if (delta_atom >= 0) {
+  auto join = [&](int atom) {
     PlanStep step;
     step.kind = PlanStep::kJoinAtom;
-    step.atom_index = delta_atom;
-    step.probe_cols = probe_cols_for(rule.atoms[static_cast<size_t>(delta_atom)]);
+    step.atom_index = atom;
+    step.probe_cols = probe_cols_for(rule.atoms[static_cast<size_t>(atom)]);
     plan.steps.push_back(std::move(step));
-    plan.range_atom = delta_atom;
-    atom_done[static_cast<size_t>(delta_atom)] = true;
-    mark_atom_vars(rule.atoms[static_cast<size_t>(delta_atom)]);
+    if (plan.range_atom < 0) plan.range_atom = atom;
+    atom_done[static_cast<size_t>(atom)] = true;
+    mark_atom_vars(rule.atoms[static_cast<size_t>(atom)]);
     schedule_constraints();
+  };
+
+  schedule_constraints();
+
+  // The delta atom joins first — semi-naive correctness does not require
+  // it, but it makes the delta the outer loop, which is the whole point —
+  // unless a computed argument is still unevaluable; then the greedy order
+  // places it once the argument's variables are bound, and probes its rows.
+  if (delta_atom >= 0 &&
+      Evaluable(rule.atoms[static_cast<size_t>(delta_atom)], bound)) {
+    join(delta_atom);
   }
 
   size_t positive_remaining = 0;
@@ -294,7 +262,8 @@ Result<VariantPlan> PlanVariant(const CompiledRule& rule, int delta_atom,
     size_t best_size = 0;
     for (size_t i = 0; i < rule.atoms.size(); ++i) {
       if (atom_done[i] || rule.atoms[i].negated) continue;
-      if (!reorder) {  // keep written order: first not-done atom wins
+      if (!Evaluable(rule.atoms[i], bound)) continue;
+      if (!reorder) {  // keep written order: first placeable atom wins
         best = static_cast<int>(i);
         break;
       }
@@ -304,7 +273,7 @@ Result<VariantPlan> PlanVariant(const CompiledRule& rule, int delta_atom,
           ++score;
         }
       }
-      size_t size = rule.atoms[i].relation->size();
+      size_t size = atom_rows[i];
       if (score > best_score ||
           (score == best_score && (best < 0 || size < best_size))) {
         best = static_cast<int>(i);
@@ -317,16 +286,8 @@ Result<VariantPlan> PlanVariant(const CompiledRule& rule, int delta_atom,
           "join planner found no placeable atom for rule head '" +
           rule.head_predicate + "' — unsatisfied positive atom");
     }
-    PlanStep step;
-    step.kind = PlanStep::kJoinAtom;
-    step.atom_index = best;
-    step.probe_cols = probe_cols_for(rule.atoms[static_cast<size_t>(best)]);
-    plan.steps.push_back(std::move(step));
-    if (plan.range_atom < 0) plan.range_atom = best;
-    atom_done[static_cast<size_t>(best)] = true;
-    mark_atom_vars(rule.atoms[static_cast<size_t>(best)]);
+    join(best);
     --positive_remaining;
-    schedule_constraints();
   }
 
   // Anything left is a stratification/safety violation that Validate()
@@ -347,395 +308,22 @@ Result<VariantPlan> PlanVariant(const CompiledRule& rule, int delta_atom,
 }
 
 // ---------------------------------------------------------------------------
-// Aggregation accumulator: per group, aggregates over the set of distinct
-// body-variable bindings (witnesses), which realizes set-semantics
-// aggregation (§3: RETURN DISTINCT-style translation).
+// Variant execution.
 // ---------------------------------------------------------------------------
 
-struct AggState {
-  std::unordered_set<Tuple, TupleHash> witnesses;
-  int64_t count = 0;
-  double sum = 0.0;
-  bool any_float = false;
-  std::optional<Value> min;
-  std::optional<Value> max;
-};
-
-// ---------------------------------------------------------------------------
-// Engine implementation proper.
-// ---------------------------------------------------------------------------
-
-// Everything one evaluation task (a rule variant, or one chunk of its
-// outer join range) writes: derived tuples, stat counters, and — for
-// aggregate rules — the group accumulator. A task emits only to its
-// rule's head relation, so the buffer carries a single `target` and the
-// staged values form a plain run for that relation, held column-wise
-// (one vector per head column, `staged_rows` rows) so emitting a derived
-// tuple appends values without allocating a row vector, and the merge
-// feeds Relation::InsertColumns directly. After a fan-out completes, runs
-// are applied per relation in deterministic task order (see
-// Evaluation::ApplyStaged); workers never touch a Relation's mutable
-// state. Buffers are recycled through an ObjectPool so their capacity
-// survives across fixpoint rounds.
-struct EmitBuffer {
-  Relation* target = nullptr;
-  std::vector<std::vector<Value>> staged;  // staged[col][row]
-  size_t staged_rows = 0;
-  EvalStats stats;
-  std::map<Tuple, AggState>* agg = nullptr;
-
-  // Sizes the staging columns for an arity (keeping surviving columns'
-  // capacity when the pooled buffer is reused across rules).
-  void PrepareStaging(size_t arity) {
-    if (staged.size() != arity) staged.resize(arity);
-  }
-
-  // Back to logically-empty, keeping the columns' capacity for reuse.
-  void Reset() {
-    target = nullptr;
-    for (std::vector<Value>& col : staged) col.clear();
-    staged_rows = 0;
-    stats = EvalStats{};
-    agg = nullptr;
-  }
-};
-
-// One schedulable unit of a fan-out: a planned rule variant restricted to
-// [range_begin, range_end) of its plan's range_atom rows.
+// One schedulable unit of a fan-out: a planned variant restricted to
+// positions [range_begin, range_end) of its range atom's rows, counted
+// across the atom's segments in scan order.
 struct VariantTask {
   const CompiledRule* rule = nullptr;
   const VariantPlan* plan = nullptr;
+  size_t variant = 0;
   size_t range_begin = 0;
   size_t range_end = std::numeric_limits<size_t>::max();
 };
 
-// All the rules of one SCC, compiled upfront (single-threaded) so that
-// concurrent SCC evaluation never interns symbols or resolves relations.
-struct SccWork {
-  int index = 0;  // position in SccsInTopologicalOrder()
-  std::vector<std::string> preds;
-  bool recursive = false;
-  std::vector<CompiledRule> rules;
-  // Predicates whose sizes this SCC snapshots: its heads plus every body
-  // atom. Restricting the snapshot to these keeps concurrent SCCs from
-  // racing on size() of relations another SCC is currently filling.
-  std::set<std::string> snapshot_preds;
-};
-
-class Evaluation {
- public:
-  Evaluation(const Program& program, Database* db, const EvalOptions& options,
-             EvalStats* stats, obs::DatalogMetrics* metrics,
-             runtime::ExecutionContext* context,
-             const runtime::QueryGuard* guard)
-      : program_(program),
-        db_(db),
-        options_(options),
-        stats_(stats),
-        metrics_(metrics),
-        guard_(guard),
-        pool_(context != nullptr ? context->pool() : nullptr),
-        buffer_pool_(context != nullptr ? context->PoolFor<EmitBuffer>()
-                                        : &local_buffer_pool_) {}
-
-  Status Run();
-
- private:
-  Status PrepareRelations();
-  Status CheckStratification(const analysis::DependencyGraph& graph) const;
-  Result<CompiledRule> CompileRule(const Rule& rule,
-                                   const std::set<std::string>& scc_preds);
-  Status EvaluateScc(SccWork* work);
-
-  // Plans the given (rule, delta_atom) variants, prebuilds every index the
-  // plans probe, evaluates all variants — fanned out over pool_ when
-  // available — and appends the per-task emit buffers to `out` in the same
-  // task order a serial evaluation would have produced the tuples.
-  Status EvaluateVariants(
-      const std::vector<std::pair<const CompiledRule*, int>>& variants,
-      const std::unordered_map<std::string, size_t>& snapshot,
-      const std::unordered_map<std::string, size_t>& delta_begin,
-      std::vector<EmitBuffer>* out, EvalStats* scc_stats);
-
-  // Applies the staged runs to their target relations — the single-writer
-  // phase of a round — and recycles the buffers. Runs are grouped per
-  // relation and each group is fed through Relation::InsertColumns in task
-  // order; lattice relations get a batched best-map pass first. When a
-  // thread pool is available the merge is sharded one task per relation
-  // (each relation keeps exactly one writer, so shards never contend),
-  // which parallelizes the merge while keeping contents and insertion
-  // order bit-identical at any thread count. Returns #tuples inserted.
-  Result<size_t> ApplyStaged(std::vector<EmitBuffer>* buffers);
-
-  // Evaluates one task into `out`. `delta_begin` names relations whose
-  // rows are restricted to [delta_begin, snapshot) at the delta atom.
-  Status EvaluateVariant(const VariantTask& task,
-                         const std::unordered_map<std::string, size_t>& snapshot,
-                         const std::unordered_map<std::string, size_t>& delta_begin,
-                         EmitBuffer* out);
-
-  Status ExecuteStep(const VariantTask& task, size_t step_index, Env* env,
-                     const std::unordered_map<std::string, size_t>& snapshot,
-                     const std::unordered_map<std::string, size_t>& delta_begin,
-                     EmitBuffer* out);
-
-  Status EmitHead(const CompiledRule& rule, Env* env, EmitBuffer* out);
-  Status FinalizeAggregates(const CompiledRule& rule,
-                            const std::map<Tuple, AggState>& agg,
-                            EmitBuffer* out);
-
-  Result<Value> ConstantToValue(const Constant& c) const;
-  Result<CompiledTerm> CompileTerm(const Term& term,
-                                   std::map<std::string, int>* slots,
-                                   std::vector<std::string>* names) const;
-
-  const Program& program_;
-  Database* db_;
-  EvalOptions options_;
-  EvalStats* stats_;
-  // Per-SCC detail sink, or nullptr. Pre-sized to the SCC count in Run();
-  // each SCC evaluation task writes only its own slot, so concurrent SCCs
-  // need no lock and the recorded counters are deterministic.
-  obs::DatalogMetrics* metrics_;
-  // Cooperative guardrails, or nullptr (the common case: zero checks).
-  // Polled per fixpoint round, per ParallelFor chunk, and per scheduled
-  // SCC; budgets are fed the deterministic per-round insert counts.
-  const runtime::QueryGuard* guard_;
-  runtime::ThreadPool* pool_;  // null => strictly serial evaluation
-  // Recycles EmitBuffers across rounds; the context's pool when a context
-  // exists (so capacity survives across queries on one engine), else a
-  // pool local to this evaluation.
-  runtime::ObjectPool<EmitBuffer>* buffer_pool_;
-  runtime::ObjectPool<EmitBuffer> local_buffer_pool_;
-
-  // Read-only after PrepareRelations; safe to share across SCC tasks.
-  std::unordered_map<std::string, Relation*> relations_;
-  std::unordered_map<std::string, LatticeKind> lattice_kind_;
-  // Lattice best-value maps, keyed by relation name; key = tuple prefix.
-  // Entries are pre-created in PrepareRelations and each is only ever
-  // touched by the SCC owning that relation.
-  std::unordered_map<std::string, std::unordered_map<Tuple, Value, TupleHash>>
-      lattice_best_;
-  std::mutex stats_mutex_;  // guards *stats_ merges from SCC tasks
-};
-
-Result<Value> Evaluation::ConstantToValue(const Constant& c) const {
-  switch (c.type) {
-    case ValueType::kNumber:
-      return Value::Number(c.num);
-    case ValueType::kFloat:
-      return Value::Float(c.fval);
-    case ValueType::kSymbol:
-      return Value::Symbol(db_->symbols().Intern(c.str));
-    case ValueType::kBool:
-      return Value::Bool(c.bval);
-    case ValueType::kNull:
-      return Value::Null();
-  }
-  return Status::Internal("unhandled constant type");
-}
-
-Result<CompiledTerm> Evaluation::CompileTerm(
-    const Term& term, std::map<std::string, int>* slots,
-    std::vector<std::string>* names) const {
-  CompiledTerm out;
-  switch (term.kind) {
-    case TermKind::kConstant: {
-      out.kind = CompiledTerm::kConst;
-      RAQLET_ASSIGN_OR_RETURN(out.constant, ConstantToValue(term.constant));
-      return out;
-    }
-    case TermKind::kVariable: {
-      out.kind = CompiledTerm::kVar;
-      auto it = slots->find(term.var);
-      if (it == slots->end()) {
-        int id = static_cast<int>(slots->size());
-        slots->emplace(term.var, id);
-        names->push_back(term.var);
-        out.var = id;
-      } else {
-        out.var = it->second;
-      }
-      return out;
-    }
-    case TermKind::kWildcard:
-      out.kind = CompiledTerm::kWildcard;
-      return out;
-    case TermKind::kBinary: {
-      out.kind = CompiledTerm::kBinary;
-      out.op = term.op;
-      RAQLET_ASSIGN_OR_RETURN(CompiledTerm lhs,
-                              CompileTerm(term.children[0], slots, names));
-      RAQLET_ASSIGN_OR_RETURN(CompiledTerm rhs,
-                              CompileTerm(term.children[1], slots, names));
-      out.children.push_back(std::move(lhs));
-      out.children.push_back(std::move(rhs));
-      return out;
-    }
-  }
-  return Status::Internal("unhandled term kind");
-}
-
-Status Evaluation::PrepareRelations() {
-  for (const RelationDecl& decl : program_.decls) {
-    if (decl.is_input) {
-      RAQLET_ASSIGN_OR_RETURN(Relation * rel, db_->GetRelation(decl.name));
-      if (rel->arity() != decl.arity()) {
-        return Status::InvalidArgument(
-            "input relation '" + decl.name + "' has arity " +
-            std::to_string(rel->arity()) + ", declared " +
-            std::to_string(decl.arity()));
-      }
-      relations_[decl.name] = rel;
-      continue;
-    }
-    if (db_->HasRelation(decl.name)) {
-      if (!options_.overwrite_idb) {
-        return Status::AlreadyExists("IDB relation exists: " + decl.name);
-      }
-      RAQLET_ASSIGN_OR_RETURN(Relation * rel, db_->GetRelation(decl.name));
-      rel->Clear();
-      if (rel->arity() != decl.arity()) {
-        // A previous program left this IDB name behind with a different
-        // shape; adopt this program's declaration so column borrowing
-        // (which trusts arity()) sees the width the rules will insert.
-        RelationSchema schema;
-        schema.name = decl.name;
-        schema.columns = decl.columns;
-        schema.primary_key = decl.primary_key;
-        rel->ResetSchema(std::move(schema));
-      }
-      relations_[decl.name] = rel;
-    } else {
-      RelationSchema schema;
-      schema.name = decl.name;
-      schema.columns = decl.columns;
-      schema.primary_key = decl.primary_key;
-      RAQLET_ASSIGN_OR_RETURN(Relation * rel,
-                              db_->CreateRelation(std::move(schema)));
-      relations_[decl.name] = rel;
-    }
-    if (decl.lattice != LatticeKind::kNone) {
-      lattice_kind_[decl.name] = decl.lattice;
-      lattice_best_[decl.name] = {};
-    }
-  }
-  // Rules must not define input relations.
-  for (const Rule& rule : program_.rules) {
-    const RelationDecl* decl = program_.FindDecl(rule.head.predicate);
-    if (decl != nullptr && decl->is_input) {
-      return Status::InvalidArgument("rule defines input relation '" +
-                                     rule.head.predicate + "'");
-    }
-  }
-  return Status::OK();
-}
-
-Status Evaluation::CheckStratification(
-    const analysis::DependencyGraph& graph) const {
-  for (const Rule& rule : program_.rules) {
-    int head_scc = graph.SccOf(rule.head.predicate);
-    for (const Atom& atom : rule.body) {
-      if (atom.negated && graph.SccOf(atom.predicate) == head_scc) {
-        return Status::Unsupported(
-            "program is not stratifiable: negation of '" + atom.predicate +
-            "' inside its own recursive component (rule: " + rule.ToString() +
-            ")");
-      }
-      if (rule.agg.has_value() && graph.SccOf(atom.predicate) == head_scc &&
-          graph.IsRecursiveScc(head_scc)) {
-        return Status::Unsupported(
-            "program is not stratifiable: aggregation over '" +
-            atom.predicate + "' inside its own recursive component (rule: " +
-            rule.ToString() + "); use a lattice relation for monotone "
-            "min/max recursion");
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Result<CompiledRule> Evaluation::CompileRule(
-    const Rule& rule, const std::set<std::string>& scc_preds) {
-  CompiledRule out;
-  out.source = &rule;
-  out.head_predicate = rule.head.predicate;
-  auto rel_it = relations_.find(rule.head.predicate);
-  if (rel_it == relations_.end()) {
-    return Status::NotFound("undeclared head predicate: " + rule.head.predicate);
-  }
-  out.head_relation = rel_it->second;
-  const RelationDecl* head_decl = program_.FindDecl(rule.head.predicate);
-  out.head_lattice =
-      head_decl == nullptr ? LatticeKind::kNone : head_decl->lattice;
-
-  std::map<std::string, int> slots;
-  std::vector<std::string> names;
-
-  // Positive atoms first (join candidates), then negated atoms.
-  for (const Atom& atom : rule.body) {
-    if (atom.negated) continue;
-    CompiledAtom ca;
-    ca.predicate = atom.predicate;
-    auto it = relations_.find(atom.predicate);
-    if (it == relations_.end()) {
-      return Status::NotFound("undeclared predicate: " + atom.predicate);
-    }
-    ca.relation = it->second;
-    ca.recursive = scc_preds.count(atom.predicate) > 0;
-    for (const Term& arg : atom.args) {
-      RAQLET_ASSIGN_OR_RETURN(CompiledTerm t, CompileTerm(arg, &slots, &names));
-      ca.args.push_back(std::move(t));
-    }
-    if (ca.recursive) {
-      out.recursive_atoms.push_back(static_cast<int>(out.atoms.size()));
-    }
-    out.atoms.push_back(std::move(ca));
-  }
-  for (const Atom& atom : rule.body) {
-    if (!atom.negated) continue;
-    CompiledAtom ca;
-    ca.predicate = atom.predicate;
-    auto it = relations_.find(atom.predicate);
-    if (it == relations_.end()) {
-      return Status::NotFound("undeclared predicate: " + atom.predicate);
-    }
-    ca.relation = it->second;
-    ca.negated = true;
-    for (const Term& arg : atom.args) {
-      RAQLET_ASSIGN_OR_RETURN(CompiledTerm t, CompileTerm(arg, &slots, &names));
-      ca.args.push_back(std::move(t));
-    }
-    out.atoms.push_back(std::move(ca));
-  }
-  for (const dlir::Constraint& c : rule.constraints) {
-    CompiledConstraint cc;
-    cc.op = c.op;
-    RAQLET_ASSIGN_OR_RETURN(cc.lhs, CompileTerm(c.lhs, &slots, &names));
-    RAQLET_ASSIGN_OR_RETURN(cc.rhs, CompileTerm(c.rhs, &slots, &names));
-    out.constraints.push_back(std::move(cc));
-  }
-  for (const Term& arg : rule.head.args) {
-    RAQLET_ASSIGN_OR_RETURN(CompiledTerm t, CompileTerm(arg, &slots, &names));
-    out.head_args.push_back(std::move(t));
-  }
-  out.num_vars = slots.size();
-
-  if (rule.agg.has_value()) {
-    out.has_agg = true;
-    out.agg_func = rule.agg->func;
-    out.agg_pos = rule.agg_result_pos;
-    if (rule.agg->func != AggFunc::kCount) {
-      RAQLET_ASSIGN_OR_RETURN(out.agg_arg,
-                              CompileTerm(rule.agg->arg, &slots, &names));
-      out.num_vars = slots.size();
-    }
-  }
-  return out;
-}
-
-Status Evaluation::EmitHead(const CompiledRule& rule, Env* env,
-                            EmitBuffer* out) {
+Status EmitHead(const CompiledRule& rule, Env* env, const SymbolTable& symbols,
+                EmitBuffer* out) {
   if (rule.has_agg) {
     // Group key: head args except the aggregate slot.
     Tuple group;
@@ -766,13 +354,13 @@ Status Evaluation::EmitHead(const CompiledRule& rule, Env* env,
     }
     if (rule.agg_func == AggFunc::kMin) {
       if (!state.min.has_value() ||
-          CompareValues(arg_value, *state.min, db_->symbols()) < 0) {
+          CompareValues(arg_value, *state.min, symbols) < 0) {
         state.min = arg_value;
       }
     }
     if (rule.agg_func == AggFunc::kMax) {
       if (!state.max.has_value() ||
-          CompareValues(arg_value, *state.max, db_->symbols()) > 0) {
+          CompareValues(arg_value, *state.max, symbols) > 0) {
         state.max = arg_value;
       }
     }
@@ -792,9 +380,8 @@ Status Evaluation::EmitHead(const CompiledRule& rule, Env* env,
   return Status::OK();
 }
 
-Status Evaluation::FinalizeAggregates(const CompiledRule& rule,
-                                      const std::map<Tuple, AggState>& agg,
-                                      EmitBuffer* out) {
+void FinalizeAggregates(const CompiledRule& rule,
+                        const std::map<Tuple, AggState>& agg, EmitBuffer* out) {
   for (const auto& [group, state] : agg) {
     Value result;
     switch (rule.agg_func) {
@@ -828,17 +415,13 @@ Status Evaluation::FinalizeAggregates(const CompiledRule& rule,
     }
     ++out->staged_rows;
   }
-  return Status::OK();
 }
 
-Status Evaluation::ExecuteStep(
-    const VariantTask& task, size_t step_index, Env* env,
-    const std::unordered_map<std::string, size_t>& snapshot,
-    const std::unordered_map<std::string, size_t>& delta_begin,
-    EmitBuffer* out) {
+Status ExecuteStep(const VariantTask& task, size_t step_index, Env* env,
+                   const SymbolTable& symbols, EmitBuffer* out) {
   const CompiledRule& rule = *task.rule;
   const VariantPlan& plan = *task.plan;
-  if (step_index == plan.steps.size()) return EmitHead(rule, env, out);
+  if (step_index == plan.steps.size()) return EmitHead(rule, env, symbols, out);
 
   const PlanStep& step = plan.steps[step_index];
   switch (step.kind) {
@@ -847,8 +430,8 @@ Status Evaluation::ExecuteStep(
           rule.constraints[static_cast<size_t>(step.constraint_index)];
       RAQLET_ASSIGN_OR_RETURN(Value lhs, EvalCompiledTerm(c.lhs, *env));
       RAQLET_ASSIGN_OR_RETURN(Value rhs, EvalCompiledTerm(c.rhs, *env));
-      if (!CheckCmp(c.op, lhs, rhs, db_->symbols())) return Status::OK();
-      return ExecuteStep(task, step_index + 1, env, snapshot, delta_begin, out);
+      if (!CheckCmp(c.op, lhs, rhs, symbols)) return Status::OK();
+      return ExecuteStep(task, step_index + 1, env, symbols, out);
     }
     case PlanStep::kBind: {
       const CompiledConstraint& c =
@@ -858,8 +441,7 @@ Status Evaluation::ExecuteStep(
       size_t slot = static_cast<size_t>(step.bind_var);
       env->values[slot] = v;
       env->bound[slot] = true;
-      Status s =
-          ExecuteStep(task, step_index + 1, env, snapshot, delta_begin, out);
+      Status s = ExecuteStep(task, step_index + 1, env, symbols, out);
       env->bound[slot] = false;
       return s;
     }
@@ -872,42 +454,27 @@ Status Evaluation::ExecuteStep(
             Value v, EvalCompiledTerm(atom.args[static_cast<size_t>(col)], *env));
         probe_key.push_back(v);
       }
-      size_t limit = snapshot.count(atom.predicate)
-                         ? snapshot.at(atom.predicate)
-                         : atom.relation->size();
       bool exists = false;
-      if (step.probe_cols.empty()) {
-        exists = limit > 0;
-      } else {
-        auto it = step.index->find(probe_key);
-        if (it != step.index->end()) {
-          for (uint32_t row : it->second) {
-            if (row < limit) {
-              exists = true;
-              break;
-            }
+      for (const PlanSegment& seg : step.segments) {
+        if (step.probe_cols.empty()) {  // segments are never empty
+          exists = true;
+          break;
+        }
+        auto it = seg.index->find(probe_key);
+        if (it == seg.index->end()) continue;
+        for (uint32_t row : it->second) {
+          if (row >= seg.rows.begin && row < seg.rows.end) {
+            exists = true;
+            break;
           }
         }
+        if (exists) break;
       }
       if (exists) return Status::OK();  // negation fails: prune this env
-      return ExecuteStep(task, step_index + 1, env, snapshot, delta_begin, out);
+      return ExecuteStep(task, step_index + 1, env, symbols, out);
     }
     case PlanStep::kJoinAtom: {
       const CompiledAtom& atom = rule.atoms[static_cast<size_t>(step.atom_index)];
-      size_t begin = 0;
-      size_t end = snapshot.count(atom.predicate) ? snapshot.at(atom.predicate)
-                                                  : atom.relation->size();
-      if (plan.delta_atom == step.atom_index) {
-        auto it = delta_begin.find(atom.predicate);
-        if (it != delta_begin.end()) begin = it->second;
-      }
-      if (plan.range_atom == step.atom_index) {
-        // Outer-range partitioning: this task only owns a chunk of the
-        // rows. Only the outermost join carries a range, so the clamp
-        // happens once per variant evaluation.
-        if (task.range_begin > begin) begin = task.range_begin;
-        if (task.range_end < end) end = task.range_end;
-      }
 
       // Evaluate the statically-determined probe columns.
       Tuple& probe_key = env->probe_scratch[step_index];
@@ -919,7 +486,8 @@ Status Evaluation::ExecuteStep(
       }
 
       std::vector<size_t>& newly_bound = env->bound_scratch[step_index];
-      auto try_row = [&](size_t row_idx) -> Status {
+      auto try_row = [&](const std::vector<Relation::ColumnView>& cols,
+                         size_t row_idx) -> Status {
         ++out->stats.tuples_considered;
         // Unify unbound argument variables against the stored row, read
         // per-column through the borrowed views; repeated variables within
@@ -932,11 +500,11 @@ Status Evaluation::ExecuteStep(
             case CompiledTerm::kWildcard:
               break;
             case CompiledTerm::kConst:
-              matches = arg.constant == step.cols[i].at(row_idx);
+              matches = arg.constant == cols[i].at(row_idx);
               break;
             case CompiledTerm::kVar: {
               size_t slot = static_cast<size_t>(arg.var);
-              Value v = step.cols[i].at(row_idx);
+              Value v = cols[i].at(row_idx);
               if (env->bound[slot]) {
                 matches = env->values[slot] == v;
               } else {
@@ -948,33 +516,52 @@ Status Evaluation::ExecuteStep(
             }
             case CompiledTerm::kBinary: {
               RAQLET_ASSIGN_OR_RETURN(Value v, EvalCompiledTerm(arg, *env));
-              matches = v == step.cols[i].at(row_idx);
+              matches = v == cols[i].at(row_idx);
               break;
             }
           }
         }
         Status s = Status::OK();
-        if (matches) {
-          s = ExecuteStep(task, step_index + 1, env, snapshot, delta_begin,
-                          out);
-        }
+        if (matches) s = ExecuteStep(task, step_index + 1, env, symbols, out);
         for (size_t slot : newly_bound) env->bound[slot] = false;
         return s;
       };
 
-      if (!step.probe_cols.empty()) {
-        auto it = step.index->find(probe_key);
-        if (it == step.index->end()) return Status::OK();
-        // Row-index lists are ascending (see Relation::KeyIndex), so the
-        // emit order within a chunk matches the serial scan order.
-        for (uint32_t row_idx : it->second) {
-          if (row_idx < begin || row_idx >= end) continue;
-          RAQLET_RETURN_IF_ERROR(try_row(row_idx));
+      const bool ranged = plan.range_atom == step.atom_index;
+      size_t offset = 0;  // position of `seg` in the concatenated rows
+      for (const PlanSegment& seg : step.segments) {
+        size_t begin = seg.rows.begin;
+        size_t end = seg.rows.end;
+        if (ranged) {
+          // Outer-range partitioning: this task only owns a chunk of the
+          // rows. Only the outermost join carries a range, so the clamp
+          // happens once per segment per variant evaluation.
+          const size_t len = end - begin;
+          const size_t lo = task.range_begin > offset
+                                ? std::min(task.range_begin - offset, len)
+                                : 0;
+          const size_t hi =
+              task.range_end > offset ? std::min(task.range_end - offset, len)
+                                      : 0;
+          offset += len;
+          end = begin + hi;
+          begin += lo;
+          if (begin >= end) continue;
         }
-        return Status::OK();
-      }
-      for (size_t row_idx = begin; row_idx < end; ++row_idx) {
-        RAQLET_RETURN_IF_ERROR(try_row(row_idx));
+        if (!step.probe_cols.empty()) {
+          auto it = seg.index->find(probe_key);
+          if (it == seg.index->end()) continue;
+          // Row-index lists are ascending (see Relation::KeyIndex), so the
+          // emit order within a chunk matches the serial scan order.
+          for (uint32_t row_idx : it->second) {
+            if (row_idx < begin || row_idx >= end) continue;
+            RAQLET_RETURN_IF_ERROR(try_row(seg.cols, row_idx));
+          }
+          continue;
+        }
+        for (size_t row_idx = begin; row_idx < end; ++row_idx) {
+          RAQLET_RETURN_IF_ERROR(try_row(seg.cols, row_idx));
+        }
       }
       return Status::OK();
     }
@@ -982,48 +569,194 @@ Status Evaluation::ExecuteStep(
   return Status::Internal("unhandled plan step");
 }
 
-Status Evaluation::EvaluateVariant(
-    const VariantTask& task,
-    const std::unordered_map<std::string, size_t>& snapshot,
-    const std::unordered_map<std::string, size_t>& delta_begin,
-    EmitBuffer* out) {
-  Env env(task.rule->num_vars, task.plan->steps.size());
-  return ExecuteStep(task, 0, &env, snapshot, delta_begin, out);
+size_t SourceRows(const AtomSource& source) {
+  size_t rows = 0;
+  for (const RowSegment& seg : source) {
+    if (seg.end > seg.begin) rows += seg.end - seg.begin;
+  }
+  return rows;
 }
 
 // Minimum chunk of outer-atom rows worth shipping to another thread; below
 // this the fan-out overhead (buffers, task dispatch) beats the join work.
 constexpr size_t kMinRowsPerChunk = 64;
 
-Status Evaluation::EvaluateVariants(
-    const std::vector<std::pair<const CompiledRule*, int>>& variants,
-    const std::unordered_map<std::string, size_t>& snapshot,
-    const std::unordered_map<std::string, size_t>& delta_begin,
-    std::vector<EmitBuffer>* out, EvalStats* scc_stats) {
-  // Plan every variant and prebuild every index the plans will probe —
-  // single-threaded, so Relation caches mutate before any fan-out.
+}  // namespace
+
+RuleEvaluator::RuleEvaluator(SymbolTable* symbols, const EvalOptions& options,
+                             runtime::ExecutionContext* context,
+                             const runtime::QueryGuard* guard)
+    : symbols_(symbols),
+      options_(options),
+      guard_(guard),
+      pool_(context->pool()),
+      buffer_pool_(context->PoolFor<EmitBuffer>()) {}
+
+Result<Value> RuleEvaluator::ConstantToValue(const Constant& c) const {
+  switch (c.type) {
+    case ValueType::kNumber:
+      return Value::Number(c.num);
+    case ValueType::kFloat:
+      return Value::Float(c.fval);
+    case ValueType::kSymbol:
+      return Value::Symbol(symbols_->Intern(c.str));
+    case ValueType::kBool:
+      return Value::Bool(c.bval);
+    case ValueType::kNull:
+      return Value::Null();
+  }
+  return Status::Internal("unhandled constant type");
+}
+
+Result<CompiledTerm> RuleEvaluator::CompileTerm(
+    const Term& term, std::map<std::string, int>* slots) const {
+  CompiledTerm out;
+  switch (term.kind) {
+    case TermKind::kConstant: {
+      out.kind = CompiledTerm::kConst;
+      RAQLET_ASSIGN_OR_RETURN(out.constant, ConstantToValue(term.constant));
+      return out;
+    }
+    case TermKind::kVariable: {
+      out.kind = CompiledTerm::kVar;
+      auto [it, fresh] =
+          slots->emplace(term.var, static_cast<int>(slots->size()));
+      out.var = it->second;
+      return out;
+    }
+    case TermKind::kWildcard:
+      out.kind = CompiledTerm::kWildcard;
+      return out;
+    case TermKind::kBinary: {
+      out.kind = CompiledTerm::kBinary;
+      out.op = term.op;
+      RAQLET_ASSIGN_OR_RETURN(CompiledTerm lhs,
+                              CompileTerm(term.children[0], slots));
+      RAQLET_ASSIGN_OR_RETURN(CompiledTerm rhs,
+                              CompileTerm(term.children[1], slots));
+      out.children.push_back(std::move(lhs));
+      out.children.push_back(std::move(rhs));
+      return out;
+    }
+  }
+  return Status::Internal("unhandled term kind");
+}
+
+Result<CompiledRule> RuleEvaluator::Compile(
+    const Rule& rule, const Resolver& resolve,
+    const std::set<std::string>& scc_preds) const {
+  CompiledRule out;
+  out.source = &rule;
+  out.head_predicate = rule.head.predicate;
+  out.head_relation = resolve(rule.head.predicate);
+  if (out.head_relation == nullptr) {
+    return Status::NotFound("undeclared head predicate: " +
+                            rule.head.predicate);
+  }
+
+  std::map<std::string, int> slots;
+  // Positive atoms first (join candidates), then negated atoms.
+  for (bool negated_pass : {false, true}) {
+    for (size_t b = 0; b < rule.body.size(); ++b) {
+      const Atom& atom = rule.body[b];
+      if (atom.negated != negated_pass) continue;
+      CompiledAtom ca;
+      ca.predicate = atom.predicate;
+      ca.relation = resolve(atom.predicate);
+      if (ca.relation == nullptr) {
+        return Status::NotFound("undeclared predicate: " + atom.predicate);
+      }
+      ca.negated = atom.negated;
+      ca.recursive = !atom.negated && scc_preds.count(atom.predicate) > 0;
+      ca.body_index = static_cast<int>(b);
+      for (const Term& arg : atom.args) {
+        RAQLET_ASSIGN_OR_RETURN(CompiledTerm t, CompileTerm(arg, &slots));
+        ca.args.push_back(std::move(t));
+      }
+      if (ca.recursive) {
+        out.recursive_atoms.push_back(static_cast<int>(out.atoms.size()));
+      }
+      out.atoms.push_back(std::move(ca));
+    }
+  }
+  for (const dlir::Constraint& c : rule.constraints) {
+    CompiledConstraint cc;
+    cc.op = c.op;
+    RAQLET_ASSIGN_OR_RETURN(cc.lhs, CompileTerm(c.lhs, &slots));
+    RAQLET_ASSIGN_OR_RETURN(cc.rhs, CompileTerm(c.rhs, &slots));
+    out.constraints.push_back(std::move(cc));
+  }
+  for (const Term& arg : rule.head.args) {
+    RAQLET_ASSIGN_OR_RETURN(CompiledTerm t, CompileTerm(arg, &slots));
+    out.head_args.push_back(std::move(t));
+  }
+  if (rule.agg.has_value()) {
+    out.has_agg = true;
+    out.agg_func = rule.agg->func;
+    out.agg_pos = rule.agg_result_pos;
+    if (rule.agg->func != AggFunc::kCount) {
+      RAQLET_ASSIGN_OR_RETURN(out.agg_arg, CompileTerm(rule.agg->arg, &slots));
+    }
+  }
+  out.num_vars = slots.size();
+  return out;
+}
+
+Status RuleEvaluator::Evaluate(const std::vector<Variant>& variants,
+                               std::vector<EmitBuffer>* out,
+                               EvalStats* stats) const {
+  // Plan every variant, borrow every source's columns and prebuild every
+  // index the plans will probe — single-threaded, so Relation caches
+  // mutate before any fan-out.
   std::vector<VariantPlan> plans;
+  std::vector<size_t> range_rows;  // rows of each plan's range atom
   plans.reserve(variants.size());
-  for (const auto& [rule, delta_atom] : variants) {
-    ++scc_stats->rule_evaluations;
+  for (const Variant& variant : variants) {
+    ++stats->rule_evaluations;
+    const CompiledRule& rule = *variant.rule;
+    std::vector<AtomSource> whole;
+    if (variant.sources.empty()) {
+      for (const CompiledAtom& atom : rule.atoms) {
+        whole.push_back(WholeRelation(atom.relation));
+      }
+    }
+    const std::vector<AtomSource>& sources =
+        variant.sources.empty() ? whole : variant.sources;
+    std::vector<size_t> atom_rows;
+    atom_rows.reserve(sources.size());
+    for (const AtomSource& source : sources) {
+      atom_rows.push_back(SourceRows(source));
+    }
     RAQLET_ASSIGN_OR_RETURN(
-        VariantPlan plan, PlanVariant(*rule, delta_atom, options_.reorder_atoms));
+        VariantPlan plan,
+        PlanVariant(rule, variant.delta_atom, options_.reorder_atoms,
+                    atom_rows));
     for (PlanStep& step : plan.steps) {
       if (step.atom_index < 0) continue;
-      const Relation* rel =
-          rule->atoms[static_cast<size_t>(step.atom_index)].relation;
-      if (step.kind == PlanStep::kJoinAtom) {
-        // Borrow the joined relation's storage columns now, while still
-        // single-threaded: workers then scan without materializing rows
-        // (and without racing on the lazily-folded rows() cache).
-        step.cols.reserve(rel->arity());
-        for (size_t c = 0; c < rel->arity(); ++c) {
-          step.cols.push_back(rel->Column(c));
+      for (const RowSegment& rows :
+           sources[static_cast<size_t>(step.atom_index)]) {
+        if (rows.begin >= rows.end) continue;
+        PlanSegment seg;
+        seg.rows = rows;
+        if (step.kind == PlanStep::kJoinAtom) {
+          // Borrow the storage columns now, while still single-threaded:
+          // workers then scan without materializing rows (and without
+          // racing on the lazily-folded rows() cache).
+          seg.cols.reserve(rows.relation->arity());
+          for (size_t c = 0; c < rows.relation->arity(); ++c) {
+            seg.cols.push_back(rows.relation->Column(c));
+          }
         }
+        if (!step.probe_cols.empty()) {
+          seg.index = rows.relation->EnsureIndex(step.probe_cols);
+        }
+        step.segments.push_back(std::move(seg));
       }
-      if (step.probe_cols.empty()) continue;
-      step.index = rel->EnsureIndex(step.probe_cols);
     }
+    range_rows.push_back(
+        plan.range_atom < 0
+            ? 0
+            : atom_rows[static_cast<size_t>(plan.range_atom)]);
     plans.push_back(std::move(plan));
   }
 
@@ -1031,25 +764,16 @@ Status Evaluation::EvaluateVariants(
   // stay single-task (the group accumulator spans the whole range).
   std::vector<VariantTask> tasks;
   for (size_t v = 0; v < variants.size(); ++v) {
-    const CompiledRule* rule = variants[v].first;
-    const VariantPlan& plan = plans[v];
+    const CompiledRule* rule = variants[v].rule;
     VariantTask whole;
     whole.rule = rule;
-    whole.plan = &plan;
-    if (pool_ == nullptr || rule->has_agg || plan.range_atom < 0) {
+    whole.plan = &plans[v];
+    whole.variant = v;
+    if (pool_ == nullptr || rule->has_agg || plans[v].range_atom < 0) {
       tasks.push_back(whole);
       continue;
     }
-    const CompiledAtom& outer =
-        rule->atoms[static_cast<size_t>(plan.range_atom)];
-    size_t begin = 0;
-    size_t end = snapshot.count(outer.predicate) ? snapshot.at(outer.predicate)
-                                                 : outer.relation->size();
-    if (plan.range_atom == plan.delta_atom) {
-      auto it = delta_begin.find(outer.predicate);
-      if (it != delta_begin.end()) begin = it->second;
-    }
-    size_t range = end > begin ? end - begin : 0;
+    const size_t range = range_rows[v];
     size_t max_chunks = static_cast<size_t>(pool_->num_threads()) * 4;
     size_t chunks = range / kMinRowsPerChunk;
     if (chunks > max_chunks) chunks = max_chunks;
@@ -1060,8 +784,8 @@ Status Evaluation::EvaluateVariants(
     size_t chunk_size = (range + chunks - 1) / chunks;
     for (size_t c = 0; c < chunks; ++c) {
       VariantTask task = whole;
-      task.range_begin = begin + c * chunk_size;
-      task.range_end = std::min(end, task.range_begin + chunk_size);
+      task.range_begin = c * chunk_size;
+      task.range_end = std::min(range, task.range_begin + chunk_size);
       if (task.range_begin >= task.range_end) break;
       tasks.push_back(task);
     }
@@ -1072,7 +796,10 @@ Status Evaluation::EvaluateVariants(
   buffers.reserve(tasks.size());
   for (const VariantTask& task : tasks) {
     EmitBuffer buffer = buffer_pool_->Acquire();
-    buffer.target = task.rule->head_relation;
+    const Variant& variant = variants[task.variant];
+    buffer.target = variant.target != nullptr ? variant.target
+                                              : task.rule->head_relation;
+    buffer.variant = task.variant;
     buffers.push_back(std::move(buffer));
   }
   std::vector<Status> statuses(tasks.size(), Status::OK());
@@ -1088,12 +815,14 @@ Status Evaluation::EvaluateVariants(
       }
     }
     obs::TraceScope span("datalog.variant", static_cast<int64_t>(i));
+    const VariantTask& task = tasks[i];
     EmitBuffer& buffer = buffers[i];
     std::map<Tuple, AggState> agg;
-    if (tasks[i].rule->has_agg) buffer.agg = &agg;
-    Status s = EvaluateVariant(tasks[i], snapshot, delta_begin, &buffer);
-    if (s.ok() && tasks[i].rule->has_agg) {
-      s = FinalizeAggregates(*tasks[i].rule, agg, &buffer);
+    if (task.rule->has_agg) buffer.agg = &agg;
+    Env env(task.rule->num_vars, task.plan->steps.size());
+    Status s = ExecuteStep(task, 0, &env, *symbols_, &buffer);
+    if (s.ok() && task.rule->has_agg) {
+      FinalizeAggregates(*task.rule, agg, &buffer);
     }
     statuses[i] = std::move(s);
   };
@@ -1109,10 +838,7 @@ Status Evaluation::EvaluateVariants(
   // Chunks skipped by a tripped guard left their status OK and produced
   // nothing; report the trip instead of treating the round as complete.
   if (guard_ != nullptr && guard_->tripped()) {
-    for (EmitBuffer& buffer : buffers) {
-      buffer.Reset();
-      buffer_pool_->Release(std::move(buffer));
-    }
+    Release(&buffers);
     return guard_->TripStatus();
   }
 
@@ -1123,19 +849,25 @@ Status Evaluation::EvaluateVariants(
   // serial evaluation would have accumulated before failing.
   for (size_t i = 0; i < tasks.size(); ++i) {
     if (!statuses[i].ok()) {
-      for (EmitBuffer& buffer : buffers) {
-        buffer.Reset();
-        buffer_pool_->Release(std::move(buffer));
-      }
+      Release(&buffers);
       return statuses[i];
     }
-    scc_stats->tuples_considered += buffers[i].stats.tuples_considered;
+    stats->tuples_considered += buffers[i].stats.tuples_considered;
   }
   for (EmitBuffer& buffer : buffers) out->push_back(std::move(buffer));
   return Status::OK();
 }
 
-Result<size_t> Evaluation::ApplyStaged(std::vector<EmitBuffer>* buffers) {
+void RuleEvaluator::Release(std::vector<EmitBuffer>* buffers) const {
+  for (EmitBuffer& buffer : *buffers) {
+    buffer.Reset();
+    buffer_pool_->Release(std::move(buffer));
+  }
+  buffers->clear();
+}
+
+Result<size_t> RuleEvaluator::Merge(std::vector<EmitBuffer>* buffers,
+                                    SccWork* lattice) const {
   obs::TraceScope span("datalog.merge");
   // Group staged runs by target relation, preserving first-appearance
   // (task) order both across groups and within each group.
@@ -1164,8 +896,12 @@ Result<size_t> Evaluation::ApplyStaged(std::vector<EmitBuffer>* buffers) {
       }
     }
 #endif
-    auto lk = lattice_kind_.find(rel->name());
-    if (lk == lattice_kind_.end()) {
+    LatticeState* state = nullptr;
+    if (lattice != nullptr) {
+      auto it = lattice->lattice.find(rel);
+      if (it != lattice->lattice.end()) state = &it->second;
+    }
+    if (state == nullptr) {
       // Concatenate later runs onto the first, column by column, in task
       // order (a no-op in the common one-task case), then hand the run to
       // the columnar dedup primitive — no row tuples are built. The first
@@ -1194,7 +930,7 @@ Result<size_t> Evaluation::ApplyStaged(std::vector<EmitBuffer>* buffers) {
     // tuple-at-a-time merge. Survivors are staged column-wise.
     const size_t arity = (*buffers)[runs[0]].staged.size();
     std::vector<std::vector<Value>> batch(arity);
-    auto& best = lattice_best_.find(rel->name())->second;
+    auto& best = state->best;
     for (size_t i : runs) {
       const std::vector<std::vector<Value>>& cols = (*buffers)[i].staged;
       for (size_t row = 0; row < (*buffers)[i].staged_rows; ++row) {
@@ -1205,9 +941,9 @@ Result<size_t> Evaluation::ApplyStaged(std::vector<EmitBuffer>* buffers) {
         auto it = best.find(prefix);
         bool improves =
             it == best.end() ||
-            (lk->second == LatticeKind::kMin
-                 ? CompareValues(candidate, it->second, db_->symbols()) < 0
-                 : CompareValues(candidate, it->second, db_->symbols()) > 0);
+            (state->kind == LatticeKind::kMin
+                 ? CompareValues(candidate, it->second, *symbols_) < 0
+                 : CompareValues(candidate, it->second, *symbols_) > 0);
         if (!improves) continue;
         if (it == best.end()) {
           best.emplace(std::move(prefix), candidate);
@@ -1237,28 +973,19 @@ Result<size_t> Evaluation::ApplyStaged(std::vector<EmitBuffer>* buffers) {
 
   size_t total_inserted = 0;
   for (size_t n : inserted) total_inserted += n;
-  for (EmitBuffer& buffer : *buffers) {
-    buffer.Reset();
-    buffer_pool_->Release(std::move(buffer));
-  }
-  buffers->clear();
+  Release(buffers);
   for (Status& s : statuses) {
     if (!s.ok()) return s;
   }
   return total_inserted;
 }
 
-Status Evaluation::EvaluateScc(SccWork* work) {
+Status RuleEvaluator::RunScc(SccWork* work,
+                             const std::vector<size_t>* watermarks,
+                             EvalStats* stats, obs::SccMetrics* slot) const {
   obs::TraceScope scc_span("datalog.scc", work->index);
-  const std::vector<std::string>& scc_preds = work->preds;
-  const std::vector<CompiledRule>& rules = work->rules;
-  EvalStats scc_stats;
+  if (work->rules.empty()) return Status::OK();
   std::vector<EmitBuffer> staged;
-  // This task owns its metrics slot exclusively (slots are pre-sized in
-  // Run, indexed by topological SCC position), so no lock is needed.
-  obs::SccMetrics* slot =
-      metrics_ == nullptr ? nullptr
-                          : &metrics_->sccs[static_cast<size_t>(work->index)];
   const auto scc_start = std::chrono::steady_clock::now();
 
   // The single-writer phase of each round: per-relation batched (and,
@@ -1270,8 +997,8 @@ Status Evaluation::EvaluateScc(SccWork* work) {
   // task mutates them, so reading their MemoryBytes races with nobody).
   size_t bytes_seen = 0;
   auto apply_staged = [&]() -> Status {
-    RAQLET_ASSIGN_OR_RETURN(size_t inserted, ApplyStaged(&staged));
-    scc_stats.tuples_inserted += inserted;
+    RAQLET_ASSIGN_OR_RETURN(size_t inserted, Merge(&staged, work));
+    stats->tuples_inserted += inserted;
     last_inserted = inserted;
     return Status::OK();
   };
@@ -1284,8 +1011,8 @@ Status Evaluation::EvaluateScc(SccWork* work) {
     RAQLET_RETURN_IF_ERROR(guard_->AddRows(last_inserted));
     if (guard_->max_bytes() > 0) {
       size_t bytes_now = 0;
-      for (const std::string& pred : scc_preds) {
-        bytes_now += relations_.at(pred)->MemoryBytes();
+      for (const Relation* rel : work->relations) {
+        bytes_now += rel->MemoryBytes();
       }
       size_t delta = bytes_now > bytes_seen ? bytes_now - bytes_seen : 0;
       bytes_seen = bytes_now;
@@ -1294,66 +1021,48 @@ Status Evaluation::EvaluateScc(SccWork* work) {
     return guard_->Check();
   };
 
-  // Only the predicates this SCC's rules mention: sizes of unrelated
-  // relations may be changing concurrently in other SCCs.
-  auto snapshot_sizes = [&]() {
-    std::unordered_map<std::string, size_t> snapshot;
-    for (const std::string& name : work->snapshot_preds) {
-      snapshot[name] = relations_.at(name)->size();
-    }
-    return snapshot;
-  };
-
-  auto merge_stats = [&]() {
+  auto finish = [&](Status s) {
     if (slot != nullptr) {
-      slot->rounds = scc_stats.fixpoint_rounds;
-      slot->rule_evaluations = scc_stats.rule_evaluations;
-      slot->tuples_considered = scc_stats.tuples_considered;
-      slot->tuples_inserted = scc_stats.tuples_inserted;
+      slot->rounds = stats->fixpoint_rounds;
+      slot->rule_evaluations = stats->rule_evaluations;
+      slot->tuples_considered = stats->tuples_considered;
+      slot->tuples_inserted = stats->tuples_inserted;
       slot->micros = std::chrono::duration_cast<std::chrono::microseconds>(
                          std::chrono::steady_clock::now() - scc_start)
                          .count();
     }
-    if (stats_ == nullptr) return;
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_->fixpoint_rounds += scc_stats.fixpoint_rounds;
-    stats_->tuples_inserted += scc_stats.tuples_inserted;
-    stats_->rule_evaluations += scc_stats.rule_evaluations;
-    stats_->tuples_considered += scc_stats.tuples_considered;
+    return s;
   };
 
-  if (rules.empty()) return Status::OK();
-
   if (!work->recursive) {
-    auto snapshot = snapshot_sizes();
-    std::vector<std::pair<const CompiledRule*, int>> variants;
-    for (const CompiledRule& rule : rules) variants.emplace_back(&rule, -1);
-    Status s = EvaluateVariants(variants, snapshot, {}, &staged, &scc_stats);
+    std::vector<Variant> variants;
+    for (const CompiledRule& rule : work->rules) variants.emplace_back(&rule);
+    Status s = Evaluate(variants, &staged, stats);
     if (s.ok()) s = apply_staged();
     if (s.ok()) s = guard_checkpoint();
-    merge_stats();
-    return s;
+    return finish(s);
   }
 
   // Recursive SCC. Aggregates are rejected by stratification earlier.
-  // Phase 1: exit rules (no recursive body atom).
-  std::unordered_map<std::string, size_t> delta_begin;
-  for (const std::string& pred : scc_preds) {
-    delta_begin[pred] = relations_.at(pred)->size();
+  // Each relation's rows past its watermark are the next round's delta.
+  std::unordered_map<const Relation*, size_t> delta_begin;
+  for (size_t i = 0; i < work->relations.size(); ++i) {
+    delta_begin[work->relations[i]] = watermarks != nullptr
+                                          ? (*watermarks)[i]
+                                          : work->relations[i]->size();
   }
-  {
-    auto snapshot = snapshot_sizes();
-    std::vector<std::pair<const CompiledRule*, int>> variants;
-    for (const CompiledRule& rule : rules) {
-      if (rule.recursive_atoms.empty()) variants.emplace_back(&rule, -1);
+
+  // Phase 1: exit rules (no recursive body atom), unless continuing from
+  // watermarks.
+  if (watermarks == nullptr) {
+    std::vector<Variant> variants;
+    for (const CompiledRule& rule : work->rules) {
+      if (rule.recursive_atoms.empty()) variants.emplace_back(&rule);
     }
-    Status s = EvaluateVariants(variants, snapshot, {}, &staged, &scc_stats);
+    Status s = Evaluate(variants, &staged, stats);
     if (s.ok()) s = apply_staged();
     if (s.ok()) s = guard_checkpoint();
-    if (!s.ok()) {
-      merge_stats();
-      return s;
-    }
+    if (!s.ok()) return finish(s);
     // The exit-rule batch is round 0's delta.
     if (slot != nullptr) slot->round_delta_sizes.push_back(last_inserted);
   }
@@ -1363,120 +1072,223 @@ Status Evaluation::EvaluateScc(SccWork* work) {
   size_t round = 0;
   while (true) {
     bool any_delta = false;
-    for (const std::string& pred : scc_preds) {
-      if (relations_.at(pred)->size() > delta_begin[pred]) {
+    for (const Relation* rel : work->relations) {
+      if (rel->size() > delta_begin[rel]) {
         any_delta = true;
         break;
       }
     }
     if (!any_delta) break;
     ++round;
-    ++scc_stats.fixpoint_rounds;
+    ++stats->fixpoint_rounds;
     obs::TraceScope round_span("datalog.round",
                                static_cast<int64_t>(round));
     if (options_.max_iterations != 0 && round > options_.max_iterations) {
-      merge_stats();
-      return Status::Unsupported(
+      return finish(Status::Unsupported(
           "fixpoint did not converge within " +
           std::to_string(options_.max_iterations) +
-          " rounds; the termination analysis may flag this query");
+          " rounds; the termination analysis may flag this query"));
     }
 
-    auto snapshot = snapshot_sizes();
-    std::vector<std::pair<const CompiledRule*, int>> variants;
-    for (const CompiledRule& rule : rules) {
+    // Nothing mutates between here and the merge, so every size read now
+    // is this round's snapshot.
+    std::vector<Variant> variants;
+    for (const CompiledRule& rule : work->rules) {
       if (rule.recursive_atoms.empty()) continue;
-      if (options_.seminaive) {
-        for (int delta_atom : rule.recursive_atoms) {
-          variants.emplace_back(&rule, delta_atom);
+      if (!options_.seminaive) {
+        variants.emplace_back(&rule);
+        continue;
+      }
+      for (int delta_atom : rule.recursive_atoms) {
+        Variant variant(&rule, delta_atom);
+        for (size_t a = 0; a < rule.atoms.size(); ++a) {
+          const Relation* rel = rule.atoms[a].relation;
+          variant.sources.push_back(
+              {{rel,
+                static_cast<int>(a) == delta_atom ? delta_begin[rel] : 0,
+                rel->size()}});
         }
-      } else {
-        variants.emplace_back(&rule, -1);
+        variants.push_back(std::move(variant));
       }
     }
-    // Non-seminaive variants carry delta_atom == -1 and never consult
-    // delta_begin, so passing it unconditionally is safe.
-    Status s = EvaluateVariants(variants, snapshot, delta_begin, &staged,
-                                &scc_stats);
-    if (!s.ok()) {
-      merge_stats();
-      return s;
-    }
-    for (const std::string& pred : scc_preds) {
-      delta_begin[pred] = snapshot[pred];
-    }
+    Status s = Evaluate(variants, &staged, stats);
+    if (!s.ok()) return finish(s);
+    for (const Relation* rel : work->relations) delta_begin[rel] = rel->size();
     s = apply_staged();
     if (s.ok()) s = guard_checkpoint();
-    if (!s.ok()) {
-      merge_stats();
-      return s;
-    }
+    if (!s.ok()) return finish(s);
     if (slot != nullptr) slot->round_delta_sizes.push_back(last_inserted);
   }
 
   // Compact lattice relations: drop rows superseded by better values.
-  for (const std::string& pred : scc_preds) {
-    auto lk = lattice_kind_.find(pred);
-    if (lk == lattice_kind_.end()) continue;
-    Relation* rel = relations_.at(pred);
-    const auto& best = lattice_best_.at(pred);
+  for (Relation* rel : work->relations) {
+    auto it = work->lattice.find(rel);
+    if (it == work->lattice.end()) continue;
     std::vector<Tuple> compacted;
-    compacted.reserve(best.size());
-    for (const auto& [prefix, value] : best) {
+    compacted.reserve(it->second.best.size());
+    for (const auto& [prefix, value] : it->second.best) {
       Tuple row = prefix;
       row.push_back(value);
       compacted.push_back(std::move(row));
     }
     Status replaced = rel->ReplaceRows(std::move(compacted));
-    if (!replaced.ok()) {
-      merge_stats();
-      return replaced;
+    if (!replaced.ok()) return finish(replaced);
+  }
+  return finish(Status::OK());
+}
+
+namespace {
+
+// Resolves every declared relation: inputs must exist with the declared
+// arity; IDB relations are created, or cleared and re-shaped.
+Status PrepareRelations(const Program& program, Database* db,
+                        const EvalOptions& options,
+                        std::unordered_map<std::string, Relation*>* out) {
+  for (const RelationDecl& decl : program.decls) {
+    if (decl.is_input) {
+      RAQLET_ASSIGN_OR_RETURN(Relation * rel, db->GetRelation(decl.name));
+      if (rel->arity() != decl.arity()) {
+        return Status::InvalidArgument(
+            "input relation '" + decl.name + "' has arity " +
+            std::to_string(rel->arity()) + ", declared " +
+            std::to_string(decl.arity()));
+      }
+      (*out)[decl.name] = rel;
+      continue;
+    }
+    RelationSchema schema;
+    schema.name = decl.name;
+    schema.columns = decl.columns;
+    schema.primary_key = decl.primary_key;
+    if (db->HasRelation(decl.name)) {
+      if (!options.overwrite_idb) {
+        return Status::AlreadyExists("IDB relation exists: " + decl.name);
+      }
+      RAQLET_ASSIGN_OR_RETURN(Relation * rel, db->GetRelation(decl.name));
+      rel->Clear();
+      if (rel->arity() != decl.arity()) {
+        // A previous program left this IDB name behind with a different
+        // shape; adopt this program's declaration so column borrowing
+        // (which trusts arity()) sees the width the rules will insert.
+        rel->ResetSchema(std::move(schema));
+      }
+      (*out)[decl.name] = rel;
+    } else {
+      RAQLET_ASSIGN_OR_RETURN(Relation * rel,
+                              db->CreateRelation(std::move(schema)));
+      (*out)[decl.name] = rel;
     }
   }
-  merge_stats();
+  // Rules must not define input relations.
+  for (const Rule& rule : program.rules) {
+    const RelationDecl* decl = program.FindDecl(rule.head.predicate);
+    if (decl != nullptr && decl->is_input) {
+      return Status::InvalidArgument("rule defines input relation '" +
+                                     rule.head.predicate + "'");
+    }
+  }
   return Status::OK();
 }
 
-Status Evaluation::Run() {
-  obs::TraceScope run_span("datalog.run");
-  RAQLET_RETURN_IF_ERROR(program_.Validate());
-  RAQLET_RETURN_IF_ERROR(PrepareRelations());
+Status CheckStratification(const Program& program,
+                           const analysis::DependencyGraph& graph) {
+  for (const Rule& rule : program.rules) {
+    int head_scc = graph.SccOf(rule.head.predicate);
+    for (const Atom& atom : rule.body) {
+      if (atom.negated && graph.SccOf(atom.predicate) == head_scc) {
+        return Status::Unsupported(
+            "program is not stratifiable: negation of '" + atom.predicate +
+            "' inside its own recursive component (rule: " + rule.ToString() +
+            ")");
+      }
+      if (rule.agg.has_value() && graph.SccOf(atom.predicate) == head_scc &&
+          graph.IsRecursiveScc(head_scc)) {
+        return Status::Unsupported(
+            "program is not stratifiable: aggregation over '" +
+            atom.predicate + "' inside its own recursive component (rule: " +
+            rule.ToString() + "); use a lattice relation for monotone "
+            "min/max recursion");
+      }
+    }
+  }
+  return Status::OK();
+}
 
-  analysis::DependencyGraph graph = analysis::DependencyGraph::Build(program_);
-  RAQLET_RETURN_IF_ERROR(CheckStratification(graph));
+}  // namespace
+
+Status RunProgram(const Program& program, Database* db,
+                  const EvalOptions& options,
+                  runtime::ExecutionContext* context,
+                  const runtime::QueryGuard* guard, EvalStats* stats,
+                  obs::DatalogMetrics* metrics) {
+  obs::TraceScope run_span("datalog.run");
+  RAQLET_RETURN_IF_ERROR(program.Validate());
+  std::unordered_map<std::string, Relation*> relations;
+  RAQLET_RETURN_IF_ERROR(PrepareRelations(program, db, options, &relations));
+
+  analysis::DependencyGraph graph = analysis::DependencyGraph::Build(program);
+  RAQLET_RETURN_IF_ERROR(CheckStratification(program, graph));
 
   // Compile every SCC's rules upfront, single-threaded: rule compilation
   // interns constants into the shared symbol table and resolves relation
   // pointers, neither of which may race with concurrent SCC evaluation.
+  RuleEvaluator eval(&db->symbols(), options, context, guard);
+  auto resolve = [&relations](const std::string& name) -> Relation* {
+    auto it = relations.find(name);
+    return it == relations.end() ? nullptr : it->second;
+  };
   const auto& sccs = graph.SccsInTopologicalOrder();
   std::vector<SccWork> work(sccs.size());
-  if (metrics_ != nullptr) {
-    metrics_->sccs.assign(sccs.size(), obs::SccMetrics{});
+  if (metrics != nullptr) {
+    metrics->sccs.assign(sccs.size(), obs::SccMetrics{});
   }
   for (size_t i = 0; i < sccs.size(); ++i) {
     work[i].index = static_cast<int>(i);
     work[i].preds = sccs[i];
     work[i].recursive = graph.IsRecursiveScc(static_cast<int>(i));
-    if (metrics_ != nullptr) {
-      metrics_->sccs[i].preds = sccs[i];
-      metrics_->sccs[i].recursive = work[i].recursive;
+    if (metrics != nullptr) {
+      metrics->sccs[i].preds = sccs[i];
+      metrics->sccs[i].recursive = work[i].recursive;
+    }
+    for (const std::string& pred : sccs[i]) {
+      Relation* rel = relations.at(pred);
+      work[i].relations.push_back(rel);
+      const RelationDecl* decl = program.FindDecl(pred);
+      if (decl != nullptr && decl->lattice != LatticeKind::kNone) {
+        work[i].lattice[rel].kind = decl->lattice;
+      }
     }
     std::set<std::string> scc_set(sccs[i].begin(), sccs[i].end());
-    for (const Rule& rule : program_.rules) {
+    for (const Rule& rule : program.rules) {
       if (scc_set.count(rule.head.predicate) == 0) continue;
-      RAQLET_ASSIGN_OR_RETURN(CompiledRule cr, CompileRule(rule, scc_set));
-      work[i].snapshot_preds.insert(rule.head.predicate);
-      for (const CompiledAtom& atom : cr.atoms) {
-        work[i].snapshot_preds.insert(atom.predicate);
-      }
+      RAQLET_ASSIGN_OR_RETURN(CompiledRule cr,
+                              eval.Compile(rule, resolve, scc_set));
       work[i].rules.push_back(std::move(cr));
     }
   }
 
-  if (pool_ == nullptr) {
-    for (SccWork& w : work) {
-      if (guard_ != nullptr) RAQLET_RETURN_IF_ERROR(guard_->Check());
-      RAQLET_RETURN_IF_ERROR(EvaluateScc(&w));
+  // Each SCC task owns its metrics slot exclusively (slots are pre-sized
+  // above, indexed by topological SCC position), so only the totals need
+  // the lock.
+  std::mutex stats_mutex;
+  auto run_scc = [&](size_t i) {
+    EvalStats scc_stats;
+    Status s = eval.RunScc(&work[i], nullptr, &scc_stats,
+                           metrics == nullptr ? nullptr : &metrics->sccs[i]);
+    if (stats != nullptr) {
+      std::lock_guard<std::mutex> lock(stats_mutex);
+      stats->fixpoint_rounds += scc_stats.fixpoint_rounds;
+      stats->tuples_inserted += scc_stats.tuples_inserted;
+      stats->rule_evaluations += scc_stats.rule_evaluations;
+      stats->tuples_considered += scc_stats.tuples_considered;
+    }
+    return s;
+  };
+
+  if (context->pool() == nullptr) {
+    for (size_t i = 0; i < work.size(); ++i) {
+      if (guard != nullptr) RAQLET_RETURN_IF_ERROR(guard->Check());
+      RAQLET_RETURN_IF_ERROR(run_scc(i));
     }
     return Status::OK();
   }
@@ -1486,12 +1298,9 @@ Status Evaluation::Run() {
   // frozen for its whole lifetime.
   runtime::SccDag dag = runtime::BuildSccDag(graph);
   return runtime::RunSccDag(
-      dag, pool_,
-      [&](int i) { return EvaluateScc(&work[static_cast<size_t>(i)]); },
-      guard_);
+      dag, context->pool(),
+      [&](int i) { return run_scc(static_cast<size_t>(i)); }, guard);
 }
-
-}  // namespace
 
 std::string EvalStats::ToString() const {
   std::ostringstream os;
@@ -1505,8 +1314,7 @@ Status DatalogEngine::Run(const dlir::Program& program, Database* db,
                           EvalStats* stats, obs::DatalogMetrics* metrics,
                           const runtime::QueryGuard* guard) const {
   const runtime::QueryGuard* g = guard != nullptr ? guard : options_.guard;
-  Evaluation eval(program, db, options_, stats, metrics, context_.get(), g);
-  return eval.Run();
+  return RunProgram(program, db, options_, context_.get(), g, stats, metrics);
 }
 
 }  // namespace raqlet::engine

@@ -1,10 +1,9 @@
 #include "engine/datalog/incremental.h"
 
 #include <algorithm>
-#include <limits>
-#include <map>
+#include <deque>
+#include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -12,831 +11,219 @@
 #include <vector>
 
 #include "analysis/dependency_graph.h"
-#include "engine/value_ops.h"
+#include "engine/datalog/evaluator.h"
 #include "runtime/execution_context.h"
-#include "runtime/thread_pool.h"
 
 namespace raqlet::engine {
 
 namespace {
 
-using dlir::ArithOp;
-using dlir::CmpOp;
-using dlir::Constant;
 using dlir::LatticeKind;
 using dlir::Rule;
 using dlir::Term;
 using dlir::TermKind;
 
-// ---------------------------------------------------------------------------
-// Compiled rule representation. Mirrors the main engine's (variables become
-// dense slots, constants become interned Values) but is owned here: the
-// incremental evaluator needs per-atom state selection (NEW vs pre-delta
-// OLD) and delta-list join sources, which the engine's plans do not model.
-// ---------------------------------------------------------------------------
+// DRed bail-out: once a deletion's overdeletion cascade passes 1/5 of the
+// SCC's pre-delta rows — and 4,096 rows, so small SCCs never bail — the
+// view abandons DRed (nothing has been erased yet) and recomputes the SCC
+// instead. The decision depends only on deterministic sizes, so the chosen
+// path is identical across thread counts. The values are not derived from
+// this evaluator's costs; re-deriving them needs measurements first.
+constexpr double kBailOutFraction = 0.2;
+constexpr size_t kBailOutFloor = 4096;
 
-struct CTerm {
-  enum Kind { kConst, kVar, kWildcard, kBinary };
-  Kind kind = kWildcard;
-  Value constant;
-  int var = -1;
-  ArithOp op = ArithOp::kAdd;
-  std::vector<CTerm> children;
-
-  bool IsBoundUnder(const std::vector<bool>& bound) const {
-    switch (kind) {
-      case kConst:
-        return true;
-      case kVar:
-        return bound[static_cast<size_t>(var)];
-      case kWildcard:
-        return false;
-      case kBinary:
-        return children[0].IsBoundUnder(bound) &&
-               children[1].IsBoundUnder(bound);
-    }
-    return false;
-  }
-
-  bool HasBinary() const { return kind == kBinary; }
+// The net change one ApplyDelta made to a relation. Every writer erases
+// before it appends, and erasing keeps the survivors in order, so the live
+// rows [0, keep) are exactly the pre-delta rows that were never erased:
+//   NEW = live rows [0, size)
+//   OLD = live rows [0, keep) + `erased`, every pre-delta row erased (also
+//         the ones a later step appended again)
+//   Δ+  = `added` = NEW ∖ OLD,  Δ− = `removed` = OLD ∖ NEW
+// `erased`, `plus` and `minus` are view-owned relations; none enters the
+// Database. `plus` and `minus` hold Δ+ and Δ− for reading as variant
+// rows, built on first use.
+struct PredDelta {
+  size_t keep = 0;
+  std::unique_ptr<Relation> erased;
+  std::vector<Tuple> added;
+  std::vector<Tuple> removed;
+  std::unique_ptr<Relation> plus;
+  std::unique_ptr<Relation> minus;
 };
 
-struct CAtom {
-  std::string predicate;
-  Relation* relation = nullptr;  // live relation (size used as heuristic)
-  bool negated = false;
-  bool in_scc = false;  // predicate belongs to the rule's own SCC
-  std::vector<CTerm> args;
-
-  bool HasBinaryArg() const {
-    for (const CTerm& a : args) {
-      if (a.HasBinary()) return true;
-    }
-    return false;
-  }
-};
-
-struct CConstraint {
-  CmpOp op = CmpOp::kEq;
-  CTerm lhs;
-  CTerm rhs;
-};
-
-struct CRule {
-  const Rule* source = nullptr;
-  std::string head_predicate;
-  Relation* head_relation = nullptr;
-  std::vector<CTerm> head_args;
-  size_t num_vars = 0;
-  std::vector<CAtom> atoms;  // positive first, then negated
-  std::vector<CConstraint> constraints;
-};
-
-Result<Value> ConstantToValue(const Constant& c, SymbolTable* symbols) {
-  switch (c.type) {
-    case ValueType::kNumber:
-      return Value::Number(c.num);
-    case ValueType::kFloat:
-      return Value::Float(c.fval);
-    case ValueType::kSymbol:
-      return Value::Symbol(symbols->Intern(c.str));
-    case ValueType::kBool:
-      return Value::Bool(c.bval);
-    case ValueType::kNull:
-      return Value::Null();
-  }
-  return Status::Internal("unhandled constant type");
+std::unique_ptr<Relation> EmptyLike(const Relation& rel) {
+  return std::make_unique<Relation>(rel.schema());
 }
 
-Result<CTerm> CompileTerm(const Term& term, std::map<std::string, int>* slots,
-                          SymbolTable* symbols) {
-  CTerm out;
-  switch (term.kind) {
-    case TermKind::kConstant: {
-      out.kind = CTerm::kConst;
-      RAQLET_ASSIGN_OR_RETURN(out.constant,
-                              ConstantToValue(term.constant, symbols));
-      return out;
-    }
-    case TermKind::kVariable: {
-      out.kind = CTerm::kVar;
-      auto it = slots->find(term.var);
-      if (it == slots->end()) {
-        int id = static_cast<int>(slots->size());
-        slots->emplace(term.var, id);
-        out.var = id;
-      } else {
-        out.var = it->second;
-      }
-      return out;
-    }
-    case TermKind::kWildcard:
-      out.kind = CTerm::kWildcard;
-      return out;
-    case TermKind::kBinary: {
-      out.kind = CTerm::kBinary;
-      out.op = term.op;
-      RAQLET_ASSIGN_OR_RETURN(CTerm lhs,
-                              CompileTerm(term.children[0], slots, symbols));
-      RAQLET_ASSIGN_OR_RETURN(CTerm rhs,
-                              CompileTerm(term.children[1], slots, symbols));
-      out.children.push_back(std::move(lhs));
-      out.children.push_back(std::move(rhs));
-      return out;
-    }
+// Derives d->added and d->removed from the live rows, d->keep and
+// d->erased.
+void Net(const Relation& live, PredDelta* d) {
+  for (Tuple& t : live.MaterializeRows(d->keep)) {
+    if (!d->erased->Contains(t)) d->added.push_back(std::move(t));
   }
-  return Status::Internal("unhandled term kind");
+  for (Tuple& t : d->erased->MaterializeRows()) {
+    if (!live.Contains(t)) d->removed.push_back(std::move(t));
+  }
 }
 
-Result<CRule> CompileRule(const Rule& rule,
-                          const std::set<std::string>& scc_preds,
-                          const std::unordered_map<std::string, Relation*>& rels,
-                          SymbolTable* symbols) {
-  CRule out;
-  out.source = &rule;
-  out.head_predicate = rule.head.predicate;
-  auto head_it = rels.find(rule.head.predicate);
-  if (head_it == rels.end()) {
-    return Status::NotFound("undeclared head predicate: " +
-                            rule.head.predicate);
-  }
-  out.head_relation = head_it->second;
-  std::map<std::string, int> slots;
-  for (bool negated_pass : {false, true}) {
-    for (const dlir::Atom& atom : rule.body) {
-      if (atom.negated != negated_pass) continue;
-      CAtom ca;
-      ca.predicate = atom.predicate;
-      auto it = rels.find(atom.predicate);
-      if (it == rels.end()) {
-        return Status::NotFound("undeclared predicate: " + atom.predicate);
-      }
-      ca.relation = it->second;
-      ca.negated = atom.negated;
-      ca.in_scc = scc_preds.count(atom.predicate) > 0;
-      for (const Term& arg : atom.args) {
-        RAQLET_ASSIGN_OR_RETURN(CTerm t, CompileTerm(arg, &slots, symbols));
-        ca.args.push_back(std::move(t));
-      }
-      out.atoms.push_back(std::move(ca));
+// Flipped keys of a negated atom: `on` keys' ¬∃ became true, `off` keys'
+// became false.
+struct FlipKeys {
+  std::unique_ptr<Relation> on;
+  std::unique_ptr<Relation> off;
+};
+
+// The distinct keys (the negated atom's `key_columns`) of the rows `d`
+// changed whose ¬∃ truth value flipped.
+Result<FlipKeys> FlippedKeys(const Relation& live, const PredDelta& d,
+                             const std::vector<int>& key_columns) {
+  // Index rows are ascending, so the first row of a key decides whether
+  // any row below `end` carries it.
+  auto exists = [&key_columns](const Relation& rel, size_t end,
+                               const Tuple& key) {
+    if (end == 0) return false;
+    const Relation::KeyIndex* index = rel.EnsureIndex(key_columns);
+    auto it = index->find(key);
+    return it != index->end() && !it->second.empty() &&
+           it->second.front() < end;
+  };
+  std::unordered_set<Tuple, TupleHash> seen;
+  std::vector<Tuple> on;
+  std::vector<Tuple> off;
+  for (const std::vector<Tuple>* changed : {&d.added, &d.removed}) {
+    for (const Tuple& row : *changed) {
+      Tuple key;
+      key.reserve(key_columns.size());
+      for (int c : key_columns) key.push_back(row[static_cast<size_t>(c)]);
+      if (!seen.insert(key).second) continue;
+      const bool now = exists(live, live.size(), key);
+      const bool before = exists(live, d.keep, key) ||
+                          exists(*d.erased, d.erased->size(), key);
+      if (before && !now) on.push_back(std::move(key));
+      if (now && !before) off.push_back(std::move(key));
     }
   }
-  for (const dlir::Constraint& c : rule.constraints) {
-    CConstraint cc;
-    cc.op = c.op;
-    RAQLET_ASSIGN_OR_RETURN(cc.lhs, CompileTerm(c.lhs, &slots, symbols));
-    RAQLET_ASSIGN_OR_RETURN(cc.rhs, CompileTerm(c.rhs, &slots, symbols));
-    out.constraints.push_back(std::move(cc));
+  RelationSchema schema;
+  schema.name = live.name();
+  for (int c : key_columns) {
+    schema.columns.push_back(live.schema().columns[static_cast<size_t>(c)]);
   }
-  for (const Term& arg : rule.head.args) {
-    RAQLET_ASSIGN_OR_RETURN(CTerm t, CompileTerm(arg, &slots, symbols));
-    out.head_args.push_back(std::move(t));
-  }
-  out.num_vars = slots.size();
+  FlipKeys out{std::make_unique<Relation>(schema),
+               std::make_unique<Relation>(schema)};
+  RAQLET_RETURN_IF_ERROR(out.on->InsertBatch(std::move(on)).status());
+  RAQLET_RETURN_IF_ERROR(out.off->InsertBatch(std::move(off)).status());
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Per-predicate delta state: the net change one ApplyDelta made. The OLD
-// (pre-delta) contents of a changed relation R are reconstructed as
-// (live(R) ∖ added) ∪ minus — live rows are filtered through added_set and
-// the erased rows live on in the indexable `minus` relation. Rederivation
-// appends tuples in arbitrary row positions, so a row-watermark cannot
-// stand in for this.
-// ---------------------------------------------------------------------------
-
-struct PredState {
-  std::vector<Tuple> added;    // net-new tuples, in insertion order
-  std::vector<Tuple> removed;  // net-erased tuples, in erase order
-  std::unordered_set<Tuple, TupleHash> added_set;
-  std::unique_ptr<Relation> minus;  // holds `removed`, for OLD-side probes
-
-  bool changed() const { return !added.empty() || !removed.empty(); }
-};
-
-using PredStates = std::unordered_map<std::string, PredState>;
-
-const PredState* StateOf(const PredStates& states, const std::string& pred) {
-  auto it = states.find(pred);
-  return it == states.end() ? nullptr : &it->second;
+// A variant of `rule` whose atom `delta` reads `rows` and whose other atoms
+// read what `state` picks for them.
+template <typename StateFn>
+Variant Vary(const CompiledRule& rule, int delta, AtomSource rows,
+             const StateFn& state, Relation* target = nullptr) {
+  Variant v(&rule, delta, target);
+  for (size_t a = 0; a < rule.atoms.size(); ++a) {
+    v.sources.push_back(static_cast<int>(a) == delta ? rows
+                                                     : state(rule.atoms[a]));
+  }
+  return v;
 }
 
-Status SealState(const Relation& live, PredState* st) {
-  st->added_set.clear();
-  for (const Tuple& t : st->added) st->added_set.insert(t);
-  st->minus = std::make_unique<Relation>(live.schema());
-  return st->minus->InsertBatch(st->removed).status();
+AtomSource NewState(const CompiledAtom& atom) {
+  return WholeRelation(atom.relation);
 }
 
-Tuple MatRow(const Relation& rel, size_t row) {
-  Tuple t;
-  t.reserve(rel.arity());
-  for (size_t c = 0; c < rel.arity(); ++c) t.push_back(rel.ValueAt(row, c));
-  return t;
+// The compiled index of the atom at `body_index` in its source rule.
+int AtomAt(const CompiledRule& rule, size_t body_index) {
+  for (size_t a = 0; a < rule.atoms.size(); ++a) {
+    if (rule.atoms[a].body_index == static_cast<int>(body_index)) {
+      return static_cast<int>(a);
+    }
+  }
+  return -1;
 }
-
-// Does the (NEW or OLD) state of `rel` contain any tuple matching `key` on
-// `cols`? Empty `cols` asks whether the state is non-empty at all.
-bool StateExists(const Relation& rel, const PredState* st, bool old_state,
-                 const std::vector<int>& cols, const Tuple& key) {
-  if (!old_state || st == nullptr) {
-    if (cols.empty()) return rel.size() > 0;
-    auto it = rel.EnsureIndex(cols)->find(key);
-    return it != rel.EnsureIndex(cols)->end() && !it->second.empty();
-  }
-  // OLD: a live row not in added_set, or an erased row in minus.
-  if (cols.empty()) {
-    if (rel.size() > st->added_set.size()) return true;
-    for (size_t r = 0; r < rel.size(); ++r) {
-      if (st->added_set.count(MatRow(rel, r)) == 0) return true;
-    }
-  } else {
-    auto it = rel.EnsureIndex(cols)->find(key);
-    if (it != rel.EnsureIndex(cols)->end()) {
-      for (uint32_t row : it->second) {
-        if (st->added_set.count(MatRow(rel, row)) == 0) return true;
-      }
-    }
-  }
-  if (st->minus == nullptr || st->minus->empty()) return false;
-  if (cols.empty()) return true;
-  auto mit = st->minus->EnsureIndex(cols)->find(key);
-  return mit != st->minus->EnsureIndex(cols)->end() && !mit->second.empty();
-}
-
-// ---------------------------------------------------------------------------
-// Variant plans. A variant is (rule, delta_atom): the delta atom's rows
-// come from a delta list instead of its relation. When the delta atom's
-// args are plain vars/consts/wildcards the list is enumerated directly as
-// the outermost join ("delta-first"); an atom with computed (binary) args
-// cannot unify from a bare tuple, so it stays in greedy join position and
-// its state enumeration is intersected with the delta set instead.
-// ---------------------------------------------------------------------------
-
-struct Step {
-  enum Kind { kJoin, kNeg, kFilter, kBind };
-  Kind kind = kJoin;
-  int atom = -1;
-  int constraint = -1;
-  int bind_var = -1;
-  bool bind_from_lhs = false;
-  std::vector<int> probe_cols;
-};
-
-struct Plan {
-  std::vector<Step> steps;
-  int delta_atom = -1;
-  bool delta_first = false;  // delta list enumerated as the join source
-  bool delta_keys = false;   // delta tuples are negated-atom projection keys
-};
-
-// True when the delta list can be enumerated directly as a join source.
-bool CanSourceDirectly(const CAtom& atom) { return !atom.HasBinaryArg(); }
-
-Result<Plan> PlanRule(const CRule& rule, int delta_atom, bool delta_keys,
-                      bool reorder, const std::vector<bool>* initial_bound) {
-  Plan plan;
-  plan.delta_atom = delta_atom;
-  plan.delta_keys = delta_keys;
-  std::vector<bool> bound(rule.num_vars, false);
-  if (initial_bound != nullptr) bound = *initial_bound;
-  std::vector<bool> atom_done(rule.atoms.size(), false);
-  std::vector<bool> constraint_done(rule.constraints.size(), false);
-
-  const bool delta_first =
-      delta_atom >= 0 &&
-      (delta_keys ||
-       CanSourceDirectly(rule.atoms[static_cast<size_t>(delta_atom)]));
-  plan.delta_first = delta_first;
-  if (delta_atom >= 0 && rule.atoms[static_cast<size_t>(delta_atom)].negated &&
-      !delta_keys) {
-    return Status::Internal("negated delta atom requires key mode");
-  }
-
-  auto mark_atom_vars = [&](const CAtom& atom, bool skip_wildcard_positions) {
-    (void)skip_wildcard_positions;
-    for (const CTerm& arg : atom.args) {
-      if (arg.kind == CTerm::kVar) bound[static_cast<size_t>(arg.var)] = true;
-    }
-  };
-
-  auto probe_cols_for = [&](const CAtom& atom) {
-    std::vector<int> cols;
-    for (size_t i = 0; i < atom.args.size(); ++i) {
-      const CTerm& arg = atom.args[i];
-      if (arg.kind == CTerm::kWildcard) continue;
-      if (arg.IsBoundUnder(bound)) cols.push_back(static_cast<int>(i));
-    }
-    return cols;
-  };
-
-  auto schedule_constraints = [&]() {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (size_t i = 0; i < rule.constraints.size(); ++i) {
-        if (constraint_done[i]) continue;
-        const CConstraint& c = rule.constraints[i];
-        bool lhs_bound = c.lhs.IsBoundUnder(bound);
-        bool rhs_bound = c.rhs.IsBoundUnder(bound);
-        if (lhs_bound && rhs_bound) {
-          Step step;
-          step.kind = Step::kFilter;
-          step.constraint = static_cast<int>(i);
-          plan.steps.push_back(step);
-          constraint_done[i] = true;
-          changed = true;
-        } else if (c.op == CmpOp::kEq && rhs_bound &&
-                   c.lhs.kind == CTerm::kVar) {
-          Step step;
-          step.kind = Step::kBind;
-          step.constraint = static_cast<int>(i);
-          step.bind_var = c.lhs.var;
-          step.bind_from_lhs = true;
-          plan.steps.push_back(step);
-          bound[static_cast<size_t>(c.lhs.var)] = true;
-          constraint_done[i] = true;
-          changed = true;
-        } else if (c.op == CmpOp::kEq && lhs_bound &&
-                   c.rhs.kind == CTerm::kVar) {
-          Step step;
-          step.kind = Step::kBind;
-          step.constraint = static_cast<int>(i);
-          step.bind_var = c.rhs.var;
-          step.bind_from_lhs = false;
-          plan.steps.push_back(step);
-          bound[static_cast<size_t>(c.rhs.var)] = true;
-          constraint_done[i] = true;
-          changed = true;
-        }
-      }
-      for (size_t i = 0; i < rule.atoms.size(); ++i) {
-        if (atom_done[i] || !rule.atoms[i].negated) continue;
-        bool all_bound = true;
-        for (const CTerm& arg : rule.atoms[i].args) {
-          if (arg.kind == CTerm::kWildcard) continue;
-          if (!arg.IsBoundUnder(bound)) {
-            all_bound = false;
-            break;
-          }
-        }
-        if (all_bound) {
-          Step step;
-          step.kind = Step::kNeg;
-          step.atom = static_cast<int>(i);
-          step.probe_cols = probe_cols_for(rule.atoms[i]);
-          plan.steps.push_back(std::move(step));
-          atom_done[i] = true;
-          changed = true;
-        }
-      }
-    }
-  };
-
-  // A negated delta atom is consumed as the key source: its ¬∃ condition
-  // is already encoded in the key's sign, so no NegCheck is planned.
-  if (delta_atom >= 0 && delta_keys) {
-    atom_done[static_cast<size_t>(delta_atom)] = true;
-  }
-
-  schedule_constraints();
-
-  if (delta_first) {
-    Step step;
-    step.kind = Step::kJoin;
-    step.atom = delta_atom;
-    plan.steps.push_back(std::move(step));
-    const CAtom& atom = rule.atoms[static_cast<size_t>(delta_atom)];
-    if (delta_keys) {
-      // Keys carry the non-wildcard positions only.
-      for (const CTerm& arg : atom.args) {
-        if (arg.kind == CTerm::kVar) {
-          bound[static_cast<size_t>(arg.var)] = true;
-        }
-      }
-    } else {
-      mark_atom_vars(atom, false);
-    }
-    atom_done[static_cast<size_t>(delta_atom)] = true;
-    schedule_constraints();
-  }
-
-  size_t positive_remaining = 0;
-  for (size_t i = 0; i < rule.atoms.size(); ++i) {
-    if (!atom_done[i] && !rule.atoms[i].negated) ++positive_remaining;
-  }
-
-  while (positive_remaining > 0) {
-    int best = -1;
-    int best_score = -1;
-    size_t best_size = 0;
-    for (size_t i = 0; i < rule.atoms.size(); ++i) {
-      if (atom_done[i] || rule.atoms[i].negated) continue;
-      if (!reorder) {
-        best = static_cast<int>(i);
-        break;
-      }
-      int score = 0;
-      for (const CTerm& arg : rule.atoms[i].args) {
-        if (arg.kind != CTerm::kWildcard && arg.IsBoundUnder(bound)) ++score;
-      }
-      size_t size = rule.atoms[i].relation->size();
-      if (score > best_score ||
-          (score == best_score && (best < 0 || size < best_size))) {
-        best = static_cast<int>(i);
-        best_score = score;
-        best_size = size;
-      }
-    }
-    if (best < 0) {
-      return Status::Internal(
-          "incremental planner found no placeable atom for rule head '" +
-          rule.head_predicate + "'");
-    }
-    Step step;
-    step.kind = Step::kJoin;
-    step.atom = best;
-    step.probe_cols = probe_cols_for(rule.atoms[static_cast<size_t>(best)]);
-    plan.steps.push_back(std::move(step));
-    atom_done[static_cast<size_t>(best)] = true;
-    mark_atom_vars(rule.atoms[static_cast<size_t>(best)], false);
-    --positive_remaining;
-    schedule_constraints();
-  }
-
-  for (size_t i = 0; i < rule.constraints.size(); ++i) {
-    if (!constraint_done[i]) {
-      return Status::Internal(
-          "constraint never became evaluable in incremental rule: " +
-          rule.source->ToString());
-    }
-  }
-  for (size_t i = 0; i < rule.atoms.size(); ++i) {
-    if (!atom_done[i]) {
-      return Status::Internal(
-          "negated atom never fully bound in incremental rule: " +
-          rule.source->ToString());
-    }
-  }
-  return plan;
-}
-
-// ---------------------------------------------------------------------------
-// Variant execution.
-// ---------------------------------------------------------------------------
-
-struct Env {
-  std::vector<Value> values;
-  std::vector<bool> bound;
-  explicit Env(size_t n) : values(n), bound(n, false) {}
-};
-
-Result<Value> EvalCTerm(const CTerm& term, const Env& env) {
-  switch (term.kind) {
-    case CTerm::kConst:
-      return term.constant;
-    case CTerm::kVar:
-      if (!env.bound[static_cast<size_t>(term.var)]) {
-        return Status::Internal("evaluating unbound variable slot");
-      }
-      return env.values[static_cast<size_t>(term.var)];
-    case CTerm::kWildcard:
-      return Status::Internal("evaluating wildcard term");
-    case CTerm::kBinary: {
-      RAQLET_ASSIGN_OR_RETURN(Value lhs, EvalCTerm(term.children[0], env));
-      RAQLET_ASSIGN_OR_RETURN(Value rhs, EvalCTerm(term.children[1], env));
-      return EvalArith(term.op, lhs, rhs);
-    }
-  }
-  return Status::Internal("unhandled term kind");
-}
-
-// One variant evaluation over a fixed state assignment. `use_old[i]`
-// selects the pre-delta state for atom i; `delta` supplies the delta
-// atom's tuples (or keys); out-mode appends every derived head to `out`,
-// check-mode instead searches for one derivation emitting exactly
-// `target` (with the env pre-bound from the target's head positions).
-class VariantEval {
- public:
-  VariantEval(const CRule& rule, const Plan& plan, const PredStates& states,
-              const std::vector<uint8_t>& use_old,
-              const std::vector<Tuple>* delta,
-              const std::unordered_set<Tuple, TupleHash>* delta_filter,
-              const SymbolTable& symbols)
-      : rule_(rule),
-        plan_(plan),
-        states_(states),
-        use_old_(use_old),
-        delta_(delta),
-        delta_filter_(delta_filter),
-        symbols_(symbols) {}
-
-  // Out-mode: evaluate delta rows [begin, end) (the full range when the
-  // plan is not delta-first), appending derived heads to `out`.
-  Status Run(size_t begin, size_t end, std::vector<Tuple>* out) {
-    out_ = out;
-    target_ = nullptr;
-    found_ = false;
-    range_begin_ = begin;
-    range_end_ = end;
-    Env env(rule_.num_vars);
-    return Exec(0, &env);
-  }
-
-  // Check-mode: is `target` derivable? Pre-binds head variables.
-  Result<bool> Check(const Tuple& target) {
-    out_ = nullptr;
-    target_ = &target;
-    found_ = false;
-    range_begin_ = 0;
-    range_end_ = std::numeric_limits<size_t>::max();
-    Env env(rule_.num_vars);
-    // Pre-bind env slots from the target's head positions; a constant
-    // mismatch (or inconsistent repeated variable) proves non-derivability
-    // outright. Binary head terms are left to the emission-time compare.
-    for (size_t i = 0; i < rule_.head_args.size(); ++i) {
-      const CTerm& arg = rule_.head_args[i];
-      if (arg.kind == CTerm::kConst) {
-        if (!(arg.constant == target[i])) return false;
-      } else if (arg.kind == CTerm::kVar) {
-        size_t slot = static_cast<size_t>(arg.var);
-        if (env.bound[slot]) {
-          if (!(env.values[slot] == target[i])) return false;
-        } else {
-          env.values[slot] = target[i];
-          env.bound[slot] = true;
-        }
-      }
-    }
-    RAQLET_RETURN_IF_ERROR(Exec(0, &env));
-    return found_;
-  }
-
- private:
-  Status Exec(size_t step_index, Env* env);
-  Status EmitHead(Env* env);
-  Result<bool> Unify(const CAtom& atom, const Tuple& t, Env* env,
-                     std::vector<size_t>* newly_bound);
-  Result<bool> UnifyKeys(const CAtom& atom, const Tuple& key, Env* env,
-                         std::vector<size_t>* newly_bound);
-
-  bool Done() const { return target_ != nullptr && found_; }
-
-  const CRule& rule_;
-  const Plan& plan_;
-  const PredStates& states_;
-  const std::vector<uint8_t>& use_old_;
-  const std::vector<Tuple>* delta_;
-  const std::unordered_set<Tuple, TupleHash>* delta_filter_;
-  const SymbolTable& symbols_;
-  std::vector<Tuple>* out_ = nullptr;
-  const Tuple* target_ = nullptr;
-  bool found_ = false;
-  size_t range_begin_ = 0;
-  size_t range_end_ = std::numeric_limits<size_t>::max();
-};
-
-Status VariantEval::EmitHead(Env* env) {
-  Tuple head;
-  head.reserve(rule_.head_args.size());
-  for (const CTerm& arg : rule_.head_args) {
-    RAQLET_ASSIGN_OR_RETURN(Value v, EvalCTerm(arg, *env));
-    head.push_back(v);
-  }
-  if (target_ != nullptr) {
-    if (head == *target_) found_ = true;
-    return Status::OK();
-  }
-  out_->push_back(std::move(head));
-  return Status::OK();
-}
-
-Result<bool> VariantEval::Unify(const CAtom& atom, const Tuple& t, Env* env,
-                                std::vector<size_t>* newly_bound) {
-  newly_bound->clear();
-  for (size_t i = 0; i < atom.args.size(); ++i) {
-    const CTerm& arg = atom.args[i];
-    switch (arg.kind) {
-      case CTerm::kWildcard:
-        break;
-      case CTerm::kConst:
-        if (!(arg.constant == t[i])) return false;
-        break;
-      case CTerm::kVar: {
-        size_t slot = static_cast<size_t>(arg.var);
-        if (env->bound[slot]) {
-          if (!(env->values[slot] == t[i])) return false;
-        } else {
-          env->values[slot] = t[i];
-          env->bound[slot] = true;
-          newly_bound->push_back(slot);
-        }
-        break;
-      }
-      case CTerm::kBinary: {
-        RAQLET_ASSIGN_OR_RETURN(Value v, EvalCTerm(arg, *env));
-        if (!(v == t[i])) return false;
-        break;
-      }
-    }
-  }
-  return true;
-}
-
-Result<bool> VariantEval::UnifyKeys(const CAtom& atom, const Tuple& key,
-                                    Env* env,
-                                    std::vector<size_t>* newly_bound) {
-  newly_bound->clear();
-  size_t k = 0;
-  for (const CTerm& arg : atom.args) {
-    if (arg.kind == CTerm::kWildcard) continue;
-    const Value& v = key[k++];
-    switch (arg.kind) {
-      case CTerm::kConst:
-        if (!(arg.constant == v)) return false;
-        break;
-      case CTerm::kVar: {
-        size_t slot = static_cast<size_t>(arg.var);
-        if (env->bound[slot]) {
-          if (!(env->values[slot] == v)) return false;
-        } else {
-          env->values[slot] = v;
-          env->bound[slot] = true;
-          newly_bound->push_back(slot);
-        }
-        break;
-      }
-      default:
-        return Status::Internal("key unification over computed term");
-    }
-  }
-  return true;
-}
-
-Status VariantEval::Exec(size_t step_index, Env* env) {
-  if (Done()) return Status::OK();
-  if (step_index == plan_.steps.size()) return EmitHead(env);
-  const Step& step = plan_.steps[step_index];
-  switch (step.kind) {
-    case Step::kFilter: {
-      const CConstraint& c =
-          rule_.constraints[static_cast<size_t>(step.constraint)];
-      RAQLET_ASSIGN_OR_RETURN(Value lhs, EvalCTerm(c.lhs, *env));
-      RAQLET_ASSIGN_OR_RETURN(Value rhs, EvalCTerm(c.rhs, *env));
-      if (!CheckCmp(c.op, lhs, rhs, symbols_)) return Status::OK();
-      return Exec(step_index + 1, env);
-    }
-    case Step::kBind: {
-      const CConstraint& c =
-          rule_.constraints[static_cast<size_t>(step.constraint)];
-      const CTerm& source = step.bind_from_lhs ? c.rhs : c.lhs;
-      RAQLET_ASSIGN_OR_RETURN(Value v, EvalCTerm(source, *env));
-      size_t slot = static_cast<size_t>(step.bind_var);
-      // Check-mode may have pre-bound this slot from the head: then the
-      // bind degrades to an equality filter.
-      if (env->bound[slot]) {
-        if (!(env->values[slot] == v)) return Status::OK();
-        return Exec(step_index + 1, env);
-      }
-      env->values[slot] = v;
-      env->bound[slot] = true;
-      Status s = Exec(step_index + 1, env);
-      env->bound[slot] = false;
-      return s;
-    }
-    case Step::kNeg: {
-      const CAtom& atom = rule_.atoms[static_cast<size_t>(step.atom)];
-      Tuple key;
-      key.reserve(step.probe_cols.size());
-      for (int col : step.probe_cols) {
-        RAQLET_ASSIGN_OR_RETURN(
-            Value v, EvalCTerm(atom.args[static_cast<size_t>(col)], *env));
-        key.push_back(v);
-      }
-      if (StateExists(*atom.relation, StateOf(states_, atom.predicate),
-                      use_old_[static_cast<size_t>(step.atom)] != 0,
-                      step.probe_cols, key)) {
-        return Status::OK();  // negation fails: prune
-      }
-      return Exec(step_index + 1, env);
-    }
-    case Step::kJoin: {
-      const CAtom& atom = rule_.atoms[static_cast<size_t>(step.atom)];
-      std::vector<size_t> newly_bound;
-      const bool is_delta_atom = plan_.delta_atom == step.atom;
-      if (is_delta_atom && plan_.delta_first) {
-        size_t n = delta_->size();
-        size_t begin = std::min(range_begin_, n);
-        size_t end = std::min(range_end_, n);
-        for (size_t i = begin; i < end; ++i) {
-          if (Done()) return Status::OK();
-          const Tuple& t = (*delta_)[i];
-          bool matched;
-          if (plan_.delta_keys) {
-            RAQLET_ASSIGN_OR_RETURN(matched,
-                                    UnifyKeys(atom, t, env, &newly_bound));
-          } else {
-            RAQLET_ASSIGN_OR_RETURN(matched, Unify(atom, t, env, &newly_bound));
-          }
-          Status s = Status::OK();
-          if (matched) s = Exec(step_index + 1, env);
-          for (size_t slot : newly_bound) env->bound[slot] = false;
-          RAQLET_RETURN_IF_ERROR(s);
-        }
-        return Status::OK();
-      }
-
-      const bool old_state = use_old_[static_cast<size_t>(step.atom)] != 0;
-      const PredState* st = StateOf(states_, atom.predicate);
-      const Relation& live = *atom.relation;
-
-      Tuple key;
-      key.reserve(step.probe_cols.size());
-      for (int col : step.probe_cols) {
-        RAQLET_ASSIGN_OR_RETURN(
-            Value v, EvalCTerm(atom.args[static_cast<size_t>(col)], *env));
-        key.push_back(v);
-      }
-
-      auto try_tuple = [&](const Tuple& t) -> Status {
-        if (is_delta_atom && delta_filter_ != nullptr &&
-            delta_filter_->count(t) == 0) {
-          return Status::OK();
-        }
-        bool matched;
-        RAQLET_ASSIGN_OR_RETURN(matched, Unify(atom, t, env, &newly_bound));
-        Status s = Status::OK();
-        if (matched) s = Exec(step_index + 1, env);
-        for (size_t slot : newly_bound) env->bound[slot] = false;
-        return s;
-      };
-
-      auto scan_relation = [&](const Relation& rel,
-                               bool filter_added) -> Status {
-        if (step.probe_cols.empty()) {
-          for (size_t r = 0; r < rel.size(); ++r) {
-            if (Done()) return Status::OK();
-            Tuple t = MatRow(rel, r);
-            if (filter_added && st != nullptr && st->added_set.count(t) > 0) {
-              continue;
-            }
-            RAQLET_RETURN_IF_ERROR(try_tuple(t));
-          }
-          return Status::OK();
-        }
-        const Relation::KeyIndex* idx = rel.EnsureIndex(step.probe_cols);
-        auto it = idx->find(key);
-        if (it == idx->end()) return Status::OK();
-        for (uint32_t row : it->second) {
-          if (Done()) return Status::OK();
-          Tuple t = MatRow(rel, row);
-          if (filter_added && st != nullptr && st->added_set.count(t) > 0) {
-            continue;
-          }
-          RAQLET_RETURN_IF_ERROR(try_tuple(t));
-        }
-        return Status::OK();
-      };
-
-      RAQLET_RETURN_IF_ERROR(scan_relation(live, old_state));
-      if (old_state && st != nullptr && st->minus != nullptr &&
-          !st->minus->empty()) {
-        RAQLET_RETURN_IF_ERROR(scan_relation(*st->minus, false));
-      }
-      return Status::OK();
-    }
-  }
-  return Status::Internal("unhandled incremental plan step");
-}
-
-// Minimum delta rows per parallel chunk (mirrors the engine's constant).
-constexpr size_t kMinRowsPerChunk = 64;
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// IncrementalView implementation.
-// ---------------------------------------------------------------------------
 
 struct IncrementalView::Impl {
   enum class Policy { kCounting, kDred, kRecompute };
 
+  // A rule with one atom rewritten to read rows the view supplies: a
+  // negated atom made positive over its non-wildcard arguments (reading
+  // flipped keys), or an extra atom over the head's terms (reading the
+  // overdeleted rows, for rederivation).
+  struct RewrittenRule {
+    CompiledRule rule;
+    int atom = -1;                 // the rewritten atom, in rule.atoms
+    std::vector<int> key_columns;  // flips: the negated atom's key positions
+  };
+
   struct SccPlan {
-    std::vector<std::string> preds;
-    std::set<std::string> pred_set;
-    bool recursive = false;
+    SccWork work;  // preds, live head relations, compiled rules
     Policy policy = Policy::kCounting;
-    std::vector<CRule> rules;
-    std::vector<const Rule*> dlir_rules;  // into program.rules, same order
+    std::vector<const Rule*> rules;  // work.rules' sources, into `program`
+    std::vector<RewrittenRule> rederive;  // DRed, aligned with work.rules
+    std::vector<RewrittenRule> flips;     // one per negated body atom
     std::set<std::string> body_preds;
+  };
+
+  // One ApplyDelta's working state.
+  struct Pass {
+    Pass(RuleEvaluator eval, const runtime::QueryGuard* guard)
+        : eval(std::move(eval)), guard(guard) {}
+
+    RuleEvaluator eval;
+    const runtime::QueryGuard* guard;
+    std::unordered_map<std::string, PredDelta> deltas;
+    obs::IncrementalMetrics local;
+    EvalStats evaluated;  // evaluator counters; not reported
+
+    const PredDelta* Changed(const std::string& pred) const {
+      auto it = deltas.find(pred);
+      return it == deltas.end() ? nullptr : &it->second;
+    }
+    // `pred`'s Δ− (`removed`) or Δ+ rows as a relation, or null when
+    // there are none. Δ− is `erased` itself unless some erased row was
+    // appended again.
+    Result<const Relation*> DeltaRows(const std::string& pred, bool removed) {
+      auto it = deltas.find(pred);
+      if (it == deltas.end()) return nullptr;
+      PredDelta& d = it->second;
+      const std::vector<Tuple>& rows = removed ? d.removed : d.added;
+      if (rows.empty()) return nullptr;
+      if (removed && rows.size() == d.erased->size()) return d.erased.get();
+      std::unique_ptr<Relation>& rel = removed ? d.minus : d.plus;
+      if (rel == nullptr) {
+        rel = EmptyLike(*d.erased);
+        RAQLET_RETURN_IF_ERROR(rel->InsertBatch(rows).status());
+      }
+      return rel.get();
+    }
+    AtomSource Old(const CompiledAtom& atom) const {
+      const PredDelta* d = Changed(atom.predicate);
+      if (d == nullptr) return WholeRelation(atom.relation);
+      return {{atom.relation, 0, d->keep},
+              {d->erased.get(), 0, d->erased->size()}};
+    }
+    Status Guard(size_t rows) const {
+      if (guard == nullptr) return Status::OK();
+      RAQLET_RETURN_IF_ERROR(guard->AddRows(rows));
+      return guard->Check();
+    }
+    // Evaluates `variants` and merges the heads into their targets.
+    Status EvaluateInto(const std::vector<Variant>& variants) {
+      std::vector<EmitBuffer> heads;
+      RAQLET_RETURN_IF_ERROR(eval.Evaluate(variants, &heads, &evaluated));
+      return eval.Merge(&heads).status();
+    }
   };
 
   IncrementalOptions options;
   Database* db = nullptr;
   dlir::Program program;
+  std::deque<Rule> rewritten_sources;  // sources of rederive/flip rules
   bool initialized = false;
   bool poisoned = false;
-  IncrementalStats stats;
+  obs::IncrementalMetrics stats;
   std::vector<SccPlan> sccs;
   std::unordered_map<std::string, Relation*> relations;
   std::set<std::string> input_preds;
@@ -844,12 +231,20 @@ struct IncrementalView::Impl {
   // counting-policy SCCs.
   std::unordered_map<std::string, std::unordered_map<Tuple, int64_t, TupleHash>>
       support;
-  std::unique_ptr<DatalogEngine> full_engine;  // Initialize-time evaluation
-  std::unique_ptr<DatalogEngine> sub_engine;   // serial recompute fallback
-  std::unique_ptr<runtime::ExecutionContext> context;  // when num_threads > 1
+  // The view's one execution context: every phase fans out on its pool.
+  std::unique_ptr<runtime::ExecutionContext> context;
 
-  runtime::ThreadPool* pool() const {
-    return context != nullptr ? context->pool() : nullptr;
+  Relation* Live(const std::string& name) const {
+    auto it = relations.find(name);
+    return it == relations.end() ? nullptr : it->second;
+  }
+
+  EvalOptions eval_options() const {
+    EvalOptions out;
+    out.max_iterations = options.max_iterations;
+    out.reorder_atoms = options.reorder_atoms;
+    out.num_threads = options.num_threads;
+    return out;
   }
 
   Status Initialize(const dlir::Program& prog, Database* database,
@@ -859,39 +254,40 @@ struct IncrementalView::Impl {
                              const runtime::QueryGuard* guard);
 
  private:
-  Status Guard(const runtime::QueryGuard* guard, size_t rows) const {
-    if (guard == nullptr) return Status::OK();
-    RAQLET_RETURN_IF_ERROR(guard->AddRows(rows));
-    return guard->Check();
-  }
+  Result<RewrittenRule> Rewrite(Rule rule, size_t atom,
+                                const RuleEvaluator& eval,
+                                const std::set<std::string>& scc_preds,
+                                std::vector<int> key_columns);
 
-  // Evaluates one variant, appending derived heads to `out` in
-  // deterministic order. Fans the delta range out across the pool when
-  // `parallel` and the plan is delta-first; chunk results are concatenated
-  // in chunk order, so the emitted sequence is bit-identical to serial.
-  Status EvalVariant(const CRule& rule, int delta_atom, bool delta_keys,
-                     const std::vector<Tuple>& delta,
-                     const PredStates& states,
-                     const std::vector<uint8_t>& use_old, bool parallel,
-                     std::vector<Tuple>* out);
+  // Records `d` as `pred`'s delta (dropped when it nets to nothing), adding
+  // its Δ+/Δ− sizes to the given counters.
+  static void Record(const std::string& pred, PredDelta d, Pass* pass,
+                     size_t* added, size_t* removed);
+  // The writer of counting and recompute: erases `gone` from `rel`, then
+  // appends `born`, and records the change.
+  Status Replace(const std::string& pred, Relation* rel,
+                 std::vector<Tuple> gone, std::vector<Tuple> born,
+                 Pass* pass) const;
 
-  // For a changed negated atom: the distinct projection keys (onto the
-  // atom's non-wildcard positions) whose ¬∃ truth value flipped, split by
-  // direction. `plus` keys flipped false→true (¬ now holds), `minus` keys
-  // true→false.
-  void NegKeyDeltas(const CAtom& atom, const PredState& st,
-                    const PredStates& states, std::vector<Tuple>* plus,
-                    std::vector<Tuple>* minus) const;
-
-  Status ApplyCounting(SccPlan* scc, PredStates* states,
-                       IncrementalStats* local,
-                       const runtime::QueryGuard* guard);
-  Status ApplyDred(SccPlan* scc, PredStates* states, IncrementalStats* local,
-                   const runtime::QueryGuard* guard, bool* bailed);
-  Status ApplyRecompute(SccPlan* scc, PredStates* states,
-                        IncrementalStats* local,
-                        const runtime::QueryGuard* guard);
+  Status ApplyCounting(SccPlan* scc, Pass* pass);
+  Status ApplyDred(SccPlan* scc, Pass* pass, bool* bailed);
+  Status ApplyRecompute(SccPlan* scc, Pass* pass);
 };
+
+Result<IncrementalView::Impl::RewrittenRule> IncrementalView::Impl::Rewrite(
+    Rule rule, size_t atom, const RuleEvaluator& eval,
+    const std::set<std::string>& scc_preds, std::vector<int> key_columns) {
+  rewritten_sources.push_back(std::move(rule));
+  RewrittenRule out;
+  RAQLET_ASSIGN_OR_RETURN(
+      out.rule,
+      eval.Compile(rewritten_sources.back(),
+                   [this](const std::string& name) { return Live(name); },
+                   scc_preds));
+  out.atom = AtomAt(out.rule, atom);
+  out.key_columns = std::move(key_columns);
+  return out;
+}
 
 Status IncrementalView::Impl::Initialize(const dlir::Program& prog,
                                          Database* database,
@@ -899,62 +295,49 @@ Status IncrementalView::Impl::Initialize(const dlir::Program& prog,
                                          const runtime::QueryGuard* guard) {
   initialized = false;
   poisoned = false;
-  stats = IncrementalStats{};
+  stats = obs::IncrementalMetrics{};
   sccs.clear();
+  rewritten_sources.clear();
   relations.clear();
   input_preds.clear();
   support.clear();
   db = database;
   program = prog;
-  RAQLET_RETURN_IF_ERROR(program.Validate());
-
-  if (full_engine == nullptr) {
-    EvalOptions eval_options;
-    eval_options.max_iterations = options.max_iterations;
-    eval_options.reorder_atoms = options.reorder_atoms;
-    eval_options.overwrite_idb = true;
-    eval_options.num_threads = options.num_threads;
-    full_engine = std::make_unique<DatalogEngine>(eval_options);
-  }
-  if (sub_engine == nullptr) {
-    EvalOptions sub_options;
-    sub_options.max_iterations = options.max_iterations;
-    sub_options.reorder_atoms = options.reorder_atoms;
-    sub_options.overwrite_idb = true;
-    sub_options.num_threads = 1;
-    sub_engine = std::make_unique<DatalogEngine>(sub_options);
-  }
-  if (options.num_threads > 1 && context == nullptr) {
+  if (context == nullptr) {
     context = std::make_unique<runtime::ExecutionContext>(options.num_threads);
   }
 
-  // From-scratch evaluation (also validates stratification).
-  RAQLET_RETURN_IF_ERROR(
-      full_engine->Run(program, db, eval_stats, nullptr, guard));
+  // From-scratch evaluation (also validates and checks stratification).
+  RAQLET_RETURN_IF_ERROR(RunProgram(program, db, eval_options(), context.get(),
+                                    guard, eval_stats, nullptr));
 
   for (const dlir::RelationDecl& decl : program.decls) {
     RAQLET_ASSIGN_OR_RETURN(Relation * rel, db->GetRelation(decl.name));
     relations[decl.name] = rel;
     if (decl.is_input) input_preds.insert(decl.name);
   }
+  auto resolve = [this](const std::string& name) { return Live(name); };
+  RuleEvaluator eval(&db->symbols(), eval_options(), context.get(), guard);
 
   analysis::DependencyGraph graph = analysis::DependencyGraph::Build(program);
   const auto& topo = graph.SccsInTopologicalOrder();
   sccs.reserve(topo.size());
   for (size_t i = 0; i < topo.size(); ++i) {
     SccPlan scc;
-    scc.preds = topo[i];
-    scc.pred_set.insert(topo[i].begin(), topo[i].end());
-    scc.recursive = graph.IsRecursiveScc(static_cast<int>(i));
+    scc.work.index = static_cast<int>(i);
+    scc.work.preds = topo[i];
+    scc.work.recursive = graph.IsRecursiveScc(static_cast<int>(i));
+    const std::set<std::string> scc_set(topo[i].begin(), topo[i].end());
     bool needs_recompute = false;
-    for (const std::string& pred : scc.preds) {
+    for (const std::string& pred : scc.work.preds) {
+      scc.work.relations.push_back(relations.at(pred));
       const dlir::RelationDecl* decl = program.FindDecl(pred);
       if (decl != nullptr && decl->lattice != LatticeKind::kNone) {
         needs_recompute = true;
       }
     }
     for (const Rule& rule : program.rules) {
-      if (scc.pred_set.count(rule.head.predicate) == 0) continue;
+      if (scc_set.count(rule.head.predicate) == 0) continue;
       if (rule.agg.has_value()) needs_recompute = true;
       for (const dlir::Atom& atom : rule.body) {
         scc.body_preds.insert(atom.predicate);
@@ -966,31 +349,64 @@ Status IncrementalView::Impl::Initialize(const dlir::Program& prog,
           }
         }
       }
-      RAQLET_ASSIGN_OR_RETURN(
-          CRule compiled,
-          CompileRule(rule, scc.pred_set, relations, &db->symbols()));
-      scc.rules.push_back(std::move(compiled));
-      scc.dlir_rules.push_back(&rule);
+      RAQLET_ASSIGN_OR_RETURN(CompiledRule compiled,
+                              eval.Compile(rule, resolve, scc_set));
+      scc.work.rules.push_back(std::move(compiled));
+      scc.rules.push_back(&rule);
     }
-    scc.policy = needs_recompute
-                     ? Policy::kRecompute
-                     : (scc.recursive ? Policy::kDred : Policy::kCounting);
+    scc.policy = needs_recompute ? Policy::kRecompute
+                                 : (scc.work.recursive ? Policy::kDred
+                                                       : Policy::kCounting);
+    for (const Rule* rule : scc.rules) {
+      if (scc.policy == Policy::kRecompute) break;
+      for (size_t b = 0; b < rule->body.size(); ++b) {
+        if (!rule->body[b].negated) continue;
+        Rule flip = *rule;
+        dlir::Atom& atom = flip.body[b];
+        std::vector<int> key_columns;
+        std::vector<Term> keys;
+        for (size_t c = 0; c < atom.args.size(); ++c) {
+          if (atom.args[c].kind == TermKind::kWildcard) continue;
+          key_columns.push_back(static_cast<int>(c));
+          keys.push_back(atom.args[c]);
+        }
+        atom.negated = false;
+        atom.args = std::move(keys);
+        RAQLET_ASSIGN_OR_RETURN(RewrittenRule rewritten,
+                                Rewrite(std::move(flip), b, eval, scc_set,
+                                        std::move(key_columns)));
+        scc.flips.push_back(std::move(rewritten));
+      }
+      if (scc.policy == Policy::kDred) {
+        Rule rederive = *rule;
+        rederive.body.push_back({rule->head.predicate, rule->head.args});
+        RAQLET_ASSIGN_OR_RETURN(RewrittenRule rewritten,
+                                Rewrite(std::move(rederive), rule->body.size(),
+                                        eval, scc_set, {}));
+        scc.rederive.push_back(std::move(rewritten));
+      }
+    }
     sccs.push_back(std::move(scc));
   }
 
-  // Support counts: one full-join enumeration per counting rule, counting
+  // Support counts: one full-join evaluation per counting SCC, counting
   // every distinct derivation of each head tuple.
-  PredStates no_states;
   for (SccPlan& scc : sccs) {
-    if (scc.policy != Policy::kCounting || scc.rules.empty()) continue;
-    auto& counts = support[scc.preds[0]];
-    for (const CRule& rule : scc.rules) {
-      std::vector<uint8_t> all_new(rule.atoms.size(), 0);
-      std::vector<Tuple> heads;
-      RAQLET_RETURN_IF_ERROR(EvalVariant(rule, -1, false, {}, no_states,
-                                         all_new, false, &heads));
-      for (Tuple& h : heads) counts[std::move(h)] += 1;
+    if (scc.policy != Policy::kCounting || scc.work.rules.empty()) continue;
+    std::vector<Variant> variants;
+    for (const CompiledRule& rule : scc.work.rules) {
+      variants.emplace_back(&rule);
     }
+    std::vector<EmitBuffer> heads;
+    EvalStats work;
+    RAQLET_RETURN_IF_ERROR(eval.Evaluate(variants, &heads, &work));
+    auto& counts = support[scc.work.preds[0]];
+    for (const EmitBuffer& buffer : heads) {
+      for (size_t row = 0; row < buffer.staged_rows; ++row) {
+        counts[buffer.Row(row)] += 1;
+      }
+    }
+    eval.Release(&heads);
     if (guard != nullptr) RAQLET_RETURN_IF_ERROR(guard->Check());
   }
 
@@ -998,160 +414,98 @@ Status IncrementalView::Impl::Initialize(const dlir::Program& prog,
   return Status::OK();
 }
 
-Status IncrementalView::Impl::EvalVariant(
-    const CRule& rule, int delta_atom, bool delta_keys,
-    const std::vector<Tuple>& delta, const PredStates& states,
-    const std::vector<uint8_t>& use_old, bool parallel,
-    std::vector<Tuple>* out) {
-  const bool direct =
-      delta_atom < 0 || delta_keys ||
-      CanSourceDirectly(rule.atoms[static_cast<size_t>(delta_atom)]);
-  std::unordered_set<Tuple, TupleHash> filter;
-  const std::unordered_set<Tuple, TupleHash>* filter_ptr = nullptr;
-  if (delta_atom >= 0 && !direct) {
-    filter.insert(delta.begin(), delta.end());
-    filter_ptr = &filter;
+void IncrementalView::Impl::Record(const std::string& pred, PredDelta d,
+                                   Pass* pass, size_t* added,
+                                   size_t* removed) {
+  *added += d.added.size();
+  *removed += d.removed.size();
+  if (!d.added.empty() || !d.removed.empty()) {
+    pass->deltas[pred] = std::move(d);
   }
-  RAQLET_ASSIGN_OR_RETURN(
-      Plan plan,
-      PlanRule(rule, delta_atom, delta_keys, options.reorder_atoms, nullptr));
-
-  runtime::ThreadPool* p = pool();
-  if (parallel && p != nullptr && plan.delta_first &&
-      delta.size() >= 2 * kMinRowsPerChunk) {
-    // Pre-resolve every index the plan probes while single-threaded is
-    // unnecessary (EnsureIndex is thread-safe), but pre-touching them here
-    // avoids building the same index concurrently on first probe.
-    for (const Step& step : plan.steps) {
-      if (step.atom < 0 || step.probe_cols.empty()) continue;
-      const CAtom& atom = rule.atoms[static_cast<size_t>(step.atom)];
-      atom.relation->EnsureIndex(step.probe_cols);
-      const PredState* st = StateOf(states, atom.predicate);
-      if (st != nullptr && st->minus != nullptr && !st->minus->empty()) {
-        st->minus->EnsureIndex(step.probe_cols);
-      }
-    }
-    const size_t n = delta.size();
-    const size_t max_chunks =
-        static_cast<size_t>(std::max(1, options.num_threads)) * 4;
-    const size_t chunk =
-        std::max(kMinRowsPerChunk, (n + max_chunks - 1) / max_chunks);
-    const size_t num_chunks = (n + chunk - 1) / chunk;
-    std::vector<std::vector<Tuple>> chunk_out(num_chunks);
-    std::vector<Status> chunk_status(num_chunks, Status::OK());
-    p->ParallelFor(num_chunks, [&](size_t c) {
-      VariantEval eval(rule, plan, states, use_old, &delta, nullptr,
-                       db->symbols());
-      chunk_status[c] =
-          eval.Run(c * chunk, std::min(n, (c + 1) * chunk), &chunk_out[c]);
-    });
-    for (size_t c = 0; c < num_chunks; ++c) {
-      RAQLET_RETURN_IF_ERROR(chunk_status[c]);
-      out->insert(out->end(), std::make_move_iterator(chunk_out[c].begin()),
-                  std::make_move_iterator(chunk_out[c].end()));
-    }
-    return Status::OK();
-  }
-
-  VariantEval eval(rule, plan, states, use_old, &delta, filter_ptr,
-                   db->symbols());
-  return eval.Run(0, std::numeric_limits<size_t>::max(), out);
 }
 
-void IncrementalView::Impl::NegKeyDeltas(const CAtom& atom,
-                                         const PredState& st,
-                                         const PredStates& states,
-                                         std::vector<Tuple>* plus,
-                                         std::vector<Tuple>* minus) const {
-  std::vector<int> proj;
-  for (size_t i = 0; i < atom.args.size(); ++i) {
-    if (atom.args[i].kind != CTerm::kWildcard) {
-      proj.push_back(static_cast<int>(i));
-    }
+Status IncrementalView::Impl::Replace(const std::string& pred, Relation* rel,
+                                      std::vector<Tuple> gone,
+                                      std::vector<Tuple> born,
+                                      Pass* pass) const {
+  // `gone` and `born` are disjoint, every row of `gone` is present and no
+  // row of `born` is, so they are exactly Δ− and Δ+.
+  PredDelta d;
+  RAQLET_ASSIGN_OR_RETURN(size_t erased, rel->EraseBatch(gone));
+  d.keep = rel->size();
+  RAQLET_ASSIGN_OR_RETURN(size_t appended, rel->InsertBatch(born));
+  if (erased != gone.size() || appended != born.size()) {
+    return Status::Internal("repair of '" + pred + "' erased " +
+                            std::to_string(erased) + " of " +
+                            std::to_string(gone.size()) + " and appended " +
+                            std::to_string(appended) + " of " +
+                            std::to_string(born.size()) + " tuples");
   }
-  std::unordered_set<Tuple, TupleHash> seen;
-  auto consider = [&](const Tuple& t) {
-    Tuple key;
-    key.reserve(proj.size());
-    for (int p : proj) key.push_back(t[static_cast<size_t>(p)]);
-    if (!seen.insert(key).second) return;
-    const PredState* state = StateOf(states, atom.predicate);
-    bool new_ex = StateExists(*atom.relation, state, false, proj, key);
-    bool old_ex = StateExists(*atom.relation, state, true, proj, key);
-    int sign = (new_ex ? 0 : 1) - (old_ex ? 0 : 1);
-    if (sign > 0) {
-      plus->push_back(std::move(key));
-    } else if (sign < 0) {
-      minus->push_back(std::move(key));
-    }
-  };
-  for (const Tuple& t : st.added) consider(t);
-  for (const Tuple& t : st.removed) consider(t);
+  d.erased = EmptyLike(*rel);
+  RAQLET_RETURN_IF_ERROR(d.erased->InsertBatch(gone).status());
+  d.added = std::move(born);
+  d.removed = std::move(gone);
+  Record(pred, std::move(d), pass, &pass->local.tuples_inserted,
+         &pass->local.tuples_deleted);
+  return Status::OK();
 }
 
-Status IncrementalView::Impl::ApplyCounting(SccPlan* scc, PredStates* states,
-                                            IncrementalStats* local,
-                                            const runtime::QueryGuard* guard) {
-  const std::string& pred = scc->preds[0];
-  Relation* rel = relations.at(pred);
+Status IncrementalView::Impl::ApplyCounting(SccPlan* scc, Pass* pass) {
+  const std::string& pred = scc->work.preds[0];
   auto& counts = support[pred];
 
-  // Signed support deltas, accumulated in first-touch order so the
-  // resulting insert/erase batches are deterministic.
-  std::unordered_map<Tuple, int64_t, TupleHash> dcount;
-  std::vector<Tuple> touched;
-  auto sink = [&](std::vector<Tuple>& heads, int64_t sign) {
-    for (Tuple& h : heads) {
-      auto [it, fresh] = dcount.emplace(h, 0);
-      if (fresh) touched.push_back(it->first);
-      it->second += sign;
-    }
-    heads.clear();
+  // Telescoping variants: Δ(R₁⋈…⋈Rₙ) = Σᵢ R₁ⁿᵉʷ…ΔRᵢ…Rₙᵒˡᵈ, atoms before
+  // the delta atom (in body order) reading NEW and atoms after it OLD.
+  std::vector<Variant> variants;
+  std::vector<int64_t> signs;
+  auto telescope = [&](const CompiledRule& rule, int delta,
+                       const Relation* rows, int64_t sign) {
+    const int pivot = rule.atoms[static_cast<size_t>(delta)].body_index;
+    variants.push_back(
+        Vary(rule, delta, WholeRelation(rows), [&](const CompiledAtom& atom) {
+          return atom.body_index < pivot ? NewState(atom) : pass->Old(atom);
+        }));
+    signs.push_back(sign);
   };
-
-  for (const CRule& rule : scc->rules) {
-    for (size_t i = 0; i < rule.atoms.size(); ++i) {
-      const CAtom& atom = rule.atoms[i];
-      const PredState* st = StateOf(*states, atom.predicate);
-      if (st == nullptr || !st->changed()) continue;
-      // Telescoping state assignment: atoms before the delta position see
-      // the NEW state, atoms after it the OLD state.
-      std::vector<uint8_t> use_old(rule.atoms.size(), 0);
-      for (size_t j = i + 1; j < rule.atoms.size(); ++j) use_old[j] = 1;
-      std::vector<Tuple> heads;
-      if (!atom.negated) {
-        if (!st->removed.empty()) {
-          use_old[i] = 1;  // removed tuples live in the OLD state
-          RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), false,
-                                             st->removed, *states, use_old,
-                                             false, &heads));
-          sink(heads, -1);
-        }
-        if (!st->added.empty()) {
-          use_old[i] = 0;
-          RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), false,
-                                             st->added, *states, use_old,
-                                             false, &heads));
-          sink(heads, +1);
-        }
-      } else {
-        std::vector<Tuple> plus_keys, minus_keys;
-        NegKeyDeltas(atom, *st, *states, &plus_keys, &minus_keys);
-        if (!plus_keys.empty()) {
-          RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), true,
-                                             plus_keys, *states, use_old,
-                                             false, &heads));
-          sink(heads, +1);
-        }
-        if (!minus_keys.empty()) {
-          RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), true,
-                                             minus_keys, *states, use_old,
-                                             false, &heads));
-          sink(heads, -1);
-        }
-      }
+  for (const CompiledRule& rule : scc->work.rules) {
+    for (size_t a = 0; a < rule.atoms.size(); ++a) {
+      if (rule.atoms[a].negated) continue;
+      const std::string& atom_pred = rule.atoms[a].predicate;
+      RAQLET_ASSIGN_OR_RETURN(const Relation* minus,
+                              pass->DeltaRows(atom_pred, true));
+      if (minus != nullptr) telescope(rule, static_cast<int>(a), minus, -1);
+      RAQLET_ASSIGN_OR_RETURN(const Relation* plus,
+                              pass->DeltaRows(atom_pred, false));
+      if (plus != nullptr) telescope(rule, static_cast<int>(a), plus, +1);
     }
   }
+  std::vector<FlipKeys> keys;  // alive until evaluated
+  for (const RewrittenRule& flip : scc->flips) {
+    const CompiledAtom& atom = flip.rule.atoms[static_cast<size_t>(flip.atom)];
+    const PredDelta* d = pass->Changed(atom.predicate);
+    if (d == nullptr) continue;
+    RAQLET_ASSIGN_OR_RETURN(
+        FlipKeys k, FlippedKeys(*atom.relation, *d, flip.key_columns));
+    if (!k.on->empty()) telescope(flip.rule, flip.atom, k.on.get(), +1);
+    if (!k.off->empty()) telescope(flip.rule, flip.atom, k.off.get(), -1);
+    keys.push_back(std::move(k));
+  }
+
+  // Signed support deltas, accumulated in first-touch order so the
+  // resulting erase and append batches are deterministic.
+  std::vector<EmitBuffer> heads;
+  RAQLET_RETURN_IF_ERROR(
+      pass->eval.Evaluate(variants, &heads, &pass->evaluated));
+  std::unordered_map<Tuple, int64_t, TupleHash> dcount;
+  std::vector<Tuple> touched;
+  for (const EmitBuffer& buffer : heads) {
+    for (size_t row = 0; row < buffer.staged_rows; ++row) {
+      auto [it, fresh] = dcount.emplace(buffer.Row(row), 0);
+      if (fresh) touched.push_back(it->first);
+      it->second += signs[buffer.variant];
+    }
+  }
+  pass->eval.Release(&heads);
 
   std::vector<Tuple> to_add;
   std::vector<Tuple> to_remove;
@@ -1166,7 +520,7 @@ Status IncrementalView::Impl::ApplyCounting(SccPlan* scc, PredStates* states,
           "support count underflow for '" + pred +
           "' — counting maintenance invariant violated");
     }
-    ++local->support_updates;
+    ++pass->local.support_updates;
     if (new_support == 0) {
       counts.erase(h);
     } else {
@@ -1175,393 +529,226 @@ Status IncrementalView::Impl::ApplyCounting(SccPlan* scc, PredStates* states,
     if (old_support == 0 && new_support > 0) to_add.push_back(h);
     if (old_support > 0 && new_support == 0) to_remove.push_back(h);
   }
-  local->rounds += 1;
-  RAQLET_RETURN_IF_ERROR(Guard(guard, to_add.size() + to_remove.size()));
-
-  PredState out_state;
-  if (!to_remove.empty()) {
-    size_t erased;
-    RAQLET_ASSIGN_OR_RETURN(erased, rel->EraseBatch(to_remove));
-    if (erased != to_remove.size()) {
-      return Status::Internal("counting erase removed " +
-                              std::to_string(erased) + " of " +
-                              std::to_string(to_remove.size()) +
-                              " support-dead tuples in '" + pred + "'");
-    }
-    out_state.removed = std::move(to_remove);
-  }
-  for (Tuple& t : to_add) {
-    bool fresh;
-    RAQLET_ASSIGN_OR_RETURN(fresh, rel->Insert(t));
-    if (fresh) out_state.added.push_back(std::move(t));
-  }
-  local->tuples_inserted += out_state.added.size();
-  local->tuples_deleted += out_state.removed.size();
-  if (out_state.changed()) {
-    RAQLET_RETURN_IF_ERROR(SealState(*rel, &out_state));
-    (*states)[pred] = std::move(out_state);
-  }
-  return Status::OK();
+  pass->local.rounds += 1;
+  RAQLET_RETURN_IF_ERROR(pass->Guard(to_add.size() + to_remove.size()));
+  return Replace(pred, scc->work.relations[0], std::move(to_remove),
+                 std::move(to_add), pass);
 }
 
-Status IncrementalView::Impl::ApplyDred(SccPlan* scc, PredStates* states,
-                                        IncrementalStats* local,
-                                        const runtime::QueryGuard* guard,
+Status IncrementalView::Impl::ApplyDred(SccPlan* scc, Pass* pass,
                                         bool* bailed) {
   *bailed = false;
-  // Per-pred overdeletion state, in discovery order.
-  std::unordered_map<std::string, std::vector<Tuple>> over;
-  std::unordered_map<std::string, std::unordered_set<Tuple, TupleHash>>
-      over_set;
-  for (const std::string& p : scc->preds) {
-    over[p];
-    over_set[p];
-  }
-
-  // Bail-out budget: when a deletion cascades through more than this many
-  // of the SCC's pre-delta rows, DRed degenerates — it would erase and
-  // tuple-at-a-time rederive most of the view, which is strictly slower
-  // than handing the SCC to the batch engine. Phase A mutates nothing, so
-  // aborting here and falling back to recompute-and-diff is clean. The
-  // threshold is a pure function of deterministic sizes, so the chosen
-  // path is identical across thread counts.
+  SccWork& work = scc->work;
+  const size_t n = work.relations.size();
+  // Overdeleted rows per predicate, in discovery order.
+  std::vector<std::unique_ptr<Relation>> over(n);
+  std::unordered_map<const Relation*, size_t> pos;  // live head → index
   size_t scc_rows = 0;
-  for (const std::string& p : scc->preds) scc_rows += relations.at(p)->size();
-  const double threshold = options.dred_recompute_threshold;
-  const size_t bail_at =
-      threshold > 0.0
-          ? std::max(static_cast<size_t>(threshold *
-                                         static_cast<double>(scc_rows)),
-                     options.dred_recompute_min_over)
-          : std::numeric_limits<size_t>::max();
-  size_t total_over = 0;
-
-  // Admit emitted deletion candidates: present in the (still pre-delta)
-  // SCC relation and not already overdeleted.
-  auto admit = [&](const std::string& head, std::vector<Tuple>& heads,
-                   std::unordered_map<std::string, std::vector<Tuple>>* round) {
-    Relation* rel = relations.at(head);
-    auto& os = over_set[head];
-    auto& ov = over[head];
-    for (Tuple& h : heads) {
-      if (!rel->Contains(h)) continue;
-      if (!os.insert(h).second) continue;
-      ++total_over;
-      ov.push_back(h);
-      (*round)[head].push_back(std::move(h));
-    }
-    heads.clear();
+  for (size_t i = 0; i < n; ++i) {
+    over[i] = EmptyLike(*work.relations[i]);
+    pos[work.relations[i]] = i;
+    scc_rows += work.relations[i]->size();
+  }
+  const size_t bail_at = std::max(
+      static_cast<size_t>(kBailOutFraction * static_cast<double>(scc_rows)),
+      kBailOutFloor);
+  auto over_of = [&](const CompiledRule& rule) {
+    return over[pos.at(rule.head_relation)].get();
   };
+  // Until the erase below, this SCC's own relations still hold their
+  // pre-delta rows, so reading them whole is reading OLD.
+  auto old_state = [pass](const CompiledAtom& atom) { return pass->Old(atom); };
 
-  // Pre-compute the negated-atom key flips once per (rule, atom): both the
-  // deletion seeds (minus keys) and the insertion seeds (plus keys) need
-  // them, and they must be evaluated before any SCC mutation.
-  struct NegFlips {
-    std::vector<Tuple> plus;
-    std::vector<Tuple> minus;
-  };
-  std::map<std::pair<size_t, size_t>, NegFlips> neg_flips;
-  for (size_t r = 0; r < scc->rules.size(); ++r) {
-    const CRule& rule = scc->rules[r];
-    for (size_t i = 0; i < rule.atoms.size(); ++i) {
-      const CAtom& atom = rule.atoms[i];
-      if (!atom.negated || atom.in_scc) continue;
-      const PredState* st = StateOf(*states, atom.predicate);
-      if (st == nullptr || !st->changed()) continue;
-      NegFlips flips;
-      NegKeyDeltas(atom, *st, *states, &flips.plus, &flips.minus);
-      if (!flips.plus.empty() || !flips.minus.empty()) {
-        neg_flips[{r, i}] = std::move(flips);
-      }
-    }
+  // Negated-atom key flips, against the final lower strata.
+  std::vector<FlipKeys> flips(scc->flips.size());
+  for (size_t f = 0; f < scc->flips.size(); ++f) {
+    const RewrittenRule& flip = scc->flips[f];
+    const CompiledAtom& atom = flip.rule.atoms[static_cast<size_t>(flip.atom)];
+    const PredDelta* d = pass->Changed(atom.predicate);
+    if (d == nullptr) continue;
+    RAQLET_ASSIGN_OR_RETURN(flips[f],
+                            FlippedKeys(*atom.relation, *d, flip.key_columns));
   }
 
-  // ---- Phase A: overdeletion fixpoint (all body atoms in OLD state). ----
-  std::unordered_map<std::string, std::vector<Tuple>> cur;
-  for (size_t r = 0; r < scc->rules.size(); ++r) {
-    const CRule& rule = scc->rules[r];
-    std::vector<uint8_t> all_old(rule.atoms.size(), 1);
-    for (size_t i = 0; i < rule.atoms.size(); ++i) {
-      const CAtom& atom = rule.atoms[i];
-      if (atom.in_scc) continue;  // in-SCC deltas come from propagation
-      const PredState* st = StateOf(*states, atom.predicate);
-      if (st == nullptr || !st->changed()) continue;
-      std::vector<Tuple> heads;
-      if (!atom.negated) {
-        if (st->removed.empty()) continue;
-        RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), false,
-                                           st->removed, *states, all_old,
-                                           false, &heads));
-      } else {
-        auto it = neg_flips.find({r, i});
-        if (it == neg_flips.end() || it->second.minus.empty()) continue;
-        RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), true,
-                                           it->second.minus, *states, all_old,
-                                           false, &heads));
-      }
-      admit(rule.head_predicate, heads, &cur);
+  // ---- Overdeletion: every head derivable in OLD from a removed lower
+  // row or a ¬∃ that stopped holding, then semi-naive rounds over the
+  // overdeleted rows with every other atom reading OLD. ----
+  std::vector<Variant> variants;
+  for (const CompiledRule& rule : work.rules) {
+    for (size_t a = 0; a < rule.atoms.size(); ++a) {
+      const CompiledAtom& atom = rule.atoms[a];
+      if (atom.recursive || atom.negated) continue;
+      RAQLET_ASSIGN_OR_RETURN(const Relation* minus,
+                              pass->DeltaRows(atom.predicate, true));
+      if (minus == nullptr) continue;
+      variants.push_back(Vary(rule, static_cast<int>(a), WholeRelation(minus),
+                              old_state, over_of(rule)));
     }
   }
+  for (size_t f = 0; f < flips.size(); ++f) {
+    if (flips[f].off == nullptr || flips[f].off->empty()) continue;
+    const RewrittenRule& flip = scc->flips[f];
+    variants.push_back(Vary(flip.rule, flip.atom,
+                            WholeRelation(flips[f].off.get()), old_state,
+                            over_of(flip.rule)));
+  }
+  RAQLET_RETURN_IF_ERROR(pass->EvaluateInto(variants));
+
+  std::vector<size_t> propagated(n, 0);  // over rows already joined
   size_t deletion_rounds = 0;
   while (true) {
-    if (total_over > bail_at) {
+    size_t total = 0;
+    size_t frontier = 0;
+    for (size_t i = 0; i < n; ++i) {
+      total += over[i]->size();
+      frontier += over[i]->size() - propagated[i];
+    }
+    // The cascade only grows, so checking after each merged round makes
+    // the same decision as checking after every head.
+    if (total > bail_at) {
       *bailed = true;
-      local->dred_bailouts += 1;
+      pass->local.dred_bailouts += 1;
       return Status::OK();
     }
-    size_t frontier = 0;
-    for (const std::string& p : scc->preds) frontier += cur[p].size();
     if (frontier == 0) break;
-    local->rounds += 1;
-    RAQLET_RETURN_IF_ERROR(Guard(guard, frontier));
+    pass->local.rounds += 1;
+    RAQLET_RETURN_IF_ERROR(pass->Guard(frontier));
     if (options.max_iterations > 0 &&
         ++deletion_rounds > options.max_iterations) {
       return Status::ResourceExhausted(
           "incremental overdeletion exceeded max_iterations");
     }
-    std::unordered_map<std::string, std::vector<Tuple>> next;
-    for (const CRule& rule : scc->rules) {
-      std::vector<uint8_t> all_old(rule.atoms.size(), 1);
-      for (size_t i = 0; i < rule.atoms.size(); ++i) {
-        const CAtom& atom = rule.atoms[i];
-        if (!atom.in_scc || atom.negated) continue;
-        auto dit = cur.find(atom.predicate);
-        if (dit == cur.end() || dit->second.empty()) continue;
-        std::vector<Tuple> heads;
-        RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), false,
-                                           dit->second, *states, all_old,
-                                           false, &heads));
-        admit(rule.head_predicate, heads, &next);
-        // A single round can blow far past the budget (the cascade can
-        // multiply per rule), so check between rules, not just between
-        // rounds.
-        if (total_over > bail_at) {
-          *bailed = true;
-          local->dred_bailouts += 1;
-          return Status::OK();
-        }
+    variants.clear();
+    for (const CompiledRule& rule : work.rules) {
+      for (int a : rule.recursive_atoms) {
+        const size_t i = pos.at(rule.atoms[static_cast<size_t>(a)].relation);
+        if (over[i]->size() == propagated[i]) continue;
+        variants.push_back(Vary(rule, a,
+                                {{over[i].get(), propagated[i],
+                                  over[i]->size()}},
+                                old_state, over_of(rule)));
       }
     }
-    cur = std::move(next);
+    for (size_t i = 0; i < n; ++i) propagated[i] = over[i]->size();
+    RAQLET_RETURN_IF_ERROR(pass->EvaluateInto(variants));
   }
 
-  // ---- Phase B: erase the overdeleted tuples. ----
-  for (const std::string& p : scc->preds) {
-    if (over[p].empty()) continue;
+  // ---- Erase the overdeleted rows. ----
+  std::vector<size_t> keep(n);
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<Tuple> rows = over[i]->MaterializeRows();
     size_t erased;
-    RAQLET_ASSIGN_OR_RETURN(erased, relations.at(p)->EraseBatch(over[p]));
-    if (erased != over[p].size()) {
+    RAQLET_ASSIGN_OR_RETURN(erased, work.relations[i]->EraseBatch(rows));
+    if (erased != rows.size()) {
       return Status::Internal("DRed erase removed " + std::to_string(erased) +
-                              " of " + std::to_string(over[p].size()) +
-                              " overdeleted tuples in '" + p + "'");
+                              " of " + std::to_string(rows.size()) +
+                              " overdeleted tuples in '" + work.preds[i] +
+                              "'");
     }
-    local->overdeleted += over[p].size();
+    keep[i] = work.relations[i]->size();
+    pass->local.overdeleted += rows.size();
   }
 
-  // ---- Phase C: rederive what is still derivable from the remainder.
-  // One pass suffices: rederived tuples re-enter as insertion deltas, so
-  // transitive rederivations happen in the continuation below. ----
-  // Check-mode plans are hoisted out of the per-tuple loop and planned
-  // with the head variables marked bound (Check pre-binds those env slots
-  // from the target), so probes run against the target's keys instead of
-  // rescanning the first atom per tuple.
-  struct CheckRule {
-    const CRule* rule;
-    Plan plan;
-    std::vector<uint8_t> all_new;
-  };
-  std::unordered_map<std::string, std::vector<CheckRule>> check_rules;
-  for (const CRule& rule : scc->rules) {
-    std::vector<bool> head_bound(rule.num_vars, false);
-    for (const CTerm& arg : rule.head_args) {
-      if (arg.kind == CTerm::kVar) {
-        head_bound[static_cast<size_t>(arg.var)] = true;
-      }
-    }
-    RAQLET_ASSIGN_OR_RETURN(
-        Plan plan,
-        PlanRule(rule, -1, false, options.reorder_atoms, &head_bound));
-    check_rules[rule.head_predicate].push_back(
-        {&rule, std::move(plan),
-         std::vector<uint8_t>(rule.atoms.size(), 0)});
+  // ---- One batch, every atom reading NEW: rederive the overdeleted rows
+  // still derivable (each rule joined with its head's overdeleted rows),
+  // and seed the insertions from lower-strata additions and ¬∃ that
+  // started holding. ----
+  variants.clear();
+  for (const RewrittenRule& rederive : scc->rederive) {
+    const Relation* rows = over_of(rederive.rule);
+    if (rows->empty()) continue;
+    variants.push_back(Vary(rederive.rule, rederive.atom,
+                            WholeRelation(rows), NewState));
   }
-  // Every check runs against the pure post-erase state before any
-  // rederived tuple is inserted back: interleaving inserts would both
-  // blur the semantics and invalidate the relations' cached indexes
-  // between probes (an O(n²) rebuild churn). Tuples that are only
-  // derivable *through* another rederivation re-enter via the insertion
-  // continuation below instead.
-  std::unordered_map<std::string, std::vector<Tuple>> inserted;
-  std::unordered_map<std::string, std::vector<Tuple>> rederive;
-  for (const std::string& p : scc->preds) {
-    for (const Tuple& t : over[p]) {
-      bool derivable = false;
-      for (const CheckRule& cr : check_rules[p]) {
-        VariantEval eval(*cr.rule, cr.plan, *states, cr.all_new, nullptr,
-                         nullptr, db->symbols());
-        RAQLET_ASSIGN_OR_RETURN(derivable, eval.Check(t));
-        if (derivable) break;
-      }
-      if (derivable) rederive[p].push_back(t);
+  for (const CompiledRule& rule : work.rules) {
+    for (size_t a = 0; a < rule.atoms.size(); ++a) {
+      const CompiledAtom& atom = rule.atoms[a];
+      if (atom.recursive || atom.negated) continue;
+      RAQLET_ASSIGN_OR_RETURN(const Relation* plus,
+                              pass->DeltaRows(atom.predicate, false));
+      if (plus == nullptr) continue;
+      variants.push_back(
+          Vary(rule, static_cast<int>(a), WholeRelation(plus), NewState));
     }
   }
-  for (const std::string& p : scc->preds) {
-    Relation* rel = relations.at(p);
-    for (Tuple& t : rederive[p]) {
-      bool fresh;
-      RAQLET_ASSIGN_OR_RETURN(fresh, rel->Insert(t));
-      if (fresh) cur[p].push_back(std::move(t));
-    }
+  for (size_t f = 0; f < flips.size(); ++f) {
+    if (flips[f].on == nullptr || flips[f].on->empty()) continue;
+    const RewrittenRule& flip = scc->flips[f];
+    variants.push_back(Vary(flip.rule, flip.atom,
+                            WholeRelation(flips[f].on.get()), NewState));
   }
+  RAQLET_RETURN_IF_ERROR(pass->EvaluateInto(variants));
 
-  // ---- Phase D: semi-naive insertion continuation. Seeds: incoming adds
-  // and ¬-became-true key flips from lower strata, plus the phase-C
-  // rederivations already sitting in `cur`. This is the entire algorithm
-  // for insert-only deltas. ----
-  auto insert_heads = [&](const std::string& head, std::vector<Tuple>& heads,
-                          std::unordered_map<std::string, std::vector<Tuple>>*
-                              round) -> Status {
-    Relation* rel = relations.at(head);
-    for (Tuple& h : heads) {
-      bool fresh;
-      RAQLET_ASSIGN_OR_RETURN(fresh, rel->Insert(h));
-      if (!fresh) continue;
-      inserted[head].push_back(h);
-      (*round)[head].push_back(std::move(h));
-    }
-    heads.clear();
-    return Status::OK();
-  };
+  // ---- Semi-naive continuation: the engine's own fixpoint loop, with
+  // every row appended since the erase as the first delta. This is the
+  // entire algorithm for insert-only deltas. ----
+  EvalStats continuation;
+  RAQLET_RETURN_IF_ERROR(
+      pass->eval.RunScc(&work, &keep, &continuation, nullptr));
+  pass->local.rounds += continuation.fixpoint_rounds;
 
-  for (size_t r = 0; r < scc->rules.size(); ++r) {
-    const CRule& rule = scc->rules[r];
-    std::vector<uint8_t> all_new(rule.atoms.size(), 0);
-    for (size_t i = 0; i < rule.atoms.size(); ++i) {
-      const CAtom& atom = rule.atoms[i];
-      if (atom.in_scc) continue;
-      const PredState* st = StateOf(*states, atom.predicate);
-      if (st == nullptr || !st->changed()) continue;
-      std::vector<Tuple> heads;
-      if (!atom.negated) {
-        if (st->added.empty()) continue;
-        RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), false,
-                                           st->added, *states, all_new, true,
-                                           &heads));
-      } else {
-        auto it = neg_flips.find({r, i});
-        if (it == neg_flips.end() || it->second.plus.empty()) continue;
-        RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), true,
-                                           it->second.plus, *states, all_new,
-                                           true, &heads));
-      }
-      RAQLET_RETURN_IF_ERROR(insert_heads(rule.head_predicate, heads, &cur));
-    }
-  }
-  size_t insertion_rounds = 0;
-  while (true) {
-    size_t frontier = 0;
-    for (const std::string& p : scc->preds) frontier += cur[p].size();
-    if (frontier == 0) break;
-    local->rounds += 1;
-    RAQLET_RETURN_IF_ERROR(Guard(guard, frontier));
-    if (options.max_iterations > 0 &&
-        ++insertion_rounds > options.max_iterations) {
-      return Status::ResourceExhausted(
-          "incremental insertion exceeded max_iterations");
-    }
-    std::unordered_map<std::string, std::vector<Tuple>> next;
-    for (const CRule& rule : scc->rules) {
-      std::vector<uint8_t> all_new(rule.atoms.size(), 0);
-      for (size_t i = 0; i < rule.atoms.size(); ++i) {
-        const CAtom& atom = rule.atoms[i];
-        if (!atom.in_scc || atom.negated) continue;
-        auto dit = cur.find(atom.predicate);
-        if (dit == cur.end() || dit->second.empty()) continue;
-        std::vector<Tuple> heads;
-        RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), false,
-                                           dit->second, *states, all_new,
-                                           true, &heads));
-        RAQLET_RETURN_IF_ERROR(
-            insert_heads(rule.head_predicate, heads, &next));
-      }
-    }
-    cur = std::move(next);
-  }
-
-  // ---- Finalize the per-pred net deltas. A tuple that was overdeleted
-  // and later re-inserted (rederived directly or via the continuation) is
-  // a net no-op; a fresh insertion that was never overdeleted is net-new.
-  for (const std::string& p : scc->preds) {
-    Relation* rel = relations.at(p);
-    PredState out_state;
-    const auto& os = over_set[p];
-    for (const Tuple& t : over[p]) {
-      if (!rel->Contains(t)) out_state.removed.push_back(t);
-    }
-    local->rederived += over[p].size() - out_state.removed.size();
-    for (const Tuple& t : inserted[p]) {
-      if (os.count(t) == 0) out_state.added.push_back(t);
-    }
-    local->tuples_inserted += out_state.added.size();
-    local->tuples_deleted += out_state.removed.size();
-    if (out_state.changed()) {
-      RAQLET_RETURN_IF_ERROR(SealState(*rel, &out_state));
-      (*states)[p] = std::move(out_state);
-    }
+  for (size_t i = 0; i < n; ++i) {
+    PredDelta d;
+    d.keep = keep[i];
+    d.erased = std::move(over[i]);
+    Net(*work.relations[i], &d);
+    pass->local.rederived += d.erased->size() - d.removed.size();
+    Record(work.preds[i], std::move(d), pass, &pass->local.tuples_inserted,
+           &pass->local.tuples_deleted);
   }
   return Status::OK();
 }
 
-Status IncrementalView::Impl::ApplyRecompute(SccPlan* scc, PredStates* states,
-                                             IncrementalStats* local,
-                                             const runtime::QueryGuard* guard) {
-  // Snapshot the previous rows of every head predicate.
-  std::unordered_map<std::string, std::vector<Tuple>> old_rows;
-  for (const std::string& p : scc->preds) {
-    old_rows[p] = relations.at(p)->MaterializeRows();
+Status IncrementalView::Impl::ApplyRecompute(SccPlan* scc, Pass* pass) {
+  // Re-run the SCC from empty into scratch heads over the final lower
+  // strata, on the engine's own fixpoint loop.
+  SccWork fresh;
+  fresh.index = scc->work.index;
+  fresh.preds = scc->work.preds;
+  fresh.recursive = scc->work.recursive;
+  std::vector<std::unique_ptr<Relation>> scratch;
+  std::unordered_map<std::string, Relation*> heads;
+  for (size_t i = 0; i < fresh.preds.size(); ++i) {
+    scratch.push_back(EmptyLike(*scc->work.relations[i]));
+    fresh.relations.push_back(scratch.back().get());
+    heads[fresh.preds[i]] = scratch.back().get();
+    const dlir::RelationDecl* decl = program.FindDecl(fresh.preds[i]);
+    if (decl != nullptr && decl->lattice != LatticeKind::kNone) {
+      fresh.lattice[scratch.back().get()].kind = decl->lattice;
+    }
   }
-
-  // Build the sub-program: this SCC's rules, with every lower-stratum
-  // dependency redeclared as an input so the engine reads it as-is.
-  dlir::Program sub;
-  for (const dlir::RelationDecl& decl : program.decls) {
-    const bool is_head = scc->pred_set.count(decl.name) > 0;
-    if (!is_head && scc->body_preds.count(decl.name) == 0) continue;
-    dlir::RelationDecl copy = decl;
-    if (!is_head) copy.is_input = true;
-    sub.decls.push_back(std::move(copy));
+  auto resolve = [&](const std::string& name) {
+    auto head = heads.find(name);
+    return head != heads.end() ? head->second : Live(name);
+  };
+  const std::set<std::string> scc_set(fresh.preds.begin(), fresh.preds.end());
+  for (const Rule* rule : scc->rules) {
+    RAQLET_ASSIGN_OR_RETURN(CompiledRule compiled,
+                            pass->eval.Compile(*rule, resolve, scc_set));
+    fresh.rules.push_back(std::move(compiled));
   }
-  for (const Rule* rule : scc->dlir_rules) sub.rules.push_back(*rule);
+  EvalStats recompute;
+  RAQLET_RETURN_IF_ERROR(
+      pass->eval.RunScc(&fresh, nullptr, &recompute, nullptr));
+  pass->local.rounds += 1;
+  pass->local.recomputed_sccs += 1;
 
-  RAQLET_RETURN_IF_ERROR(sub_engine->Run(sub, db, nullptr, nullptr, guard));
-  local->rounds += 1;
-  local->recomputed_sccs += 1;
-
-  for (const std::string& p : scc->preds) {
-    Relation* rel = relations.at(p);
-    std::vector<Tuple> new_rows = rel->MaterializeRows();
-    // Diff against a columnar snapshot of the old rows: the relation's own
-    // dedup answers "still present?" for the removed side, and a throwaway
-    // Relation answers "already present?" for the added side — both flat
-    // open-addressing probes, an order of magnitude cheaper at closure
-    // scale than building node-based hash sets of materialized tuples.
-    Relation old_snapshot(rel->schema());
-    RAQLET_RETURN_IF_ERROR(old_snapshot.InsertBatch(old_rows[p]).status());
-    PredState out_state;
-    for (Tuple& t : new_rows) {
-      if (!old_snapshot.Contains(t)) out_state.added.push_back(std::move(t));
+  // Write the result back as a diff: erase what it lost, append what it
+  // gained.
+  for (size_t i = 0; i < fresh.preds.size(); ++i) {
+    Relation* live = scc->work.relations[i];
+    const Relation& result = *fresh.relations[i];
+    std::vector<Tuple> gone;
+    for (Tuple& t : live->MaterializeRows()) {
+      if (!result.Contains(t)) gone.push_back(std::move(t));
     }
-    for (Tuple& t : old_rows[p]) {
-      if (!rel->Contains(t)) out_state.removed.push_back(std::move(t));
+    std::vector<Tuple> born;
+    for (Tuple& t : result.MaterializeRows()) {
+      if (!live->Contains(t)) born.push_back(std::move(t));
     }
-    local->tuples_inserted += out_state.added.size();
-    local->tuples_deleted += out_state.removed.size();
-    RAQLET_RETURN_IF_ERROR(Guard(guard, out_state.added.size() +
-                                            out_state.removed.size()));
-    if (out_state.changed()) {
-      RAQLET_RETURN_IF_ERROR(SealState(*rel, &out_state));
-      (*states)[p] = std::move(out_state);
-    }
+    RAQLET_RETURN_IF_ERROR(pass->Guard(gone.size() + born.size()));
+    RAQLET_RETURN_IF_ERROR(Replace(fresh.preds[i], live, std::move(gone),
+                                   std::move(born), pass));
   }
   return Status::OK();
 }
@@ -1569,80 +756,75 @@ Status IncrementalView::Impl::ApplyRecompute(SccPlan* scc, PredStates* states,
 Result<AppliedDelta> IncrementalView::Impl::Apply(
     const DeltaBatch& batch, obs::IncrementalMetrics* metrics,
     const runtime::QueryGuard* guard) {
-  // Apply the base delta and collapse it into one net PredState per
-  // changed relation (a relation may appear in several batch entries).
+  Pass pass(RuleEvaluator(&db->symbols(), eval_options(), context.get(),
+                          guard),
+            guard);
+
+  // Apply the base delta. A relation may appear in several entries, so
+  // each erased tuple is either a pre-delta row or one an earlier entry
+  // appended; only the former belong to OLD.
+  std::vector<std::string> base_order;
+  std::unordered_map<std::string, size_t> pre_size;
+  for (const RelationDelta& rd : batch.relations) {
+    if (pre_size.emplace(rd.relation, relations.at(rd.relation)->size())
+            .second) {
+      base_order.push_back(rd.relation);
+    }
+  }
   AppliedDelta base;
   RAQLET_ASSIGN_OR_RETURN(base, db->ApplyDelta(batch));
-
-  PredStates states;
-  std::vector<std::string> base_order;
+  std::unordered_map<std::string, std::unordered_set<Tuple, TupleHash>>
+      appended;
+  std::unordered_map<std::string, std::vector<Tuple>> erased;
   for (AppliedRelationDelta& ard : base.relations) {
-    auto [it, fresh] = states.try_emplace(ard.relation);
-    if (fresh) base_order.push_back(ard.relation);
-    PredState& st = it->second;
-    std::unordered_set<Tuple, TupleHash> removed_set(st.removed.begin(),
-                                                     st.removed.end());
-    for (Tuple& t : ard.added) {
-      if (removed_set.count(t) > 0) {
-        // Removed earlier in the batch, re-added now: net no-op.
-        removed_set.erase(t);
-        st.removed.erase(std::find(st.removed.begin(), st.removed.end(), t));
-      } else {
-        st.added.push_back(std::move(t));
-      }
-    }
-    std::unordered_set<Tuple, TupleHash> added_set(st.added.begin(),
-                                                   st.added.end());
+    auto& mine = appended[ard.relation];
     for (Tuple& t : ard.removed) {
-      if (added_set.count(t) > 0) {
-        st.added.erase(std::find(st.added.begin(), st.added.end(), t));
-      } else {
-        st.removed.push_back(std::move(t));
-      }
+      if (mine.erase(t) == 0) erased[ard.relation].push_back(std::move(t));
     }
+    for (Tuple& t : ard.added) mine.insert(std::move(t));
   }
-  IncrementalStats local;
   for (const std::string& pred : base_order) {
-    PredState& st = states[pred];
-    local.base_added += st.added.size();
-    local.base_removed += st.removed.size();
-    RAQLET_RETURN_IF_ERROR(SealState(*relations.at(pred), &st));
+    const Relation& rel = *relations.at(pred);
+    PredDelta d;
+    d.erased = EmptyLike(rel);
+    RAQLET_RETURN_IF_ERROR(
+        d.erased->InsertBatch(std::move(erased[pred])).status());
+    d.keep = pre_size[pred] - d.erased->size();
+    Net(rel, &d);
+    Record(pred, std::move(d), &pass, &pass.local.base_added,
+           &pass.local.base_removed);
   }
   RAQLET_RETURN_IF_ERROR(
-      Guard(guard, local.base_added + local.base_removed));
+      pass.Guard(pass.local.base_added + pass.local.base_removed));
 
   // Re-fire only the SCCs whose body predicates changed, in topological
   // order, so each SCC sees final lower-stratum states.
   for (SccPlan& scc : sccs) {
-    if (scc.rules.empty()) continue;
+    if (scc.work.rules.empty()) continue;
     bool affected = false;
     for (const std::string& dep : scc.body_preds) {
-      const PredState* st = StateOf(states, dep);
-      if (st != nullptr && st->changed()) {
+      if (pass.Changed(dep) != nullptr) {
         affected = true;
         break;
       }
     }
     if (!affected) {
-      ++local.sccs_skipped;
+      ++pass.local.sccs_skipped;
       continue;
     }
-    ++local.sccs_touched;
+    ++pass.local.sccs_touched;
     switch (scc.policy) {
       case Policy::kCounting:
-        RAQLET_RETURN_IF_ERROR(ApplyCounting(&scc, &states, &local, guard));
+        RAQLET_RETURN_IF_ERROR(ApplyCounting(&scc, &pass));
         break;
       case Policy::kDred: {
         bool bailed = false;
-        RAQLET_RETURN_IF_ERROR(ApplyDred(&scc, &states, &local, guard,
-                                         &bailed));
-        if (bailed) {
-          RAQLET_RETURN_IF_ERROR(ApplyRecompute(&scc, &states, &local, guard));
-        }
+        RAQLET_RETURN_IF_ERROR(ApplyDred(&scc, &pass, &bailed));
+        if (bailed) RAQLET_RETURN_IF_ERROR(ApplyRecompute(&scc, &pass));
         break;
       }
       case Policy::kRecompute:
-        RAQLET_RETURN_IF_ERROR(ApplyRecompute(&scc, &states, &local, guard));
+        RAQLET_RETURN_IF_ERROR(ApplyRecompute(&scc, &pass));
         break;
     }
   }
@@ -1650,52 +832,26 @@ Result<AppliedDelta> IncrementalView::Impl::Apply(
   // Assemble the net result: base relations in first-appearance batch
   // order, then derived relations in topological order.
   AppliedDelta out;
-  auto append = [&out](const std::string& pred, PredState& st) {
-    if (!st.changed()) return;
+  auto append = [&](const std::string& pred) {
+    auto it = pass.deltas.find(pred);
+    if (it == pass.deltas.end()) return;
     AppliedRelationDelta ard;
     ard.relation = pred;
-    ard.added = std::move(st.added);
-    ard.removed = std::move(st.removed);
+    ard.added = std::move(it->second.added);
+    ard.removed = std::move(it->second.removed);
     out.total_added += ard.added.size();
     out.total_removed += ard.removed.size();
     out.relations.push_back(std::move(ard));
   };
-  for (const std::string& pred : base_order) append(pred, states[pred]);
+  for (const std::string& pred : base_order) append(pred);
   for (const SccPlan& scc : sccs) {
-    for (const std::string& pred : scc.preds) {
-      if (input_preds.count(pred) > 0) continue;
-      auto it = states.find(pred);
-      if (it != states.end()) append(pred, it->second);
+    for (const std::string& pred : scc.work.preds) {
+      if (input_preds.count(pred) == 0) append(pred);
     }
   }
 
-  stats.deltas_applied += 1;
-  stats.base_added += local.base_added;
-  stats.base_removed += local.base_removed;
-  stats.sccs_touched += local.sccs_touched;
-  stats.sccs_skipped += local.sccs_skipped;
-  stats.rounds += local.rounds;
-  stats.tuples_inserted += local.tuples_inserted;
-  stats.tuples_deleted += local.tuples_deleted;
-  stats.overdeleted += local.overdeleted;
-  stats.rederived += local.rederived;
-  stats.support_updates += local.support_updates;
-  stats.recomputed_sccs += local.recomputed_sccs;
-  stats.dred_bailouts += local.dred_bailouts;
-  if (metrics != nullptr) {
-    metrics->base_added += local.base_added;
-    metrics->base_removed += local.base_removed;
-    metrics->sccs_touched += local.sccs_touched;
-    metrics->sccs_skipped += local.sccs_skipped;
-    metrics->rounds += local.rounds;
-    metrics->tuples_inserted += local.tuples_inserted;
-    metrics->tuples_deleted += local.tuples_deleted;
-    metrics->overdeleted += local.overdeleted;
-    metrics->rederived += local.rederived;
-    metrics->support_updates += local.support_updates;
-    metrics->recomputed_sccs += local.recomputed_sccs;
-    metrics->dred_bailouts += local.dred_bailouts;
-  }
+  stats += pass.local;
+  if (metrics != nullptr) *metrics += pass.local;
   return out;
 }
 
@@ -1718,7 +874,9 @@ Status IncrementalView::Initialize(const dlir::Program& program, Database* db,
 
 bool IncrementalView::initialized() const { return impl_->initialized; }
 
-const IncrementalStats& IncrementalView::stats() const { return impl_->stats; }
+const obs::IncrementalMetrics& IncrementalView::stats() const {
+  return impl_->stats;
+}
 
 Database* IncrementalView::database() const { return impl_->db; }
 
@@ -1746,19 +904,6 @@ Result<AppliedDelta> IncrementalView::ApplyDelta(
   // half-repaired; poison the view until re-initialized.
   if (!result.ok()) impl_->poisoned = true;
   return result;
-}
-
-std::string IncrementalStats::ToString() const {
-  std::ostringstream os;
-  os << "deltas=" << deltas_applied << " base_added=" << base_added
-     << " base_removed=" << base_removed << " sccs_touched=" << sccs_touched
-     << " sccs_skipped=" << sccs_skipped << " rounds=" << rounds
-     << " inserted=" << tuples_inserted << " deleted=" << tuples_deleted
-     << " overdeleted=" << overdeleted << " rederived=" << rederived
-     << " support_updates=" << support_updates
-     << " recomputed_sccs=" << recomputed_sccs
-     << " dred_bailouts=" << dred_bailouts;
-  return os.str();
 }
 
 }  // namespace raqlet::engine

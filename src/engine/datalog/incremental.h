@@ -6,13 +6,12 @@
 // engine" item).
 //
 // An IncrementalView pairs one stratified DLIR program with one Database:
-// Initialize() evaluates the program from scratch (the ordinary
-// DatalogEngine) and builds the maintenance state; each ApplyDelta()
-// applies a DeltaBatch to the base relations and repairs every derived
-// relation to exactly what a from-scratch re-evaluation would produce —
-// same rows, same insertion order up to the differential contract below —
-// while re-firing only the SCCs of the dependency graph reachable from
-// changed predicates.
+// Initialize() evaluates the program from scratch and builds the
+// maintenance state; each ApplyDelta() applies a DeltaBatch to the base
+// relations and repairs every derived relation to exactly what a
+// from-scratch re-evaluation would produce — same rows, same insertion
+// order up to the differential contract below — while re-firing only the
+// SCCs of the dependency graph reachable from changed predicates.
 //
 // ## Deletion strategy, per SCC
 //
@@ -29,11 +28,17 @@
 //    overdeleted tuples still derivable from the remaining facts, then
 //    continue semi-naive insertion from the incoming additions plus the
 //    rederivations. Pure insert-only deltas skip straight to the
-//    continuation — the cheap path streaming appends take.
+//    continuation — the cheap path streaming appends take. A cascade
+//    past 1/5 of the SCC's rows (and 4,096 rows) bails out, before
+//    anything is erased, to recompute-and-diff.
 //  * Recompute-and-diff — SCCs with aggregation or lattice relations
 //    (support counts do not model merge/group semantics). The SCC's rules
 //    are re-run from scratch on the current lower strata and the result
-//    is diffed against the previous rows.
+//    is written back as a diff against the previous rows.
+//
+// Every phase runs on the batch engine's evaluator (evaluator.h) as
+// batches of rule variants whose atoms read NEW, OLD or Δ row ranges; see
+// docs/incremental.md.
 //
 // ## Determinism contract
 //
@@ -43,7 +48,7 @@
 // maintained relation holds exactly the same row SET as a from-scratch
 // evaluation, in a deterministic (but possibly different) row ORDER.
 // Every ApplyDelta is bit-identical across thread counts: rows, row
-// order, stats and metrics all match between num_threads = 1 and N.
+// order and counters all match between num_threads = 1 and N.
 //
 // ## Guard interaction
 //
@@ -70,46 +75,9 @@ struct IncrementalOptions {
   size_t max_iterations = 0;
   /// Greedy join ordering inside each rule (mirrors EvalOptions).
   bool reorder_atoms = true;
-  /// Degree of parallelism for the insertion-continuation phase. Counting
-  /// and overdeletion passes always run serially; results are identical
-  /// for every N.
+  /// Degree of parallelism for every maintenance phase; results are
+  /// identical for every N.
   int num_threads = 1;
-  /// DRed escape hatch: when the overdeletion cascade exceeds this
-  /// fraction of the SCC's pre-delta rows, abandon DRed mid-fixpoint
-  /// (nothing has been mutated yet) and recompute-and-diff the SCC with
-  /// the batch engine instead. The decision depends only on deterministic
-  /// sizes, so the chosen path is identical across thread counts.
-  /// Values <= 0 disable the bail-out (pure DRed). Counted in
-  /// IncrementalStats::dred_bailouts. The default reflects that the
-  /// tuple-at-a-time DRed interpreter costs roughly an order of magnitude
-  /// more per row than the batch engine: once a cascade passes ~1/5 of
-  /// the SCC, erase-and-rederive is already losing to recompute.
-  double dred_recompute_threshold = 0.2;
-  /// Absolute floor on the bail-out: cascades smaller than this many
-  /// tuples stay on DRed regardless of the fraction — below a few
-  /// thousand rows the interpreter beats standing up the batch
-  /// sub-engine, and small SCCs would otherwise bail on every delete.
-  size_t dred_recompute_min_over = 4096;
-};
-
-/// Cumulative counters across every ApplyDelta on one view. All fields
-/// are deterministic (identical across thread counts).
-struct IncrementalStats {
-  size_t deltas_applied = 0;
-  size_t base_added = 0;
-  size_t base_removed = 0;
-  size_t sccs_touched = 0;
-  size_t sccs_skipped = 0;
-  size_t rounds = 0;
-  size_t tuples_inserted = 0;
-  size_t tuples_deleted = 0;
-  size_t overdeleted = 0;
-  size_t rederived = 0;
-  size_t support_updates = 0;
-  size_t recomputed_sccs = 0;
-  size_t dred_bailouts = 0;
-
-  std::string ToString() const;
 };
 
 class IncrementalView {
@@ -143,8 +111,8 @@ class IncrementalView {
                                   obs::IncrementalMetrics* metrics = nullptr,
                                   const runtime::QueryGuard* guard = nullptr);
 
-  /// Cumulative stats across every ApplyDelta since Initialize.
-  const IncrementalStats& stats() const;
+  /// Cumulative counters across every ApplyDelta since Initialize.
+  const obs::IncrementalMetrics& stats() const;
 
   /// The database this view maintains (nullptr before Initialize).
   Database* database() const;

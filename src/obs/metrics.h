@@ -145,7 +145,8 @@ struct GuardMetrics {
 /// Detail from one incremental maintenance pass (engine::IncrementalView
 /// ::ApplyDelta): how much of the dependency graph was re-fired and what
 /// each deletion strategy did. Every field is a deterministic count —
-/// bit-identical across thread counts, like the engine stats.
+/// bit-identical across thread counts, like the engine stats. The view's
+/// cumulative counters (IncrementalView::stats) use the same struct.
 struct IncrementalMetrics {
   size_t base_added = 0;       // net EDB tuples inserted by the delta
   size_t base_removed = 0;     // net EDB tuples erased by the delta
@@ -160,12 +161,24 @@ struct IncrementalMetrics {
   size_t recomputed_sccs = 0;  // recompute-and-diff runs (agg/lattice/bail)
   size_t dred_bailouts = 0;    // DRed cascades handed to recompute-and-diff
 
-  bool empty() const {
-    return base_added == 0 && base_removed == 0 && sccs_touched == 0 &&
-           sccs_skipped == 0 && rounds == 0 && tuples_inserted == 0 &&
-           tuples_deleted == 0 && overdeleted == 0 && rederived == 0 &&
-           support_updates == 0 && recomputed_sccs == 0 && dred_bailouts == 0;
+  IncrementalMetrics& operator+=(const IncrementalMetrics& o) {
+    base_added += o.base_added;
+    base_removed += o.base_removed;
+    sccs_touched += o.sccs_touched;
+    sccs_skipped += o.sccs_skipped;
+    rounds += o.rounds;
+    tuples_inserted += o.tuples_inserted;
+    tuples_deleted += o.tuples_deleted;
+    overdeleted += o.overdeleted;
+    rederived += o.rederived;
+    support_updates += o.support_updates;
+    recomputed_sccs += o.recomputed_sccs;
+    dred_bailouts += o.dred_bailouts;
+    return *this;
   }
+  bool operator==(const IncrementalMetrics&) const = default;
+
+  bool empty() const { return *this == IncrementalMetrics{}; }
 };
 
 /// Heap bytes held by one stored relation.

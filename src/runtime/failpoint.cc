@@ -39,7 +39,8 @@ bool FailpointsCompiledIn() {
 
 std::vector<std::string> FailpointStatusSites() {
   return {"storage.insert_batch", "storage.insert_columns",
-          "datalog.apply_staged", "sql.cte_merge", "graph.project"};
+          "storage.erase_batch",  "datalog.apply_staged",
+          "sql.cte_merge",        "graph.project"};
 }
 
 std::vector<std::string> FailpointDelaySites() {

@@ -24,6 +24,7 @@
 // Site catalogue (docs/robustness.md keeps the authoritative list):
 //   storage.insert_batch    Relation::InsertBatchInPlace, before staging
 //   storage.insert_columns  Relation::InsertColumns, before staging
+//   storage.erase_batch     Relation::EraseBatch, before tombstoning
 //   storage.index_build     Relation::FoldSuffix (delay only)
 //   datalog.apply_staged    datalog EmitBuffer merge, per relation group
 //   sql.cte_merge           SQL executor, before a CTE materialize step

@@ -2,9 +2,11 @@
 // every status-firing site, armed in turn under every engine configuration,
 // must surface exactly the injected Status when the site is on that
 // configuration's path — and after disarming, a re-run on the same
-// database must be bit-identical to a run that never saw the fault. This
-// proves the robustness contract ("a failed query never corrupts state")
-// by construction, not by hoping the error paths are exercised.
+// database must be bit-identical to a run that never saw the fault. The
+// same sites are armed under an incremental view's ApplyDelta, which must
+// poison the view and recover on re-Initialize. This proves the
+// robustness contract ("a failed query never corrupts state") by
+// construction, not by hoping the error paths are exercised.
 //
 // The sweep suites GTEST_SKIP unless the sites are compiled in
 // (-DRAQLET_FAILPOINTS=ON; the `asan-failpoint` preset / CI leg). The
@@ -18,10 +20,12 @@
 #include <map>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "engine/datalog/incremental.h"
 #include "raqlet/compiler.h"
 #include "runtime/failpoint.h"
 #include "runtime/query_guard.h"
@@ -117,6 +121,69 @@ class FailpointTest : public ::testing::Test {
     };
   }
 
+  // The derived relations of the closure program in `db`, rendered.
+  std::map<std::string, std::set<std::string>> DerivedRows(
+      const Database& db) const {
+    std::map<std::string, std::set<std::string>> out;
+    for (const dlir::RelationDecl& decl : unit_.dlir.decls) {
+      if (decl.is_input) continue;
+      for (const Tuple& t : (*db.GetRelation(decl.name))->MaterializeRows()) {
+        out[decl.name].insert(TupleToString(t, &db.symbols()));
+      }
+    }
+    return out;
+  }
+
+  // The delta configurations: one ApplyDelta on a closure view (DRed under
+  // the closure, counting above it) over a fresh copy of the base data, at
+  // `threads`, with `site` armed. Reports how often the site fired.
+  void SweepApplyDelta(const std::string& site, int threads, int* hits) {
+    Database db;
+    ASSERT_TRUE(compiler_.CreateEdbs(&db).ok());
+    FillDb(&db, 99);
+    engine::IncrementalOptions options;
+    options.num_threads = threads;
+    auto view = compiler_.BeginIncremental(unit_.dlir, &db, options);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+
+    // Cut five KNOWS edges and add five.
+    RelationDelta knows;
+    knows.relation = "Person_KNOWS_Person";
+    std::vector<Tuple> rows =
+        (*db.GetRelation(knows.relation))->MaterializeRows();
+    ASSERT_GE(rows.size(), 29u);
+    for (size_t i = 0; i < 5; ++i) knows.removes.push_back(rows[i * 7]);
+    for (int i = 0; i < 5; ++i) {
+      knows.adds.push_back({Value::Number(i + 1), Value::Number(30 - i),
+                            Value::Number(1000 + i)});
+    }
+    DeltaBatch delta;
+    delta.relations.push_back(std::move(knows));
+
+    runtime::ArmFailpoint(site, Status::Internal("injected: " + site));
+    auto applied = compiler_.ApplyDelta(view->get(), delta);
+    *hits = runtime::FailpointHits(site);
+    runtime::DisarmFailpoint(site);
+    if (*hits > 0) {
+      ASSERT_FALSE(applied.ok());
+      EXPECT_EQ(applied.status().code(), StatusCode::kInternal);
+      EXPECT_NE(applied.status().message().find("injected: " + site),
+                std::string::npos)
+          << applied.status().ToString();
+      // The failed delta poisoned the view until it is re-initialized.
+      EXPECT_EQ((*view)->ApplyDelta(delta).status().code(),
+                StatusCode::kInvalidArgument);
+      ASSERT_TRUE((*view)->Initialize(unit_.dlir, &db).ok());
+    } else {
+      ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    }
+    // The view's rows equal a from-scratch run on the current base.
+    auto maintained = DerivedRows(db);
+    engine::DatalogEngine eng;
+    ASSERT_TRUE(eng.Run(unit_.dlir, &db).ok());
+    EXPECT_EQ(maintained, DerivedRows(db));
+  }
+
   Compiler compiler_;
   Database db_;
   CompiledQuery unit_;
@@ -187,6 +254,13 @@ TEST_F(FailpointTest, KillPointSweep) {
       EXPECT_EQ(rerun->columns, refs[c].columns);
       EXPECT_EQ(rerun->rows, refs[c].rows)
           << "re-run after injected failure diverged";
+    }
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(site + " x apply-delta/" + std::to_string(threads) + "t");
+      int hits = 0;
+      SweepApplyDelta(site, threads, &hits);
+      if (HasFatalFailure()) return;
+      if (hits > 0) ++fired_in_configs[site];
     }
   }
 
