@@ -57,7 +57,7 @@ void GenerateFacts(raqlet::Database* db, int vars, unsigned seed) {
     raqlet::Relation* r = *db->GetRelation(rel);
     raqlet::Tuple row;
     for (int64_t v : values) row.push_back(raqlet::Value::Number(v));
-    r->Insert(std::move(row));
+    r->Insert(row);
   };
   for (int i = 1; i <= vars / 4; ++i) insert("alloc", {var(rng), i});
   for (int i = 0; i < vars; ++i) insert("move", {var(rng), var(rng)});

@@ -152,6 +152,21 @@ struct TupleHash {
   }
 };
 
+/// Tuple equality by kind and raw payload word, the equality TupleHash is
+/// built on and Relation dedups by. Unlike operator==, a NaN equals a NaN
+/// with the same bits, and 0.0 and -0.0 differ.
+struct TupleBitEq {
+  bool operator()(const Tuple& a, const Tuple& b) const {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].kind() != b[i].kind() || a[i].RawBits() != b[i].RawBits()) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
 std::string TupleToString(const Tuple& t, const SymbolTable* symbols = nullptr);
 
 }  // namespace raqlet

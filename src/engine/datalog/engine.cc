@@ -740,8 +740,7 @@ Status RuleEvaluator::Evaluate(const std::vector<Variant>& variants,
         seg.rows = rows;
         if (step.kind == PlanStep::kJoinAtom) {
           // Borrow the storage columns now, while still single-threaded:
-          // workers then scan without materializing rows (and without
-          // racing on the lazily-folded rows() cache).
+          // workers then scan them without materializing rows.
           seg.cols.reserve(rows.relation->arity());
           for (size_t c = 0; c < rows.relation->arity(); ++c) {
             seg.cols.push_back(rows.relation->Column(c));
@@ -1131,7 +1130,8 @@ Status RuleEvaluator::RunScc(SccWork* work,
       row.push_back(value);
       compacted.push_back(std::move(row));
     }
-    Status replaced = rel->ReplaceRows(std::move(compacted));
+    rel->Clear();
+    Status replaced = rel->InsertBatch(compacted).status();
     if (!replaced.ok()) return finish(replaced);
   }
   return finish(Status::OK());

@@ -110,8 +110,8 @@ Result<FlipKeys> FlippedKeys(const Relation& live, const PredDelta& d,
   }
   FlipKeys out{std::make_unique<Relation>(schema),
                std::make_unique<Relation>(schema)};
-  RAQLET_RETURN_IF_ERROR(out.on->InsertBatch(std::move(on)).status());
-  RAQLET_RETURN_IF_ERROR(out.off->InsertBatch(std::move(off)).status());
+  RAQLET_RETURN_IF_ERROR(out.on->InsertBatch(on).status());
+  RAQLET_RETURN_IF_ERROR(out.off->InsertBatch(off).status());
   return out;
 }
 
@@ -787,8 +787,7 @@ Result<AppliedDelta> IncrementalView::Impl::Apply(
     const Relation& rel = *relations.at(pred);
     PredDelta d;
     d.erased = EmptyLike(rel);
-    RAQLET_RETURN_IF_ERROR(
-        d.erased->InsertBatch(std::move(erased[pred])).status());
+    RAQLET_RETURN_IF_ERROR(d.erased->InsertBatch(erased[pred]).status());
     d.keep = pre_size[pred] - d.erased->size();
     Net(rel, &d);
     Record(pred, std::move(d), &pass, &pass.local.base_added,

@@ -1727,7 +1727,7 @@ class BatchExecution {
       Relation dedup_rel(ScratchSchema(out_cols));
       RAQLET_RETURN_IF_ERROR(dedup_rel.InsertColumns(&staged).status());
       if (is_return) {
-        std::vector<Tuple> rows = dedup_rel.ReleaseRows();
+        std::vector<Tuple> rows = dedup_rel.MaterializeRows();
         DropHidden(next, &rows);
         table_ = std::move(*next);
         table_.rows = rows.size();
@@ -1736,9 +1736,15 @@ class BatchExecution {
         return Status::OK();
       }
       // Intermediate WITH DISTINCT: stay columnar.
-      const size_t kept = dedup_rel.size();
-      next->cols = dedup_rel.ReleaseColumns();
-      next->rows = kept;
+      next->cols.assign(out_cols, {});
+      for (size_t c = 0; c < out_cols; ++c) {
+        const Relation::ColumnView view = dedup_rel.Column(c);
+        next->cols[c].reserve(view.size());
+        for (size_t i = 0; i < view.size(); ++i) {
+          next->cols[c].push_back(view.at(i));
+        }
+      }
+      next->rows = dedup_rel.size();
       table_ = std::move(*next);
       have_result_rows_ = false;
       return Status::OK();

@@ -164,14 +164,14 @@ class SelectEvaluator {
     // The guard poll amortizes to one relaxed load per emitted row batch
     // (kChunkRows), matching the vectorized path's per-chunk cadence.
     size_t rows_since_check = 0;
-    RowBinding binding(tables_.size(), nullptr);
+    RowBinding binding(tables_.size(), kUnbound);
     return Descend(0, &binding, [&](const RowBinding& row) -> Status {
       if (guard_ != nullptr && ++rows_since_check >= kChunkRows) {
         rows_since_check = 0;
         RAQLET_RETURN_IF_ERROR(guard_->Check());
       }
       RAQLET_ASSIGN_OR_RETURN(Tuple tuple, Project(row));
-      RAQLET_ASSIGN_OR_RETURN(bool fresh, out->Insert(std::move(tuple)));
+      RAQLET_ASSIGN_OR_RETURN(bool fresh, out->Insert(tuple));
       RecordDedup(1, fresh ? 1 : 0);
       return Status::OK();
     });
@@ -214,7 +214,10 @@ class SelectEvaluator {
     std::string alias;
     const Relation* relation = nullptr;
   };
-  using RowBinding = std::vector<const Tuple*>;
+  // The tuple pipeline's join state: the row index each table is bound
+  // to, kUnbound for tables not yet joined.
+  using RowBinding = std::vector<uint32_t>;
+  static constexpr uint32_t kUnbound = static_cast<uint32_t>(-1);
 
   Status Bind() {
     for (const TableRef& ref : select_.from) {
@@ -247,7 +250,7 @@ class SelectEvaluator {
     // Alias-free (constant-only) predicates can't be attached to a join
     // step — with an empty FROM list there are no steps at all — so they
     // are evaluated exactly once up front.
-    RowBinding no_rows(tables_.size(), nullptr);
+    RowBinding no_rows(tables_.size(), kUnbound);
     for (size_t p = 0; p < select_.where.size(); ++p) {
       const Predicate& pred = select_.where[p];
       std::set<std::string> aliases;
@@ -513,14 +516,15 @@ class SelectEvaluator {
     switch (e.kind) {
       case Expr::kColumn: {
         auto it = alias_index_.find(e.table);
-        if (it == alias_index_.end() || row[it->second] == nullptr) {
+        if (it == alias_index_.end() || row[it->second] == kUnbound) {
           return Status::Internal("unbound alias " + e.table);
         }
         int col = ColumnIndex(it->second, e.column);
         if (col < 0) {
           return Status::NotFound("no column " + e.column + " in " + e.table);
         }
-        return (*row[it->second])[static_cast<size_t>(col)];
+        return tables_[it->second].relation->ValueAt(
+            row[it->second], static_cast<size_t>(col));
       }
       case Expr::kConst: {
         auto it = const_values_.find(&e);
@@ -546,7 +550,6 @@ class SelectEvaluator {
   // (The binding slot is restored afterwards.)
   template <typename Sink>
   Status ExtendOne(const StepPlan& step, RowBinding* row, Sink sink) {
-    const Relation* rel = step.rel;
     // Tuple mode works in unit batches: one binding row per invocation.
     obs::SqlStepMetrics* sm =
         step_totals_.empty() ? nullptr : &step_totals_[&step - plan_.data()];
@@ -556,21 +559,21 @@ class SelectEvaluator {
       if (!step.probes.empty()) ++sm->probes;
     }
 
-    auto try_row = [&](const Tuple& candidate) -> Status {
+    auto try_row = [&](uint32_t candidate) -> Status {
       if (stats_ != nullptr) ++stats_->rows_scanned;
       if (sm != nullptr) ++sm->rows_matched;
-      (*row)[step.table_index] = &candidate;
+      (*row)[step.table_index] = candidate;
       for (const Predicate* pred : step.filters) {
         RAQLET_ASSIGN_OR_RETURN(Value lhs, EvalExpr(pred->lhs, *row));
         RAQLET_ASSIGN_OR_RETURN(Value rhs, EvalExpr(pred->rhs, *row));
         if (!CheckCmp(pred->op, lhs, rhs, db_->symbols())) {
-          (*row)[step.table_index] = nullptr;
+          (*row)[step.table_index] = kUnbound;
           return Status::OK();
         }
       }
       if (sm != nullptr) ++sm->rows_out;
       Status s = sink(*row);
-      (*row)[step.table_index] = nullptr;
+      (*row)[step.table_index] = kUnbound;
       return s;
     };
 
@@ -583,13 +586,12 @@ class SelectEvaluator {
       auto it = step.index->find(probe_key_);
       if (it == step.index->end()) return Status::OK();
       for (uint32_t row_idx : it->second) {
-        RAQLET_RETURN_IF_ERROR(try_row(rel->rows()[row_idx]));
+        RAQLET_RETURN_IF_ERROR(try_row(row_idx));
       }
       return Status::OK();
     }
-    for (const Tuple& candidate : rel->rows()) {
-      RAQLET_RETURN_IF_ERROR(try_row(candidate));
-    }
+    const size_t n = step.rel->size();
+    for (uint32_t r = 0; r < n; ++r) RAQLET_RETURN_IF_ERROR(try_row(r));
     return Status::OK();
   }
 
@@ -1138,7 +1140,7 @@ class SelectEvaluator {
         }
         return Status::OK();
       };
-      RowBinding binding(tables_.size(), nullptr);
+      RowBinding binding(tables_.size(), kUnbound);
       RAQLET_RETURN_IF_ERROR(Descend(0, &binding, accumulate));
     }
 
@@ -1162,7 +1164,7 @@ class SelectEvaluator {
         }
       }
       if (!skip) {
-        RAQLET_ASSIGN_OR_RETURN(bool fresh, out->Insert(std::move(tuple)));
+        RAQLET_ASSIGN_OR_RETURN(bool fresh, out->Insert(tuple));
         RecordDedup(1, fresh ? 1 : 0);
       }
     }
@@ -1518,7 +1520,7 @@ Result<ResultTable> SqlEngine::Run(const SqirProgram& program, Database* db,
     RAQLET_RETURN_IF_ERROR(g->Check());
   }
   if (final_cm != nullptr) final_cm->rows = out_rel.size();
-  result.rows = out_rel.ReleaseRows();
+  result.rows = out_rel.MaterializeRows();
   return result;
 }
 

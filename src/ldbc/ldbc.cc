@@ -87,7 +87,7 @@ Status GenerateSnbData(const schema::DlSchema& dl, Database* db,
                      db->Str(pick(kBrowsers)), db->Str("en"),
                      db->Str("p" + std::to_string(i) + "@snb.test")});
   }
-  RAQLET_RETURN_IF_ERROR(person->InsertBatch(std::move(batch)).status());
+  RAQLET_RETURN_IF_ERROR(person->InsertBatch(batch).status());
   batch = {};
 
   RAQLET_ASSIGN_OR_RETURN(Relation * city, db->GetRelation("City"));
@@ -96,7 +96,7 @@ Status GenerateSnbData(const schema::DlSchema& dl, Database* db,
     batch.push_back({Value::Number(i), db->Str("City" + std::to_string(i)),
                      db->Str("url/city/" + std::to_string(i))});
   }
-  RAQLET_RETURN_IF_ERROR(city->InsertBatch(std::move(batch)).status());
+  RAQLET_RETURN_IF_ERROR(city->InsertBatch(batch).status());
   batch = {};
   RAQLET_ASSIGN_OR_RETURN(Relation * country, db->GetRelation("Country"));
   batch.reserve(static_cast<size_t>(countries));
@@ -104,7 +104,7 @@ Status GenerateSnbData(const schema::DlSchema& dl, Database* db,
     batch.push_back({Value::Number(i), db->Str("Country" + std::to_string(i)),
                      db->Str("url/country/" + std::to_string(i))});
   }
-  RAQLET_RETURN_IF_ERROR(country->InsertBatch(std::move(batch)).status());
+  RAQLET_RETURN_IF_ERROR(country->InsertBatch(batch).status());
   batch = {};
   RAQLET_ASSIGN_OR_RETURN(Relation * tag, db->GetRelation("Tag"));
   batch.reserve(static_cast<size_t>(tags));
@@ -112,7 +112,7 @@ Status GenerateSnbData(const schema::DlSchema& dl, Database* db,
     batch.push_back({Value::Number(i), db->Str("Tag" + std::to_string(i)),
                      db->Str("url/tag/" + std::to_string(i))});
   }
-  RAQLET_RETURN_IF_ERROR(tag->InsertBatch(std::move(batch)).status());
+  RAQLET_RETURN_IF_ERROR(tag->InsertBatch(batch).status());
   batch = {};
   RAQLET_ASSIGN_OR_RETURN(Relation * forum, db->GetRelation("Forum"));
   batch.reserve(static_cast<size_t>(forums));
@@ -120,7 +120,7 @@ Status GenerateSnbData(const schema::DlSchema& dl, Database* db,
     batch.push_back({Value::Number(i), db->Str("Forum" + std::to_string(i)),
                      Value::Number(kDateBase + date(rng))});
   }
-  RAQLET_RETURN_IF_ERROR(forum->InsertBatch(std::move(batch)).status());
+  RAQLET_RETURN_IF_ERROR(forum->InsertBatch(batch).status());
   batch = {};
   RAQLET_ASSIGN_OR_RETURN(Relation * message, db->GetRelation("Message"));
   batch.reserve(static_cast<size_t>(messages));
@@ -132,7 +132,7 @@ Status GenerateSnbData(const schema::DlSchema& dl, Database* db,
                      db->Str("10.1." + std::to_string(i % 256) + ".1"),
                      Value::Number(10 + static_cast<int64_t>(rng() % 1990))});
   }
-  RAQLET_RETURN_IF_ERROR(message->InsertBatch(std::move(batch)).status());
+  RAQLET_RETURN_IF_ERROR(message->InsertBatch(batch).status());
   batch = {};
 
   // Place hierarchy.
@@ -144,7 +144,7 @@ Status GenerateSnbData(const schema::DlSchema& dl, Database* db,
     batch.push_back(
         {Value::Number(i), Value::Number(city_of(rng)), Value::Number(++edge_id)});
   }
-  RAQLET_RETURN_IF_ERROR(located->InsertBatch(std::move(batch)).status());
+  RAQLET_RETURN_IF_ERROR(located->InsertBatch(batch).status());
   batch = {};
   RAQLET_ASSIGN_OR_RETURN(Relation * part,
                           db->GetRelation("City_IS_PART_OF_Country"));
@@ -154,7 +154,7 @@ Status GenerateSnbData(const schema::DlSchema& dl, Database* db,
     batch.push_back({Value::Number(i), Value::Number(country_of(rng)),
                      Value::Number(++edge_id)});
   }
-  RAQLET_RETURN_IF_ERROR(part->InsertBatch(std::move(batch)).status());
+  RAQLET_RETURN_IF_ERROR(part->InsertBatch(batch).status());
   batch = {};
 
   // KNOWS with a heavy-tailed degree distribution (Pareto-ish).
@@ -178,7 +178,7 @@ Status GenerateSnbData(const schema::DlSchema& dl, Database* db,
                        Value::Number(kDateBase + date(rng))});
     }
   }
-  RAQLET_RETURN_IF_ERROR(knows->InsertBatch(std::move(batch)).status());
+  RAQLET_RETURN_IF_ERROR(knows->InsertBatch(batch).status());
   batch = {};
 
   // Message authorship: each message has exactly one creator.
@@ -189,7 +189,7 @@ Status GenerateSnbData(const schema::DlSchema& dl, Database* db,
     batch.push_back({Value::Number(i), Value::Number(any_person(rng)),
                      Value::Number(++edge_id)});
   }
-  RAQLET_RETURN_IF_ERROR(creator->InsertBatch(std::move(batch)).status());
+  RAQLET_RETURN_IF_ERROR(creator->InsertBatch(batch).status());
   batch = {};
 
   // Likes, membership, containment, tags, interests.
@@ -202,7 +202,7 @@ Status GenerateSnbData(const schema::DlSchema& dl, Database* db,
                      Value::Number(any_message(rng)), Value::Number(++edge_id),
                      Value::Number(kDateBase + date(rng))});
   }
-  RAQLET_RETURN_IF_ERROR(likes->InsertBatch(std::move(batch)).status());
+  RAQLET_RETURN_IF_ERROR(likes->InsertBatch(batch).status());
   batch = {};
   RAQLET_ASSIGN_OR_RETURN(Relation * member,
                           db->GetRelation("Forum_HAS_MEMBER_Person"));
@@ -213,7 +213,7 @@ Status GenerateSnbData(const schema::DlSchema& dl, Database* db,
                      Value::Number(any_person(rng)), Value::Number(++edge_id),
                      Value::Number(kDateBase + date(rng))});
   }
-  RAQLET_RETURN_IF_ERROR(member->InsertBatch(std::move(batch)).status());
+  RAQLET_RETURN_IF_ERROR(member->InsertBatch(batch).status());
   batch = {};
   RAQLET_ASSIGN_OR_RETURN(Relation * container,
                           db->GetRelation("Forum_CONTAINER_OF_Message"));
@@ -222,7 +222,7 @@ Status GenerateSnbData(const schema::DlSchema& dl, Database* db,
     batch.push_back({Value::Number(any_forum(rng)), Value::Number(i),
                      Value::Number(++edge_id)});
   }
-  RAQLET_RETURN_IF_ERROR(container->InsertBatch(std::move(batch)).status());
+  RAQLET_RETURN_IF_ERROR(container->InsertBatch(batch).status());
   batch = {};
   RAQLET_ASSIGN_OR_RETURN(Relation * has_tag,
                           db->GetRelation("Message_HAS_TAG_Tag"));
@@ -232,7 +232,7 @@ Status GenerateSnbData(const schema::DlSchema& dl, Database* db,
     batch.push_back({Value::Number(i), Value::Number(any_tag(rng)),
                      Value::Number(++edge_id)});
   }
-  RAQLET_RETURN_IF_ERROR(has_tag->InsertBatch(std::move(batch)).status());
+  RAQLET_RETURN_IF_ERROR(has_tag->InsertBatch(batch).status());
   batch = {};
   RAQLET_ASSIGN_OR_RETURN(Relation * interest,
                           db->GetRelation("Person_HAS_INTEREST_Tag"));
@@ -241,7 +241,7 @@ Status GenerateSnbData(const schema::DlSchema& dl, Database* db,
     batch.push_back({Value::Number(i), Value::Number(any_tag(rng)),
                      Value::Number(++edge_id)});
   }
-  RAQLET_RETURN_IF_ERROR(interest->InsertBatch(std::move(batch)).status());
+  RAQLET_RETURN_IF_ERROR(interest->InsertBatch(batch).status());
   return Status::OK();
 }
 

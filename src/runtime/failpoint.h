@@ -22,8 +22,8 @@
 //    race windows for cancellation tests without changing control flow.
 //
 // Site catalogue (docs/robustness.md keeps the authoritative list):
-//   storage.insert_batch    Relation::InsertBatchInPlace, before staging
-//   storage.insert_columns  Relation::InsertColumns, before staging
+//   storage.insert_batch    Relation::InsertBatch, on a non-empty batch
+//   storage.insert_columns  Relation::InsertColumns, on a non-empty batch
 //   storage.erase_batch     Relation::EraseBatch, before tombstoning
 //   storage.index_build     Relation::FoldSuffix (delay only)
 //   datalog.apply_staged    datalog EmitBuffer merge, per relation group

@@ -76,7 +76,7 @@ Status LoadDelimitedText(Database* db, Relation* relation,
     }
     batch.push_back(std::move(row));
   }
-  RAQLET_RETURN_IF_ERROR(relation->InsertBatch(std::move(batch)).status());
+  RAQLET_RETURN_IF_ERROR(relation->InsertBatch(batch).status());
   return Status::OK();
 }
 
@@ -92,7 +92,7 @@ Status LoadDelimitedFile(Database* db, Relation* relation,
 std::string DumpDelimitedText(const Database& db, const Relation& relation,
                               char delimiter) {
   std::ostringstream os;
-  for (const Tuple& row : relation.rows()) {
+  for (const Tuple& row : relation.MaterializeRows()) {
     for (size_t i = 0; i < row.size(); ++i) {
       if (i > 0) os << delimiter;
       const Value& v = row[i];

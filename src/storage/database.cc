@@ -62,9 +62,11 @@ Result<AppliedDelta> Database::ApplyDelta(const DeltaBatch& batch) {
     applied.relation = rd.relation;
     // A tuple both removed and re-added is a net no-op when present (and
     // a plain insert when absent) — never route it through EraseBatch.
-    std::unordered_set<Tuple, TupleHash> add_set(rd.adds.begin(),
-                                                 rd.adds.end());
-    std::unordered_set<Tuple, TupleHash> seen;
+    // Both sets compare like the relation does (kind and raw bits), so a
+    // NaN tuple matches itself here too.
+    std::unordered_set<Tuple, TupleHash, TupleBitEq> add_set(
+        rd.adds.begin(), rd.adds.end());
+    std::unordered_set<Tuple, TupleHash, TupleBitEq> seen;
     for (const Tuple& t : rd.removes) {
       if (add_set.count(t) > 0 || !rel->Contains(t)) continue;
       if (!seen.insert(t).second) continue;

@@ -12,22 +12,40 @@ namespace {
 
 constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
 
-// Finalizer spreading TupleHash output across slot indices: the table
+// Finalizer spreading the row hash across slot indices: the table
 // indexes with the low bits, so fold the high bits down first.
 inline uint32_t MixHash(size_t h) {
   uint64_t x = static_cast<uint64_t>(h) * kGolden;
   return static_cast<uint32_t>(x ^ (x >> 32));
 }
 
-// TupleHash for an arity-2 all-kNumber row given the raw payload words —
-// bit-identical to TupleHash{}({Number(a), Number(b)}). Value::Hash for a
-// kNumber is bits + kGolden (the kind term is zero).
-inline size_t PairNumericHash(int64_t a, int64_t b) {
+// The dedup table's row hash (TupleHash's mix, then MixHash) for anything
+// with size() and operator[]: a Tuple or one row of a columnar batch.
+template <typename Row>
+uint32_t RowHash(const Row& row) {
+  size_t h = row.size();
+  for (size_t c = 0; c < row.size(); ++c) {
+    h ^= row[c].Hash() + kGolden + (h << 6) + (h >> 2);
+  }
+  return MixHash(h);
+}
+
+// RowHash of {Number(a), Number(b)} from the raw payload words. Value::Hash
+// for a kNumber is bits + kGolden (the kind term is zero).
+inline uint32_t PairNumericHash(int64_t a, int64_t b) {
   size_t h = 2;
   h ^= (static_cast<uint64_t>(a) + kGolden) + kGolden + (h << 6) + (h >> 2);
   h ^= (static_cast<uint64_t>(b) + kGolden) + kGolden + (h << 6) + (h >> 2);
-  return h;
+  return MixHash(h);
 }
+
+// Row i of a columnar batch, read in place.
+struct StagedRow {
+  const std::vector<std::vector<Value>>* cols;
+  size_t i;
+  size_t size() const { return cols->size(); }
+  const Value& operator[](size_t c) const { return (*cols)[c][i]; }
+};
 
 inline bool AllNumbers(const std::vector<Value>& vals) {
   for (const Value& v : vals) {
@@ -54,142 +72,158 @@ std::string RelationSchema::ToString() const {
   return name + "(" + Join(cols, ", ") + ")";
 }
 
-Status Relation::CheckRoom(size_t extra) const {
-  if (row_count_ + extra <= row_limit_) return Status::OK();
-  return Status::Internal(
-      "relation '" + schema_.name + "' would exceed " +
-      std::to_string(row_limit_) +
-      " rows (32-bit row-index ceiling): " + std::to_string(row_count_) +
-      " stored + batch of " + std::to_string(extra));
-}
-
-void Relation::DedupReserve(size_t want) {
+Status Relation::ReserveRows(size_t extra) {
+  const size_t want = row_count_ + extra;
+  if (want > row_limit_) {
+    return Status::Internal(
+        "relation '" + schema_.name + "' would exceed " +
+        std::to_string(row_limit_) +
+        " rows (32-bit row-index ceiling): " + std::to_string(row_count_) +
+        " stored + batch of " + std::to_string(extra));
+  }
+  // One reservation per insert call; doubling (rather than
+  // reserve(size + k) per batch) keeps growth geometric across rounds.
+  for (ValueColumn& c : columns_) {
+    if (want > c.capacity()) c.Reserve(std::max(want, c.capacity() * 2));
+  }
   // Max load factor 1/2: at 7/8 the expected linear-probe chain for a miss
   // (every genuinely-new tuple) is ~32 slot touches; at 1/2 it is ~2.5. A
   // slot is 8 bytes, so even the doubled table stays far smaller than the
   // column storage it guards.
-  size_t capacity = dedup_slots_.size();
-  if (capacity >= 16 && want * 2 <= capacity) return;
-  size_t new_capacity = capacity == 0 ? 16 : capacity;
+  const size_t capacity = dedup_slots_.size();
+  if (capacity >= 16 && want * 2 <= capacity) return Status::OK();
+  size_t new_capacity = std::max<size_t>(capacity, 16);
   while (want * 2 > new_capacity) new_capacity *= 2;
   std::vector<DedupSlot> old = std::move(dedup_slots_);
   dedup_slots_.assign(new_capacity, DedupSlot{});
-  size_t mask = new_capacity - 1;
+  const size_t mask = new_capacity - 1;
   for (const DedupSlot& slot : old) {
     if (slot.row == kEmptySlot) continue;
     size_t pos = slot.hash & mask;
     while (dedup_slots_[pos].row != kEmptySlot) pos = (pos + 1) & mask;
     dedup_slots_[pos] = slot;
   }
+  return Status::OK();
 }
 
-void Relation::PrepareColumns(size_t arity, size_t want) {
-  if (columns_.size() < arity) columns_.resize(arity);
-  // One reservation for the whole batch; doubling (rather than
-  // reserve(size + k) per batch) keeps growth geometric across rounds.
-  for (ValueColumn& c : columns_) {
-    if (want > c.capacity()) c.Reserve(std::max(want, c.capacity() * 2));
+struct Relation::StoredRow {
+  const ValueColumn* cols;
+  size_t width;
+  uint32_t i;
+  size_t size() const { return width; }
+  Value operator[](size_t c) const { return cols[c].Get(i); }
+};
+
+template <typename Row>
+bool Relation::RowEquals(uint32_t stored, const Row& row) const {
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    if (!columns_[c].BitEquals(stored, row[c])) return false;
   }
-}
-
-void Relation::AppendRow(const Tuple& t) {
-  for (size_t c = 0; c < t.size(); ++c) columns_[c].Append(t[c]);
-}
-
-bool Relation::Contains(const Tuple& t) const {
-  if (dedup_slots_.empty()) return false;
-  auto cand = [&t](size_t c) -> const Value& { return t[c]; };
-  return DedupProbe(t.size(), cand, MixHash(TupleHash{}(t)), nullptr) !=
-         kEmptySlot;
-}
-
-Result<bool> Relation::Insert(Tuple t) {
-  RAQLET_RETURN_IF_ERROR(CheckRoom(1));
-  PrepareColumns(t.size(), row_count_ + 1);
-  DedupReserve(row_count_ + 1);
-  uint32_t h32 = MixHash(TupleHash{}(t));
-  size_t slot;
-  auto cand = [&t](size_t c) -> const Value& { return t[c]; };
-  if (DedupProbe(t.size(), cand, h32, &slot) != kEmptySlot) return false;
-  AppendRow(t);
-  dedup_slots_[slot] = DedupSlot{h32, static_cast<uint32_t>(row_count_)};
-  ++row_count_;
   return true;
 }
 
-Result<size_t> Relation::InsertBatch(std::vector<Tuple> batch) {
-  return InsertBatchInPlace(&batch);
+template <typename Row>
+uint32_t Relation::DedupProbe(const Row& row, uint32_t h32,
+                              size_t* slot_out) const {
+  const size_t mask = dedup_slots_.size() - 1;  // size is a power of two
+  for (size_t pos = h32 & mask;; pos = (pos + 1) & mask) {
+    const DedupSlot& slot = dedup_slots_[pos];
+    if (slot.row == kEmptySlot) {
+      if (slot_out != nullptr) *slot_out = pos;
+      return kEmptySlot;
+    }
+    if (slot.hash == h32 && RowEquals(slot.row, row)) return slot.row;
+  }
 }
 
-Result<size_t> Relation::InsertBatchInPlace(std::vector<Tuple>* batch) {
-  if (batch->empty()) return static_cast<size_t>(0);
-  RAQLET_FAILPOINT("storage.insert_batch");
-  RAQLET_RETURN_IF_ERROR(CheckRoom(batch->size()));
-  size_t want = row_count_ + batch->size();
-  PrepareColumns((*batch)[0].size(), want);
-  DedupReserve(want);
+template <typename RowAt>
+Result<size_t> Relation::InsertRows(size_t n, RowAt&& row_at) {
+  for (size_t i = 0; i < n; ++i) {
+    const size_t width = row_at(i).size();
+    if (width != arity()) {
+      return Status::InvalidArgument(
+          "relation '" + schema_.name + "' has arity " +
+          std::to_string(arity()) + ", but row " + std::to_string(i) +
+          " of the insert has " + std::to_string(width) + " values");
+    }
+  }
+  RAQLET_RETURN_IF_ERROR(ReserveRows(n));
   size_t inserted = 0;
-  for (const Tuple& t : *batch) {
-    uint32_t h32 = MixHash(TupleHash{}(t));
+  for (size_t i = 0; i < n; ++i) {
+    const auto& row = row_at(i);
+    const uint32_t h32 = RowHash(row);
     size_t slot;
-    auto cand = [&t](size_t c) -> const Value& { return t[c]; };
-    if (DedupProbe(t.size(), cand, h32, &slot) != kEmptySlot) continue;
-    AppendRow(t);
+    if (DedupProbe(row, h32, &slot) != kEmptySlot) continue;
+    for (size_t c = 0; c < columns_.size(); ++c) columns_[c].Append(row[c]);
     dedup_slots_[slot] = DedupSlot{h32, static_cast<uint32_t>(row_count_)};
     ++row_count_;
     ++inserted;
   }
-  batch->clear();  // capacity retained for staging-buffer reuse
   FoldAllIndexes();
   return inserted;
+}
+
+bool Relation::Contains(const Tuple& t) const {
+  if (dedup_slots_.empty() || t.size() != arity()) return false;
+  return DedupProbe(t, RowHash(t), nullptr) != kEmptySlot;
+}
+
+Result<bool> Relation::Insert(const Tuple& t) {
+  RAQLET_ASSIGN_OR_RETURN(
+      size_t inserted,
+      InsertRows(1, [&t](size_t) -> const Tuple& { return t; }));
+  return inserted == 1;
+}
+
+Result<size_t> Relation::InsertBatch(const std::vector<Tuple>& batch) {
+  if (batch.empty()) return static_cast<size_t>(0);
+  RAQLET_FAILPOINT("storage.insert_batch");
+  return InsertRows(batch.size(),
+                    [&batch](size_t i) -> const Tuple& { return batch[i]; });
 }
 
 Result<size_t> Relation::InsertColumns(std::vector<std::vector<Value>>* cols) {
-  const size_t batch_arity = cols->size();
-  const size_t n = batch_arity == 0 ? 0 : (*cols)[0].size();
+  if (cols->empty()) return static_cast<size_t>(0);
+  const size_t n = cols->front().size();
+  if (cols->size() != arity()) {
+    return Status::InvalidArgument(
+        "relation '" + schema_.name + "' has arity " +
+        std::to_string(arity()) + ", but the insert stages " +
+        std::to_string(cols->size()) + " columns");
+  }
+  for (const std::vector<Value>& col : *cols) {
+    if (col.size() != n) {
+      return Status::InvalidArgument(
+          "relation '" + schema_.name +
+          "': staged columns differ in length (" + std::to_string(n) +
+          " vs " + std::to_string(col.size()) + ")");
+    }
+  }
   if (n == 0) return static_cast<size_t>(0);
   RAQLET_FAILPOINT("storage.insert_columns");
-  RAQLET_RETURN_IF_ERROR(CheckRoom(n));
-  size_t want = row_count_ + n;
-  PrepareColumns(batch_arity, want);
-  DedupReserve(want);
-  size_t inserted;
-  if (batch_arity == 2 && columns_[0].uniform() && columns_[1].uniform() &&
+  const bool pair_numeric =
+      arity() == 2 && columns_[0].uniform() && columns_[1].uniform() &&
       (row_count_ == 0 ||
        (columns_[0].uniform_kind() == ValueType::kNumber &&
         columns_[1].uniform_kind() == ValueType::kNumber)) &&
-      AllNumbers((*cols)[0]) && AllNumbers((*cols)[1])) {
-    inserted = InsertPairNumeric((*cols)[0], (*cols)[1]);
-  } else {
-    inserted = 0;
-    for (size_t i = 0; i < n; ++i) {
-      size_t h = batch_arity;
-      for (size_t c = 0; c < batch_arity; ++c) {
-        h ^= (*cols)[c][i].Hash() + kGolden + (h << 6) + (h >> 2);
-      }
-      uint32_t h32 = MixHash(h);
-      size_t slot;
-      auto cand = [cols, i](size_t c) -> const Value& { return (*cols)[c][i]; };
-      if (DedupProbe(batch_arity, cand, h32, &slot) != kEmptySlot) continue;
-      for (size_t c = 0; c < batch_arity; ++c) {
-        columns_[c].Append((*cols)[c][i]);
-      }
-      dedup_slots_[slot] = DedupSlot{h32, static_cast<uint32_t>(row_count_)};
-      ++row_count_;
-      ++inserted;
-    }
+      AllNumbers((*cols)[0]) && AllNumbers((*cols)[1]);
+  Result<size_t> inserted =
+      pair_numeric
+          ? InsertPairNumeric((*cols)[0], (*cols)[1])
+          : InsertRows(n, [cols](size_t i) { return StagedRow{cols, i}; });
+  if (inserted.ok()) {
+    for (std::vector<Value>& col : *cols) col.clear();  // capacity retained
   }
-  for (std::vector<Value>& col : *cols) col.clear();  // capacity retained
-  FoldAllIndexes();
   return inserted;
 }
 
-size_t Relation::InsertPairNumeric(const std::vector<Value>& c0,
-                                   const std::vector<Value>& c1) {
+Result<size_t> Relation::InsertPairNumeric(const std::vector<Value>& c0,
+                                           const std::vector<Value>& c1) {
   const size_t n = c0.size();
+  RAQLET_RETURN_IF_ERROR(ReserveRows(n));
   ValueColumn& col0 = columns_[0];
   ValueColumn& col1 = columns_[1];
-  // PrepareColumns reserved the whole batch, so these stay valid across
+  // ReserveRows reserved the whole batch, so these stay valid across
   // appends.
   const int64_t* s0 = col0.word_data();
   const int64_t* s1 = col1.word_data();
@@ -198,7 +232,7 @@ size_t Relation::InsertPairNumeric(const std::vector<Value>& c0,
   for (size_t i = 0; i < n; ++i) {
     const int64_t a = c0[i].RawBits();
     const int64_t b = c1[i].RawBits();
-    const uint32_t h32 = MixHash(PairNumericHash(a, b));
+    const uint32_t h32 = PairNumericHash(a, b);
     size_t pos = h32 & mask;
     bool duplicate = false;
     while (true) {
@@ -217,6 +251,7 @@ size_t Relation::InsertPairNumeric(const std::vector<Value>& c0,
     ++row_count_;
     ++inserted;
   }
+  FoldAllIndexes();
   return inserted;
 }
 
@@ -233,15 +268,14 @@ Result<size_t> Relation::EraseBatch(const std::vector<Tuple>& batch) {
   const size_t mask = dedup_slots_.size() - 1;
   std::vector<uint32_t> dead_rows;
   for (const Tuple& t : batch) {
-    if (t.size() != columns_.size()) continue;  // wrong arity: never present
-    const uint32_t h32 = MixHash(TupleHash{}(t));
-    auto cand = [&t](size_t c) -> const Value& { return t[c]; };
+    if (t.size() != arity()) continue;  // wrong arity: never present
+    const uint32_t h32 = RowHash(t);
     size_t pos = h32 & mask;
     while (true) {
       DedupSlot& slot = dedup_slots_[pos];
       if (slot.row == kEmptySlot) break;  // absent (or erased earlier)
       if (slot.row != kTombstone && slot.hash == h32 &&
-          RowEquals(slot.row, t.size(), cand)) {
+          RowEquals(slot.row, t)) {
         dead_rows.push_back(slot.row);
         slot.row = kTombstone;
         break;
@@ -251,63 +285,21 @@ Result<size_t> Relation::EraseBatch(const std::vector<Tuple>& batch) {
   }
   if (dead_rows.empty()) return static_cast<size_t>(0);
   // Phase 2: compact the columns (survivors keep relative order) and
-  // rebuild the dedup table from the survivors. Indexes and the boxed row
-  // cache are watermark-folded structures keyed by now-shifted row
-  // indices, so they are dropped wholesale (see the deletion contract in
-  // the header).
+  // rebuild the dedup table from the survivors in place. Indexes are
+  // watermark-folded over the old row indices, so they are dropped.
   std::vector<uint8_t> dead(row_count_, 0);
   for (uint32_t r : dead_rows) dead[r] = 1;
   for (ValueColumn& c : columns_) c.EraseRows(dead);
   row_count_ -= dead_rows.size();
   index_cache_.clear();
-  row_cache_.clear();
-  rows_cached_ = 0;
   std::fill(dedup_slots_.begin(), dedup_slots_.end(), DedupSlot{});
   for (uint32_t i = 0; i < row_count_; ++i) {
-    size_t h = columns_.size();
-    for (const ValueColumn& c : columns_) {
-      h ^= c.Get(i).Hash() + kGolden + (h << 6) + (h >> 2);
-    }
-    const uint32_t h32 = MixHash(h);
+    const uint32_t h32 = RowHash(StoredRow{columns_.data(), arity(), i});
     size_t pos = h32 & mask;
     while (dedup_slots_[pos].row != kEmptySlot) pos = (pos + 1) & mask;
     dedup_slots_[pos] = DedupSlot{h32, i};
   }
   return dead_rows.size();
-}
-
-std::vector<Tuple> Relation::ReleaseRows() {
-  rows();  // fold the compatibility cache to completion
-  std::vector<Tuple> out = std::move(row_cache_);
-  row_cache_ = std::vector<Tuple>();
-  Clear();
-  return out;
-}
-
-std::vector<std::vector<Value>> Relation::ReleaseColumns() {
-  std::vector<std::vector<Value>> out(columns_.size());
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    out[c].reserve(row_count_);
-    for (size_t i = 0; i < row_count_; ++i) {
-      out[c].push_back(columns_[c].Get(i));
-    }
-  }
-  Clear();
-  return out;
-}
-
-const std::vector<Tuple>& Relation::rows() const {
-  if (rows_cached_ < row_count_) {
-    row_cache_.reserve(row_count_);
-    for (size_t i = rows_cached_; i < row_count_; ++i) {
-      Tuple t;
-      t.reserve(columns_.size());
-      for (const ValueColumn& c : columns_) t.push_back(c.Get(i));
-      row_cache_.push_back(std::move(t));
-    }
-    rows_cached_ = row_count_;
-  }
-  return row_cache_;
 }
 
 std::vector<Tuple> Relation::MaterializeRows(size_t begin) const {
@@ -336,57 +328,29 @@ Relation::ColumnView Relation::ColumnSlice(size_t col, size_t begin,
   return v;
 }
 
-Status Relation::ReplaceRows(std::vector<Tuple> rows) {
-  Clear();
-  // Unreachable in practice — the batch is bounded by a previous row count
-  // that already fit — but reported as a Status all the same (PR 6's
-  // Status-over-abort discipline).
-  return InsertBatch(std::move(rows)).status();
-}
-
 void Relation::Clear() {
   for (ValueColumn& c : columns_) c.Clear();
   row_count_ = 0;
   dedup_slots_.clear();
   index_cache_.clear();
-  row_cache_.clear();
-  rows_cached_ = 0;
-}
-
-const Relation::KeyIndex& Relation::GetIndex(
-    const std::vector<int>& key_columns) const {
-  return FoldIndex(key_columns);
 }
 
 const Relation::KeyIndex* Relation::EnsureIndex(
     const std::vector<int>& key_columns) const {
   std::lock_guard<std::mutex> lock(index_mutex_);
-  return &FoldIndex(key_columns);
+  auto it = index_cache_.try_emplace(key_columns).first;
+  FoldSuffix(it->first, &it->second);
+  return &it->second.index;
 }
 
-const Relation::KeyIndex& Relation::FoldIndex(
-    const std::vector<int>& key_columns) const {
-  std::string cache_key;
-  for (int c : key_columns) {
-    cache_key += std::to_string(c);
-    cache_key += ',';
-  }
-  auto it = index_cache_.find(cache_key);
-  if (it == index_cache_.end()) {
-    it = index_cache_.emplace(cache_key, CachedIndex{}).first;
-    it->second.key_columns = key_columns;
-  }
-  FoldSuffix(&it->second);
-  return it->second.index;
-}
-
-void Relation::FoldSuffix(CachedIndex* cached) const {
+void Relation::FoldSuffix(const std::vector<int>& key_columns,
+                          CachedIndex* cached) const {
   RAQLET_FAILPOINT_DELAY("storage.index_build");
   for (uint32_t i = static_cast<uint32_t>(cached->rows_indexed);
        i < row_count_; ++i) {
     Tuple key;
-    key.reserve(cached->key_columns.size());
-    for (int c : cached->key_columns) {
+    key.reserve(key_columns.size());
+    for (int c : key_columns) {
       key.push_back(columns_[static_cast<size_t>(c)].Get(i));
     }
     cached->index[std::move(key)].push_back(i);
@@ -395,29 +359,23 @@ void Relation::FoldSuffix(CachedIndex* cached) const {
 }
 
 void Relation::FoldAllIndexes() {
-  // One fold per cached index for the whole batch, so interleaved probe
+  // One fold per cached index for the whole insert, so interleaved probe
   // sites never re-fold tuple by tuple.
-  for (auto& [key, cached] : index_cache_) FoldSuffix(&cached);
+  for (auto& [key_columns, cached] : index_cache_) {
+    FoldSuffix(key_columns, &cached);
+  }
 }
 
 size_t Relation::MemoryBytes() const {
-  size_t bytes = 0;
+  size_t bytes = dedup_slots_.capacity() * sizeof(DedupSlot);
   for (const ValueColumn& c : columns_) bytes += c.MemoryBytes();
-  bytes += dedup_slots_.capacity() * sizeof(DedupSlot);
-  // Boxed compatibility cache, if materialized (vector headers + value
-  // payloads; per-tuple allocator overhead not counted).
-  bytes += row_cache_.capacity() * sizeof(Tuple);
-  for (const Tuple& t : row_cache_) bytes += t.capacity() * sizeof(Value);
   return bytes;
 }
 
 std::string Relation::ToString(const SymbolTable* symbols) const {
   std::ostringstream os;
   os << schema_.ToString() << " [" << row_count_ << " rows]\n";
-  for (size_t i = 0; i < row_count_; ++i) {
-    Tuple t;
-    t.reserve(columns_.size());
-    for (const ValueColumn& c : columns_) t.push_back(c.Get(i));
+  for (const Tuple& t : MaterializeRows()) {
     os << "  " << TupleToString(t, symbols) << "\n";
   }
   return os.str();

@@ -7,6 +7,7 @@
 // space).
 
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -36,60 +37,60 @@ struct RelationSchema {
   std::string ToString() const;
 };
 
-/// A deduplicated, insertion-ordered bag of tuples of fixed arity, stored
+/// A deduplicated, insertion-ordered set of tuples of fixed arity, stored
 /// column-wise (structure of arrays).
+///
+/// ## API
+///
+/// Writes: Insert (one row), InsertBatch (rows), InsertColumns (staged
+/// columns), EraseBatch and Clear. Reads: the Column / ColumnSlice /
+/// ValueAt views, MaterializeRows (boxed copies), Contains, and
+/// EnsureIndex, the one hash-index entry point.
 ///
 /// ## Layout
 ///
 /// Each schema column is one ValueColumn: a dense array of raw 64-bit
 /// payload words plus a kind tag. While every value in a column shares one
-/// ValueType — the overwhelmingly common case; the 2-column edge/TC shape
-/// that dominates the benchmarks is two uniform kNumber columns — the
-/// per-row kind array is not allocated at all and a stored value costs
-/// exactly 8 bytes. The first kind-mismatched append materializes a lazy
-/// byte-per-row kind sidecar and the column degrades gracefully to tagged
-/// storage (9 bytes/value). Compare with the previous row layout, where
-/// every row was a heap-allocated std::vector<Value> costing 24 bytes of
-/// vector header plus 16 bytes per value plus allocator overhead.
+/// ValueType (the common case; the 2-column edge/TC shape is two uniform
+/// kNumber columns) there is no per-row kind array and a stored value
+/// costs 8 bytes. The first kind-mismatched append materializes a
+/// byte-per-row kind sidecar (9 bytes/value from then on).
+///
+/// ## Dedup
 ///
 /// Duplicate elimination is a flat open-addressing table of
 /// (hash32, row-index) slots with linear probing; it stores no tuples, and
-/// probes compare candidate values against the column arrays directly.
-/// Insertion through any path (row-at-a-time, row batches, or columnar
-/// batches via InsertColumns) makes bit-identical dedup decisions in
-/// batch order: the first occurrence of a duplicate wins, exactly as a
-/// per-tuple Insert loop would decide.
+/// probes compare candidates against the column arrays directly. Two
+/// values are the same when their kinds and raw payload words are equal —
+/// the equality the row hash is built on. So NaN equals a NaN with the
+/// same bits, and 0.0 and -0.0 are distinct rows. The three inserts share
+/// one dedup-and-append core and decide in batch order: the first
+/// occurrence of a duplicate wins, in the relation or earlier in the
+/// batch. A row whose width differs from arity() is rejected with
+/// InvalidArgument before anything is touched.
 ///
 /// ## Borrowing contract
 ///
 /// Column(c) / ColumnSlice(c, begin, end) return zero-copy ColumnView
-/// handles into the live column arrays. A borrowed view is valid only
-/// until the next mutation of the relation (Insert / InsertBatch /
-/// InsertColumns / EraseBatch / Clear / ReplaceRows / ReleaseRows),
-/// exactly like the
-/// KeyIndex pointer returned by EnsureIndex: mutations may reallocate the
-/// underlying arrays or materialize a kind sidecar. Executors therefore
-/// re-borrow at plan/batch-build time each round, never across rounds.
+/// handles into the live column arrays. A view is valid only until the
+/// next mutation of the relation (Insert / InsertBatch / InsertColumns /
+/// EraseBatch / Clear / ResetSchema), which may reallocate the arrays or
+/// materialize a kind sidecar; executors therefore re-borrow at
+/// plan/batch-build time each round. The KeyIndex pointer EnsureIndex
+/// returns survives inserts (they fold their rows into every cached
+/// index) but not EraseBatch / Clear / ResetSchema, which drop the
+/// indexes.
 ///
 /// ## Threading contract (single writer / multiple readers)
 ///
 /// At most one thread may mutate a Relation, and while it does, no other
 /// thread may touch the relation at all. The writer need not be the same
 /// thread every time: the parallel evaluator's sharded merge hands each
-/// relation's staged run to one pool task per round, which is fine —
-/// distinct relations may be mutated by distinct threads concurrently, as
-/// long as each relation has exactly one writer and no concurrent readers
-/// of that relation. Between mutations — e.g. while a fixpoint round fans
-/// out across the pool — any number of threads may concurrently call the
-/// const accessors (size, Contains, Column, ColumnSlice, ValueAt) plus
-/// EnsureIndex, which serializes index construction internally. Two
-/// exceptions are NOT safe to call concurrently even though they are
-/// const, because they fold lazily-materialized caches without locking:
-/// GetIndex (the historical single-threaded index entry point) and rows()
-/// (the row-compatibility view, which materializes boxed tuples on
-/// demand). Both must only run while the caller holds the relation
-/// single-threadedly; the hot engine paths use EnsureIndex and
-/// ColumnView instead.
+/// relation's staged run to one pool task per round, so distinct
+/// relations may be mutated by distinct threads concurrently as long as
+/// each has one writer and no concurrent readers. Between mutations any
+/// number of threads may call every const member concurrently, EnsureIndex
+/// included (it serializes index construction internally).
 class Relation {
  public:
   /// Zero-copy read-only view of a contiguous slice of one stored column.
@@ -127,7 +128,6 @@ class Relation {
     size_t size_ = 0;
   };
 
-  Relation() = default;
   explicit Relation(RelationSchema schema) : schema_(std::move(schema)) {
     columns_.resize(schema_.arity());
   }
@@ -149,87 +149,44 @@ class Relation {
   size_t size() const { return row_count_; }
   bool empty() const { return row_count_ == 0; }
 
-  /// Inserts `t` if not already present. Returns true if the tuple is new,
-  /// or an error Status (relation unmodified) at the 2^32-1 row-index
-  /// ceiling — the same contract as the batch paths. Callers that ignore
-  /// the result (test fixtures, tiny loaders) lose only the overflow
-  /// signal, never correctness of the rows that did fit.
-  Result<bool> Insert(Tuple t);
+  /// Inserts `t` if not already present and returns whether it was new.
+  /// Fails with the relation unmodified if `t` does not have arity()
+  /// values (InvalidArgument) or at the 2^32-1 row-index ceiling.
+  Result<bool> Insert(const Tuple& t);
 
-  /// Bulk insert: appends every tuple of `batch` not already present (in
-  /// the relation or earlier in the batch), preserving batch order — the
-  /// first occurrence of a duplicate wins, exactly as a per-tuple Insert
-  /// loop would decide. Reserves the columns and the dedup table once for
-  /// the whole batch and folds the new row suffix into every cached index
-  /// in a single pass per index. Returns the number of tuples actually
-  /// inserted, or an error (with the relation unmodified) if the batch
-  /// could overflow the 32-bit row-index space: the check is conservative
-  /// — it counts the whole batch before deduplication.
-  Result<size_t> InsertBatch(std::vector<Tuple> batch);
+  /// Appends every tuple of `batch` not already present (in the relation
+  /// or earlier in the batch), in batch order, and returns how many were
+  /// appended. Folds the new rows into every cached index once for the
+  /// whole batch. Fails with the relation unmodified if any tuple has the
+  /// wrong width, or if the batch could overflow the 32-bit row-index
+  /// space (the check counts the whole batch, before deduplication).
+  Result<size_t> InsertBatch(const std::vector<Tuple>& batch);
 
-  /// In-place variant: consumes the tuples but leaves `*batch` cleared
-  /// with its capacity intact, so callers staging through recycled
-  /// buffers (the engine's pooled EmitBuffers) keep their allocation
-  /// across rounds. On error the relation AND the batch are unmodified.
-  Result<size_t> InsertBatchInPlace(std::vector<Tuple>* batch);
-
-  /// Columnar bulk insert: `(*cols)[c][i]` is row i of column c, and
-  /// cols->size() must equal the relation arity (each column the same
-  /// length). Dedup decisions and insertion order are bit-identical to
-  /// feeding the same rows through InsertBatch. Consumes the values and
-  /// leaves every staged column cleared with capacity intact. This is the
-  /// native batch primitive of the columnar producers: the Datalog
-  /// sharded merge, the SQL vectorized projection, and the graph
-  /// column-batch DISTINCT all land here without materializing row
-  /// tuples. The 2-column all-kNumber shape takes an unboxed fast path
-  /// that hashes and compares raw words. On error the relation and the
-  /// staged columns are unmodified.
+  /// Columnar InsertBatch: `(*cols)[c][i]` is row i of column c. Needs
+  /// arity() columns of equal length; an empty `*cols` is an empty batch.
+  /// Same dedup decisions, order and errors as InsertBatch on the same
+  /// rows. On success every staged column is left cleared with its
+  /// capacity intact, so callers can recycle their staging buffers; on
+  /// error the relation and the staged columns are unmodified. The
+  /// 2-column all-kNumber shape (transitive closure) takes an unboxed path
+  /// that hashes and compares raw words.
   Result<size_t> InsertColumns(std::vector<std::vector<Value>>* cols);
 
   /// Deletes every tuple of `batch` that is currently present and returns
   /// the number of rows actually erased (absent tuples and wrong-arity
   /// tuples are ignored; duplicates in the batch erase once).
   ///
-  /// ## Deletion contract
-  ///
-  /// Deletion is a full mutation: surviving rows are compacted in place
-  /// and KEEP their relative insertion order, but their row indices
-  /// shift, so every cached KeyIndex, the rows() compatibility cache, and
-  /// all borrowed ColumnViews are invalidated — exactly as if the
-  /// relation had been rebuilt by re-inserting the survivors. Callers
-  /// holding a KeyIndex pointer from EnsureIndex/GetIndex or a ColumnView
-  /// across an EraseBatch must re-acquire them. The dedup table is
-  /// maintained tombstone-aware during the batch (an erased slot keeps
-  /// its probe chain intact so later candidates in the same batch still
-  /// find their rows) and rebuilt from the survivors afterwards, so a
-  /// delete-then-re-insert of the same tuple behaves exactly like a
-  /// first-time insert. Single-writer rules apply (threading contract
-  /// above). Never fails today; returns Result for symmetry with the
-  /// insert paths and for fault injection ("storage.erase_batch").
+  /// Survivors are compacted in place and keep their relative order, but
+  /// their row indices shift, so every cached KeyIndex and borrowed
+  /// ColumnView is invalidated. A delete-then-re-insert of the same tuple
+  /// behaves exactly like a first-time insert. Never fails today; returns
+  /// Result for symmetry with the inserts and for fault injection
+  /// ("storage.erase_batch").
   Result<size_t> EraseBatch(const std::vector<Tuple>& batch);
-
-  /// Materializes all rows, moves them out, and leaves the relation empty
-  /// (schema kept; columns, dedup table and cached indexes dropped). For
-  /// callers that use a scratch Relation purely as a batch deduplicator —
-  /// insert, then take the surviving rows.
-  std::vector<Tuple> ReleaseRows();
-
-  /// Columnar analogue of ReleaseRows: moves the surviving values out as
-  /// one boxed vector per column and leaves the relation empty.
-  std::vector<std::vector<Value>> ReleaseColumns();
 
   bool Contains(const Tuple& t) const;
 
-  /// Row-compatibility view: boxed tuples in insertion order, materialized
-  /// lazily from the columns and cached (indices stable across inserts).
-  /// NOT safe to call concurrently with itself or any other access (it
-  /// folds the cache without locking — see the threading contract);
-  /// serial-only consumers (the tuple pipeline, loaders, result assembly,
-  /// tests) use it freely, hot paths borrow ColumnViews instead.
-  const std::vector<Tuple>& rows() const;
-
-  /// Fresh boxed copies of rows [begin, size()), bypassing (and not
-  /// populating) the rows() cache. Safe under the multi-reader phase.
+  /// Fresh boxed copies of rows [begin, size()), in insertion order.
   std::vector<Tuple> MaterializeRows(size_t begin = 0) const;
 
   /// Zero-copy view of column `col` (all rows). Returns an empty view for
@@ -246,37 +203,23 @@ class Relation {
 
   void Clear();
 
-  /// Builds (or returns a cached) hash index mapping the projection of each
-  /// row onto `key_columns` to the list of row indices with that key.
-  /// Indexes are maintained incrementally: rows inserted after the index was
-  /// built are folded in on the next GetIndex call (or eagerly, once per
-  /// batch, by the batch inserters), so interleaving inserts and probes
-  /// (semi-naive evaluation) stays linear.
-  /// Row-index lists within one key are in ascending (insertion) order —
+  /// Hash index from the projection of each row onto `key_columns` to the
+  /// list of row indices with that key, in ascending (insertion) order —
   /// the semi-naive evaluator's deterministic merge relies on this.
   using KeyIndex = std::unordered_map<Tuple, std::vector<uint32_t>, TupleHash>;
-  const KeyIndex& GetIndex(const std::vector<int>& key_columns) const;
 
-  /// Thread-safe variant of GetIndex for the single-writer/multi-reader
-  /// phase: brings the index for `key_columns` up to date with the current
-  /// rows under an internal lock and returns a pointer to it. The pointee
-  /// is stable (never moved by other cache entries being built) and safe
-  /// to probe lock-free for as long as the relation is not mutated. The
-  /// engine calls this once per plan step at plan-build time, so the inner
-  /// join loops pay neither the lock nor the cache lookup.
+  /// Builds (or returns the cached) index for `key_columns`. Indexes are
+  /// cached per key and maintained incrementally: inserts fold their new
+  /// rows into every cached index, so interleaving inserts and probes
+  /// (semi-naive evaluation) stays linear. The pointer stays valid until
+  /// the next EraseBatch / Clear / ResetSchema, and the index is safe to
+  /// probe lock-free while no writer is active. Thread-safe under the
+  /// multi-reader phase.
   const KeyIndex* EnsureIndex(const std::vector<int>& key_columns) const;
 
-  /// Replaces the contents of this relation with `rows` (deduplicated).
-  /// Used by the engine to compact lattice relations at stratum boundaries.
-  /// On error (row-index overflow — unreachable when `rows` came from this
-  /// relation) the relation is left cleared.
-  Status ReplaceRows(std::vector<Tuple> rows);
-
-  /// Bytes of heap held by the column arrays, kind sidecars, dedup table,
-  /// and (estimated) the row-compatibility cache if it has been
-  /// materialized. Cached KeyIndexes are not counted (node-based
-  /// unordered_map sizing is opaque). Drives the bytes_per_tuple bench
-  /// counter.
+  /// Bytes of heap held by the column arrays, kind sidecars and dedup
+  /// table. Cached KeyIndexes are not counted (node-based unordered_map
+  /// sizing is opaque). Drives the bytes_per_tuple bench counter.
   size_t MemoryBytes() const;
 
   /// Testing hook: lowers the row-count ceiling (default 2^32-2) so the
@@ -292,10 +235,15 @@ class Relation {
    public:
     size_t size() const { return words_.size(); }
 
-    Value Get(size_t i) const {
-      return Value::FromRaw(
-          kinds_.empty() ? kind_ : static_cast<ValueType>(kinds_[i]),
-          words_[i]);
+    ValueType KindAt(size_t i) const {
+      return kinds_.empty() ? kind_ : static_cast<ValueType>(kinds_[i]);
+    }
+
+    Value Get(size_t i) const { return Value::FromRaw(KindAt(i), words_[i]); }
+
+    // Dedup equality: same kind and same raw payload word.
+    bool BitEquals(size_t i, const Value& v) const {
+      return words_[i] == v.RawBits() && KindAt(i) == v.kind();
     }
 
     void Append(const Value& v) {
@@ -362,11 +310,8 @@ class Relation {
   };
 
   // The dedup structure stores row indices rather than tuple copies:
-  // values are stored exactly once (in the columns) and inserting never
-  // copies a tuple. It is a flat open-addressing table of
-  // (hash, row-index) slots with linear probing — the semi-naive engine
-  // probes it once per derived tuple, and a duplicate check costs one
-  // cache line of slot metadata plus (only on a hash match) one
+  // values are stored exactly once (in the columns). A duplicate check
+  // costs one cache line of slot metadata plus (only on a hash match) one
   // column-wise row comparison. Rehashing re-seats the cached hashes
   // without touching any value.
   struct DedupSlot {
@@ -375,65 +320,41 @@ class Relation {
   };
   static constexpr uint32_t kEmptySlot = 0xffffffffu;
 
-  // Probes for a candidate row of `cand_arity` values (with precomputed
-  // hash mix `h32`) whose column-c value is `cand(c)`. Returns the
-  // matching row index, or kEmptySlot if absent — in which case *slot_out
-  // is the insertion position (valid until the table grows).
-  template <typename RowFn>
-  uint32_t DedupProbe(size_t cand_arity, RowFn&& cand, uint32_t h32,
-                      size_t* slot_out) const {
-    size_t mask = dedup_slots_.size() - 1;  // size is a power of two
-    size_t pos = h32 & mask;
-    while (true) {
-      const DedupSlot& slot = dedup_slots_[pos];
-      if (slot.row == kEmptySlot) {
-        if (slot_out != nullptr) *slot_out = pos;
-        return kEmptySlot;
-      }
-      if (slot.hash == h32 && RowEquals(slot.row, cand_arity, cand)) {
-        return slot.row;
-      }
-      pos = (pos + 1) & mask;
-    }
-  }
+  // The dedup-and-append core of all three inserts. `row_at(i)` yields
+  // row i of an n-row batch as anything with size() and operator[].
+  template <typename RowAt>
+  Result<size_t> InsertRows(size_t n, RowAt&& row_at);
 
-  template <typename RowFn>
-  bool RowEquals(uint32_t row, size_t cand_arity, RowFn&& cand) const {
-    if (cand_arity != columns_.size()) return false;
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      if (!(columns_[c].Get(row) == cand(c))) return false;
-    }
-    return true;
-  }
+  // Probes for `row` (of width arity(), hash `h32`). Returns the matching
+  // row index, or kEmptySlot if absent — in which case *slot_out is the
+  // insertion position (valid until the table grows).
+  template <typename Row>
+  uint32_t DedupProbe(const Row& row, uint32_t h32, size_t* slot_out) const;
+
+  template <typename Row>
+  bool RowEquals(uint32_t stored, const Row& row) const;
 
   // Fails (relation untouched) if `extra` more rows could pass the
-  // 32-bit row-index ceiling or the injected test limit.
-  Status CheckRoom(size_t extra) const;
+  // 32-bit row-index ceiling or the injected test limit; otherwise
+  // reserves column and dedup-table room for them.
+  Status ReserveRows(size_t extra);
 
-  // Grows the slot table so `want` entries fit under the max load factor.
-  void DedupReserve(size_t want);
-
-  // Sizes columns_ for tuples of the given arity (first insert on a
-  // schema-less relation) and reserves room for `want` rows total.
-  void PrepareColumns(size_t arity, size_t want);
-
-  // Appends one boxed row across the columns.
-  void AppendRow(const Tuple& t);
+  // A stored row read in place, for rehashing after a compaction.
+  struct StoredRow;
 
   // Unboxed arity-2 all-kNumber batch insert; returns tuples admitted.
-  size_t InsertPairNumeric(const std::vector<Value>& c0,
-                           const std::vector<Value>& c1);
+  Result<size_t> InsertPairNumeric(const std::vector<Value>& c0,
+                                   const std::vector<Value>& c1);
 
   struct CachedIndex {
-    std::vector<int> key_columns;
     KeyIndex index;
     size_t rows_indexed = 0;  // watermark into the row index space
   };
 
-  const KeyIndex& FoldIndex(const std::vector<int>& key_columns) const;
   // Folds rows [cached->rows_indexed, row_count_) into `cached`.
-  void FoldSuffix(CachedIndex* cached) const;
-  // Folds every cached index up to row_count_ (once per batch insert).
+  void FoldSuffix(const std::vector<int>& key_columns,
+                  CachedIndex* cached) const;
+  // Folds every cached index up to row_count_ (once per insert call).
   void FoldAllIndexes();
 
   RelationSchema schema_;
@@ -441,15 +362,11 @@ class Relation {
   std::vector<ValueColumn> columns_;  // one per schema column
   std::vector<DedupSlot> dedup_slots_;  // size is a power of two (or 0)
   size_t row_limit_ = static_cast<size_t>(kEmptySlot) - 1;
-  // Lazily-materialized boxed view backing rows(). rows_cached_ is the
-  // watermark of materialized rows. Mutable: a logically-const
-  // compatibility cache, folded without locking (serial contexts only).
-  mutable std::vector<Tuple> row_cache_;
-  mutable size_t rows_cached_ = 0;
-  // Cache key: comma-joined column list. Mutable: index construction is a
-  // logically-const acceleration structure. Guarded by index_mutex_ only
-  // on the EnsureIndex path; see the class-level threading contract.
-  mutable std::unordered_map<std::string, CachedIndex> index_cache_;
+  // Keyed by the index's key columns; map nodes keep EnsureIndex pointers
+  // stable. Mutable: index construction is a logically-const acceleration
+  // structure, guarded by index_mutex_ on the EnsureIndex path and owned
+  // by the writer otherwise (see the threading contract).
+  mutable std::map<std::vector<int>, CachedIndex> index_cache_;
   mutable std::mutex index_mutex_;
 };
 

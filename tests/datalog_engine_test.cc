@@ -38,7 +38,7 @@ dlir::Program Parse(const std::string& text) {
 
 std::set<std::vector<int64_t>> NumericRows(const Relation& rel) {
   std::set<std::vector<int64_t>> out;
-  for (const Tuple& row : rel.rows()) {
+  for (const Tuple& row : rel.MaterializeRows()) {
     std::vector<int64_t> ints;
     for (const Value& v : row) ints.push_back(v.AsNumber());
     out.insert(std::move(ints));

@@ -33,7 +33,7 @@ Database EdgeDb(const std::vector<std::pair<int, int>>& edges) {
 
 std::set<std::string> Rows(const Database& db, const std::string& rel) {
   std::set<std::string> out;
-  for (const Tuple& row : (*db.GetRelation(rel))->rows()) {
+  for (const Tuple& row : (*db.GetRelation(rel))->MaterializeRows()) {
     out.insert(TupleToString(row, &db.symbols()));
   }
   return out;
@@ -126,7 +126,7 @@ mean(k, avg(v)) :- m(k, v).
 )"), &db).ok());
   const Relation* mean = *db.GetRelation("mean");
   ASSERT_EQ(mean->size(), 2u);
-  for (const Tuple& row : mean->rows()) {
+  for (const Tuple& row : mean->MaterializeRows()) {
     if (row[0].AsNumber() == 1) EXPECT_DOUBLE_EQ(row[1].AsFloat(), 2.0);
     if (row[0].AsNumber() == 2) EXPECT_DOUBLE_EQ(row[1].AsFloat(), 4.0);
   }

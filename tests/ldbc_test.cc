@@ -77,7 +77,7 @@ TEST(LdbcGeneratorTest, KnowsDegreesAreHeavyTailed) {
   Workload w(0.5);
   const Relation* knows = *w.db.GetRelation("Person_KNOWS_Person");
   std::map<int64_t, int> degree;
-  for (const Tuple& row : knows->rows()) ++degree[row[0].AsNumber()];
+  for (const Tuple& row : knows->MaterializeRows()) ++degree[row[0].AsNumber()];
   int max_degree = 0;
   double total = 0;
   for (const auto& [p, d] : degree) {

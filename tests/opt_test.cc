@@ -73,7 +73,7 @@ Database MakePaperDb() {
 std::set<std::string> ResultSet(const Database& db, const std::string& rel) {
   std::set<std::string> out;
   const Relation* r = *db.GetRelation(rel);
-  for (const Tuple& row : r->rows()) {
+  for (const Tuple& row : r->MaterializeRows()) {
     out.insert(TupleToString(row, &db.symbols()));
   }
   return out;

@@ -75,8 +75,8 @@ void ExpectDeterministicEvaluation(const std::string& text, int threads,
     auto lhs = serial_db->GetRelation(name);
     auto rhs = parallel_db->GetRelation(name);
     ASSERT_TRUE(lhs.ok() && rhs.ok()) << name;
-    const std::vector<Tuple>& serial_rows = (*lhs)->rows();
-    const std::vector<Tuple>& parallel_rows = (*rhs)->rows();
+    const std::vector<Tuple>& serial_rows = (*lhs)->MaterializeRows();
+    const std::vector<Tuple>& parallel_rows = (*rhs)->MaterializeRows();
     ASSERT_EQ(serial_rows.size(), parallel_rows.size())
         << "relation " << name << " diverged at " << threads << " threads\n"
         << text;

@@ -193,7 +193,7 @@ Database PaperDb(const schema::DlSchema& dl) {
 std::set<std::string> Results(const Database& db,
                               const std::string& rel = "Return") {
   std::set<std::string> out;
-  for (const Tuple& row : (*db.GetRelation(rel))->rows()) {
+  for (const Tuple& row : (*db.GetRelation(rel))->MaterializeRows()) {
     out.insert(TupleToString(row, &db.symbols()));
   }
   return out;

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <random>
 #include <thread>
 
@@ -35,9 +37,9 @@ TEST(RelationTest, PreservesInsertionOrder) {
   Relation r(EdgeSchema());
   r.Insert({Value::Number(3), Value::Number(4)});
   r.Insert({Value::Number(1), Value::Number(2)});
-  ASSERT_EQ(r.rows().size(), 2u);
-  EXPECT_EQ(r.rows()[0][0].AsNumber(), 3);
-  EXPECT_EQ(r.rows()[1][0].AsNumber(), 1);
+  ASSERT_EQ(r.MaterializeRows().size(), 2u);
+  EXPECT_EQ(r.MaterializeRows()[0][0].AsNumber(), 3);
+  EXPECT_EQ(r.MaterializeRows()[1][0].AsNumber(), 1);
 }
 
 TEST(RelationTest, IndexGroupsByKey) {
@@ -45,7 +47,7 @@ TEST(RelationTest, IndexGroupsByKey) {
   r.Insert({Value::Number(1), Value::Number(2)});
   r.Insert({Value::Number(1), Value::Number(3)});
   r.Insert({Value::Number(2), Value::Number(3)});
-  const auto& index = r.GetIndex({0});
+  const auto& index = *r.EnsureIndex({0});
   auto it = index.find(Tuple{Value::Number(1)});
   ASSERT_NE(it, index.end());
   EXPECT_EQ(it->second.size(), 2u);
@@ -54,18 +56,18 @@ TEST(RelationTest, IndexGroupsByKey) {
 TEST(RelationTest, IndexIsMaintainedIncrementally) {
   Relation r(EdgeSchema());
   r.Insert({Value::Number(1), Value::Number(2)});
-  const auto& index1 = r.GetIndex({0});
+  const auto& index1 = *r.EnsureIndex({0});
   EXPECT_EQ(index1.size(), 1u);
-  // Insert after the index was built; next GetIndex folds it in.
+  // Insert after the index was built; the insert folds it in.
   r.Insert({Value::Number(5), Value::Number(6)});
-  const auto& index2 = r.GetIndex({0});
+  const auto& index2 = *r.EnsureIndex({0});
   EXPECT_EQ(index2.size(), 2u);
   auto it = index2.find(Tuple{Value::Number(5)});
   ASSERT_NE(it, index2.end());
   EXPECT_EQ(it->second[0], 1u);
 }
 
-TEST(RelationTest, EnsureIndexMatchesGetIndexAndStaysCurrent) {
+TEST(RelationTest, EnsureIndexIsPointerStableAndStaysCurrent) {
   Relation r(EdgeSchema());
   r.Insert({Value::Number(1), Value::Number(2)});
   const Relation::KeyIndex* index = r.EnsureIndex({0});
@@ -75,30 +77,139 @@ TEST(RelationTest, EnsureIndexMatchesGetIndexAndStaysCurrent) {
   // Same cache entry (pointer-stable), folded up to the new rows.
   EXPECT_EQ(r.EnsureIndex({0}), index);
   EXPECT_EQ(index->size(), 2u);
-  EXPECT_EQ(&r.GetIndex({0}), index);
 }
 
-// Multi-reader phase of the relation threading contract: once the index
-// is up to date and no writer is active, concurrent EnsureIndex calls and
-// probes are safe (the tsan CI leg checks this for real).
+// Multi-reader phase of the relation threading contract: with no writer
+// active, every const member and EnsureIndex may run concurrently. Each
+// thread builds indexes on its own keys while the others read (the tsan
+// CI leg checks this for real).
 TEST(RelationTest, EnsureIndexIsSafeUnderConcurrentReaders) {
   Relation r(EdgeSchema());
   for (int i = 0; i < 256; ++i) {
     r.Insert({Value::Number(i % 16), Value::Number(i)});
   }
+  const std::vector<Tuple> rows = r.MaterializeRows();
+  const size_t bytes = r.MemoryBytes();
+  const std::vector<std::vector<int>> keys = {{1}, {0, 1}, {1, 0}, {0, 0}};
   std::atomic<size_t> total_hits{0};
+  std::atomic<size_t> mismatches{0};
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&r, &total_hits] {
+    readers.emplace_back([&, t] {
       for (int pass = 0; pass < 50; ++pass) {
+        r.EnsureIndex(keys[static_cast<size_t>(t + pass) % keys.size()]);
         const Relation::KeyIndex* index = r.EnsureIndex({0});
         auto it = index->find(Tuple{Value::Number(3)});
         if (it != index->end()) total_hits.fetch_add(it->second.size());
+        const size_t row = static_cast<size_t>(pass * 5 + t) % rows.size();
+        const bool ok =
+            r.size() == rows.size() && r.Contains(rows[row]) &&
+            r.Column(1).at(row) == rows[row][1] &&
+            r.ColumnSlice(0, row, rows.size()).at(0) == rows[row][0] &&
+            r.ValueAt(row, 1) == rows[row][1] &&
+            r.MaterializeRows(row).front() == rows[row] &&
+            r.MemoryBytes() == bytes;
+        if (!ok) mismatches.fetch_add(1);
       }
     });
   }
   for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(total_hits.load(), 4u * 50u * 16u);
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(r.EnsureIndex({0, 1})->size(), rows.size());
+}
+
+// Every insert checks every row's width before touching anything.
+TEST(RelationTest, InsertRejectsWrongWidth) {
+  Relation r(EdgeSchema());
+  ASSERT_TRUE(r.Insert({Value::Number(1), Value::Number(2)}).value());
+  // The narrow row goes in twice: the second try must not store it as a
+  // new row either.
+  for (const Tuple& bad :
+       {Tuple{Value::Number(3)}, Tuple{Value::Number(3)},
+        Tuple{Value::Number(4), Value::Number(5), Value::Number(6)},
+        Tuple{}}) {
+    Result<bool> res = r.Insert(bad);
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(r.Contains(bad));
+  }
+  EXPECT_EQ(r.size(), 1u);
+  EXPECT_EQ(r.Column(0).size(), 1u);
+  EXPECT_EQ(r.Column(1).size(), 1u);
+  EXPECT_EQ(r.Column(2).size(), 0u);  // no column grown past arity()
+  EXPECT_EQ(r.MaterializeRows(),
+            (std::vector<Tuple>{{Value::Number(1), Value::Number(2)}}));
+}
+
+TEST(RelationTest, InsertBatchRejectsWrongWidthMidBatch) {
+  Relation r(EdgeSchema());
+  const Relation::KeyIndex* index = r.EnsureIndex({0});
+  const std::vector<Tuple> batch = {
+      {Value::Number(1), Value::Number(2)},
+      {Value::Number(3)},  // too narrow, after a good row
+      {Value::Number(5), Value::Number(6)},
+  };
+  const std::vector<Tuple> before = batch;
+  Result<size_t> res = r.InsertBatch(batch);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(res.status().message().find("row 1 "), std::string::npos)
+      << res.status().ToString();
+  // Not even the rows before the bad one landed.
+  EXPECT_EQ(r.size(), 0u);
+  EXPECT_FALSE(r.Contains(batch[0]));
+  EXPECT_TRUE(index->empty());
+  EXPECT_EQ(batch, before);
+  ASSERT_TRUE(r.InsertBatch({batch[0], batch[2]}).ok());
+  EXPECT_EQ(r.size(), 2u);
+}
+
+TEST(RelationTest, InsertColumnsRejectsWrongShape) {
+  Relation r(EdgeSchema());
+  ASSERT_TRUE(r.Insert({Value::Number(1), Value::Number(2)}).value());
+  std::vector<std::vector<Value>> wide = {
+      {Value::Number(3)}, {Value::Number(4)}, {Value::Number(5)}};
+  std::vector<std::vector<Value>> narrow = {{Value::Number(3)}};
+  // Column 1 ends one row early: a short column in the middle of a batch
+  // that otherwise has the all-number pair shape.
+  std::vector<std::vector<Value>> ragged = {
+      {Value::Number(3), Value::Number(5), Value::Number(7)},
+      {Value::Number(4), Value::Number(6)}};
+  for (std::vector<std::vector<Value>>* staged : {&wide, &narrow, &ragged}) {
+    const std::vector<std::vector<Value>> before = *staged;
+    Result<size_t> res = r.InsertColumns(staged);
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(*staged, before);  // staged columns not consumed
+  }
+  EXPECT_EQ(r.size(), 1u);
+  EXPECT_EQ(r.Column(0).size(), 1u);
+  EXPECT_EQ(r.Column(1).size(), 1u);
+  // No columns at all is the empty batch, not an error.
+  std::vector<std::vector<Value>> none;
+  EXPECT_EQ(r.InsertColumns(&none).value(), 0u);
+}
+
+// Dedup compares kind and raw bits, the equality its hash is built on.
+TEST(RelationTest, NanDeduplicatesAndErasesByBits) {
+  RelationSchema s;
+  s.name = "f";
+  s.columns = {{"x", ValueType::kFloat}};
+  Relation r(s);
+  const Value nan = Value::Float(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_TRUE(r.Insert({nan}).value());
+  EXPECT_FALSE(r.Insert({nan}).value());
+  EXPECT_EQ(r.InsertBatch({{nan}, {nan}}).value(), 0u);
+  EXPECT_TRUE(r.Contains({nan}));
+  // 0.0 and -0.0 differ in their bits, so they stay two rows.
+  EXPECT_TRUE(r.Insert({Value::Float(0.0)}).value());
+  EXPECT_TRUE(r.Insert({Value::Float(-0.0)}).value());
+  EXPECT_EQ(r.size(), 3u);
+  EXPECT_EQ(r.EraseBatch({{nan}, {nan}}).value(), 1u);
+  EXPECT_FALSE(r.Contains({nan}));
+  EXPECT_EQ(r.size(), 2u);
+  EXPECT_TRUE(r.Contains({Value::Float(-0.0)}));
 }
 
 TEST(RelationTest, InsertBatchDedupsWithinAndAcrossBatches) {
@@ -115,32 +226,12 @@ TEST(RelationTest, InsertBatchDedupsWithinAndAcrossBatches) {
   ASSERT_TRUE(inserted.ok());
   EXPECT_EQ(*inserted, 2u);
   ASSERT_EQ(r.size(), 3u);
-  EXPECT_EQ(r.rows()[1][0].AsNumber(), 3);
-  EXPECT_EQ(r.rows()[2][0].AsNumber(), 5);
+  EXPECT_EQ(r.MaterializeRows()[1][0].AsNumber(), 3);
+  EXPECT_EQ(r.MaterializeRows()[2][0].AsNumber(), 5);
   EXPECT_TRUE(r.Contains({Value::Number(5), Value::Number(6)}));
   EXPECT_FALSE(r.Contains({Value::Number(5), Value::Number(7)}));
   EXPECT_EQ(*r.InsertBatch({}), 0u);  // empty batch is a no-op
   EXPECT_EQ(r.size(), 3u);
-}
-
-TEST(RelationTest, ReleaseRowsHandsOverStorageAndResets) {
-  // The graph engine's batch DISTINCT uses a scratch Relation purely as a
-  // deduplicator: InsertBatch, then take the surviving rows by move.
-  Relation r(EdgeSchema());
-  r.InsertBatch({
-      {Value::Number(1), Value::Number(2)},
-      {Value::Number(3), Value::Number(4)},
-      {Value::Number(1), Value::Number(2)},  // duplicate, dropped
-  });
-  std::vector<Tuple> rows = r.ReleaseRows();
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0][0].AsNumber(), 1);
-  EXPECT_EQ(rows[1][0].AsNumber(), 3);
-  // The relation is empty and fully reusable afterwards.
-  EXPECT_EQ(r.size(), 0u);
-  EXPECT_FALSE(r.Contains({Value::Number(1), Value::Number(2)}));
-  EXPECT_TRUE(r.Insert({Value::Number(1), Value::Number(2)}).value());
-  EXPECT_EQ(r.size(), 1u);
 }
 
 TEST(RelationTest, InsertBatchMatchesTupleAtATimeInsertion) {
@@ -163,7 +254,8 @@ TEST(RelationTest, InsertBatchMatchesTupleAtATimeInsertion) {
   }
   ASSERT_EQ(serial.size(), batched.size());
   for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial.rows()[i], batched.rows()[i]) << "row " << i;
+    EXPECT_EQ(serial.MaterializeRows()[i], batched.MaterializeRows()[i])
+        << "row " << i;
   }
 }
 
@@ -184,19 +276,19 @@ TEST(RelationTest, InsertBatchKeepsCachedIndexesCurrent) {
 }
 
 TEST(RelationTest, InsertBatchWatermarkSurvivesInterleavedIndexUse) {
-  // Batches interleaved with GetIndex/EnsureIndex and single inserts:
+  // Batches interleaved with EnsureIndex and single inserts:
   // each index entry must be folded exactly once per row regardless of
   // which operation triggers the fold.
   Relation r(EdgeSchema());
   r.InsertBatch({{Value::Number(1), Value::Number(1)},
                  {Value::Number(1), Value::Number(2)}});
-  const auto& by_src = r.GetIndex({0});  // built after the first batch
+  const auto& by_src = *r.EnsureIndex({0});  // built after the first batch
   EXPECT_EQ(by_src.at(Tuple{Value::Number(1)}).size(), 2u);
-  r.Insert({Value::Number(1), Value::Number(3)});  // lazy fold pending
+  r.Insert({Value::Number(1), Value::Number(3)});
   r.InsertBatch({{Value::Number(1), Value::Number(4)},
-                 {Value::Number(2), Value::Number(1)}});  // eager fold
+                 {Value::Number(2), Value::Number(1)}});
   EXPECT_EQ(by_src.at(Tuple{Value::Number(1)}).size(), 4u);
-  const auto& by_dst = r.GetIndex({1});  // fresh index after both batches
+  const auto& by_dst = *r.EnsureIndex({1});  // fresh index after both batches
   EXPECT_EQ(by_dst.at(Tuple{Value::Number(1)}).size(), 2u);
   EXPECT_EQ(by_src.at(Tuple{Value::Number(1)}),
             (std::vector<uint32_t>{0, 1, 2, 3}));
@@ -206,15 +298,18 @@ TEST(RelationTest, InsertBatchWatermarkSurvivesInterleavedIndexUse) {
   }
 }
 
-TEST(RelationTest, ReplaceRowsResets) {
+TEST(RelationTest, ClearThenInsertBatchResets) {
+  // The Datalog lattice compaction rewrites a relation this way.
   Relation r(EdgeSchema());
   r.Insert({Value::Number(1), Value::Number(2)});
-  r.GetIndex({0});
-  r.ReplaceRows({{Value::Number(7), Value::Number(8)},
+  r.EnsureIndex({0});
+  r.Clear();
+  r.InsertBatch({{Value::Number(7), Value::Number(8)},
                  {Value::Number(7), Value::Number(8)}});
   EXPECT_EQ(r.size(), 1u);
   EXPECT_TRUE(r.Contains({Value::Number(7), Value::Number(8)}));
-  EXPECT_EQ(r.GetIndex({0}).size(), 1u);
+  EXPECT_FALSE(r.Contains({Value::Number(1), Value::Number(2)}));
+  EXPECT_EQ(r.EnsureIndex({0})->size(), 1u);
 }
 
 TEST(RelationTest, EraseBatchCompactsKeepingRelativeOrder) {
@@ -373,32 +468,21 @@ TEST(RelationColumnTest, MixedKindColumnDegradesToTaggedStorage) {
                Value::Number(5) == Value::Float(5.0));
 }
 
-TEST(RelationColumnTest, MaterializeRowsMatchesRowsView) {
+TEST(RelationColumnTest, MaterializeRowsMatchesValueAt) {
   Relation r(EdgeSchema());
   ASSERT_TRUE(r.InsertBatch({{Value::Number(1), Value::Number(2)},
                              {Value::Number(3), Value::Number(4)},
                              {Value::Number(5), Value::Number(6)}})
                   .ok());
-  EXPECT_EQ(r.MaterializeRows(), r.rows());
+  std::vector<Tuple> rows = r.MaterializeRows();
+  ASSERT_EQ(rows.size(), 3u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i], (Tuple{r.ValueAt(i, 0), r.ValueAt(i, 1)}));
+  }
   std::vector<Tuple> suffix = r.MaterializeRows(2);
   ASSERT_EQ(suffix.size(), 1u);
   EXPECT_EQ(suffix[0][0].AsNumber(), 5);
   EXPECT_TRUE(r.MaterializeRows(99).empty());
-}
-
-TEST(RelationColumnTest, ReleaseColumnsHandsBackColumnsAndResets) {
-  Relation r(EdgeSchema());
-  ASSERT_TRUE(r.InsertBatch({{Value::Number(1), Value::Number(2)},
-                             {Value::Number(3), Value::Number(4)},
-                             {Value::Number(1), Value::Number(2)}})
-                  .ok());
-  std::vector<std::vector<Value>> cols = r.ReleaseColumns();
-  ASSERT_EQ(cols.size(), 2u);
-  ASSERT_EQ(cols[0].size(), 2u);  // duplicate dropped
-  EXPECT_EQ(cols[0][1], Value::Number(3));
-  EXPECT_EQ(cols[1][0], Value::Number(2));
-  EXPECT_EQ(r.size(), 0u);
-  EXPECT_TRUE(r.Insert({Value::Number(1), Value::Number(2)}).value());
 }
 
 TEST(RelationColumnTest, InsertColumnsRecyclesStagingBuffers) {
@@ -418,33 +502,107 @@ TEST(RelationColumnTest, InsertColumnsRecyclesStagingBuffers) {
   ASSERT_TRUE(inserted.ok());
   EXPECT_EQ(*inserted, 1u);  // cross-batch duplicate dropped
   ASSERT_EQ(r.size(), 2u);
-  EXPECT_EQ(r.rows()[1], (Tuple{Value::Number(9), Value::Number(9)}));
+  EXPECT_EQ(r.MaterializeRows()[1], (Tuple{Value::Number(9), Value::Number(9)}));
 }
 
 // ---------------------------------------------------------------------------
-// Randomized differential suite: the row-compatible API (Insert /
-// InsertBatch / rows) and the columnar API (InsertColumns / ColumnView)
-// must agree on contents, insertion order, dedup decisions, and index
-// row-lists for identical input streams. Runs under the tsan CI filter.
+// Randomized differential suite: per-tuple Insert, chunked InsertBatch and
+// chunked InsertColumns are each checked against a plain model of set
+// semantics (first occurrence wins, values equal when their kinds and raw
+// bits are) on contents, insertion order, dedup decisions, Contains and
+// index row-lists. Runs under the tsan CI filter.
 // ---------------------------------------------------------------------------
+
+bool BitEqual(const Tuple& a, const Tuple& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t c = 0; c < a.size(); ++c) {
+    if (a[c].kind() != b[c].kind() || a[c].RawBits() != b[c].RawBits()) {
+      return false;
+    }
+  }
+  return true;
+}
 
 class StorageDifferentialTest : public ::testing::Test {
  protected:
+  // The model: the distinct rows of `stream` in first-occurrence order,
+  // plus whether each stream tuple was new when it arrived.
+  static std::vector<Tuple> Model(const std::vector<Tuple>& stream,
+                                  std::vector<bool>* fresh) {
+    std::vector<Tuple> rows;
+    for (const Tuple& t : stream) {
+      bool seen = false;
+      for (const Tuple& row : rows) seen = seen || BitEqual(row, t);
+      fresh->push_back(!seen);
+      if (!seen) rows.push_back(t);
+    }
+    return rows;
+  }
+
+  static void ExpectMatchesModel(const Relation& rel,
+                                 const std::vector<Tuple>& model,
+                                 const std::vector<Tuple>& stream) {
+    SCOPED_TRACE(rel.name());
+    const std::vector<Tuple> rows = rel.MaterializeRows();
+    ASSERT_EQ(rows.size(), model.size());
+    for (size_t i = 0; i < model.size(); ++i) {
+      EXPECT_TRUE(BitEqual(rows[i], model[i])) << "row " << i;
+      for (size_t c = 0; c < rel.arity(); ++c) {
+        EXPECT_TRUE(BitEqual({rel.Column(c).at(i)}, {model[i][c]}))
+            << "column view (" << i << ", " << c << ")";
+      }
+    }
+    for (const Tuple& t : stream) EXPECT_TRUE(rel.Contains(t));
+    EXPECT_FALSE(rel.Contains(Tuple(rel.arity(), Value::Number(-1000))));
+    // Every single-column index files each row exactly once, in ascending
+    // order, under a key equal to the row's value (KeyIndex equality is
+    // Value::operator==, so a NaN key is found by nothing), and a lookup
+    // of any other value finds its row.
+    for (size_t c = 0; c < rel.arity(); ++c) {
+      const Relation::KeyIndex& index =
+          *rel.EnsureIndex({static_cast<int>(c)});
+      std::vector<int> filed(model.size(), 0);
+      for (const auto& [key, list] : index) {
+        for (size_t k = 0; k < list.size(); ++k) {
+          ASSERT_LT(list[k], model.size());
+          ++filed[list[k]];
+          const Value v = rel.ValueAt(list[k], c);
+          EXPECT_TRUE(v == key[0] || BitEqual({v}, key));
+          if (k > 0) {
+            EXPECT_LT(list[k - 1], list[k]);
+          }
+        }
+      }
+      for (size_t i = 0; i < model.size(); ++i) {
+        EXPECT_EQ(filed[i], 1) << "row " << i << ", column " << c;
+        const Value& v = model[i][c];
+        if (!(v == v)) continue;  // NaN
+        auto it = index.find(Tuple{v});
+        ASSERT_NE(it, index.end()) << "row " << i << ", column " << c;
+        EXPECT_NE(std::find(it->second.begin(), it->second.end(), i),
+                  it->second.end());
+      }
+    }
+  }
+
   // Feeds `stream` through per-tuple Insert, chunked InsertBatch, and
-  // chunked InsertColumns, then cross-checks all three relations.
+  // chunked InsertColumns, then checks all three relations.
   void RunDifferential(const std::vector<Tuple>& stream, size_t arity,
                        size_t chunk) {
     RelationSchema s;
-    s.name = "diff";
     for (size_t c = 0; c < arity; ++c) {
       s.columns.push_back(Column{"c" + std::to_string(c), ValueType::kNumber});
     }
+    s.name = "serial";
     Relation serial(s);
+    s.name = "batched";
     Relation batched(s);
+    s.name = "columnar";
     Relation columnar(s);
-    std::vector<bool> serial_decisions;
-    for (const Tuple& t : stream) {
-      serial_decisions.push_back(serial.Insert(t).value());
+    std::vector<bool> fresh;
+    const std::vector<Tuple> model = Model(stream, &fresh);
+    for (size_t i = 0; i < stream.size(); ++i) {
+      EXPECT_EQ(serial.Insert(stream[i]).value(), fresh[i]) << "tuple " << i;
     }
     size_t batched_inserted = 0;
     size_t columnar_inserted = 0;
@@ -463,42 +621,11 @@ class StorageDifferentialTest : public ::testing::Test {
       ASSERT_TRUE(cr.ok());
       columnar_inserted += *cr;
     }
-    // Same dedup decisions in aggregate...
-    size_t serial_inserted = 0;
-    for (bool d : serial_decisions) serial_inserted += d;
-    EXPECT_EQ(batched_inserted, serial_inserted);
-    EXPECT_EQ(columnar_inserted, serial_inserted);
-    // ...and identical contents in identical insertion order.
-    ASSERT_EQ(serial.size(), batched.size());
-    ASSERT_EQ(serial.size(), columnar.size());
-    const std::vector<Tuple>& expect = serial.rows();
-    for (size_t i = 0; i < expect.size(); ++i) {
-      EXPECT_EQ(expect[i], batched.rows()[i]) << "batched row " << i;
-      EXPECT_EQ(expect[i], columnar.rows()[i]) << "columnar row " << i;
-      for (size_t c = 0; c < arity; ++c) {
-        EXPECT_EQ(columnar.Column(c).at(i), expect[i][c])
-            << "column view (" << i << ", " << c << ")";
-      }
-    }
-    // Identical per-key index row-lists on every single-column key.
-    for (size_t c = 0; c < arity; ++c) {
-      const Relation::KeyIndex& si = serial.GetIndex({static_cast<int>(c)});
-      const Relation::KeyIndex& bi = batched.GetIndex({static_cast<int>(c)});
-      const Relation::KeyIndex& ci = columnar.GetIndex({static_cast<int>(c)});
-      ASSERT_EQ(si.size(), bi.size());
-      ASSERT_EQ(si.size(), ci.size());
-      for (const auto& [key, rows] : si) {
-        ASSERT_NE(bi.find(key), bi.end());
-        ASSERT_NE(ci.find(key), ci.end());
-        EXPECT_EQ(bi.at(key), rows);
-        EXPECT_EQ(ci.at(key), rows);
-      }
-    }
-    // Contains agrees everywhere (present and absent probes).
-    for (size_t i = 0; i < stream.size(); i += 7) {
-      EXPECT_TRUE(batched.Contains(stream[i]));
-      EXPECT_TRUE(columnar.Contains(stream[i]));
-    }
+    EXPECT_EQ(batched_inserted, model.size());
+    EXPECT_EQ(columnar_inserted, model.size());
+    ExpectMatchesModel(serial, model, stream);
+    ExpectMatchesModel(batched, model, stream);
+    ExpectMatchesModel(columnar, model, stream);
   }
 };
 
@@ -516,15 +643,18 @@ TEST_F(StorageDifferentialTest, PairNumericFastPath) {
 
 TEST_F(StorageDifferentialTest, MixedKindGenericPath) {
   // Arity-3 with floats/bools mixed in: the generic boxed path, including
-  // sidecar materialization mid-stream.
+  // sidecar materialization mid-stream. NaN must dedup with itself, and
+  // -0.0 must stay apart from 0.0 (pick() yields 0.0 too).
   std::mt19937 rng(4321);
   std::uniform_int_distribution<int> pick(0, 11);
-  std::uniform_int_distribution<int> kind(0, 3);
+  std::uniform_int_distribution<int> kind(0, 5);
   auto value = [&]() -> Value {
     switch (kind(rng)) {
       case 0: return Value::Number(pick(rng));
       case 1: return Value::Float(pick(rng) / 2.0);
       case 2: return Value::Bool(pick(rng) % 2 == 0);
+      case 3: return Value::Float(std::numeric_limits<double>::quiet_NaN());
+      case 4: return Value::Float(-0.0);
       default: return Value::Number(-pick(rng));
     }
   };
@@ -621,6 +751,42 @@ TEST(DatabaseTest, CreateAndLookup) {
   EXPECT_EQ(db.RelationNames(), std::vector<std::string>{"edge"});
 }
 
+TEST(DatabaseTest, ApplyDeltaRemovesNan) {
+  Database db;
+  RelationSchema s;
+  s.name = "f";
+  s.columns = {{"x", ValueType::kFloat}};
+  Relation* rel = *db.CreateRelation(s);
+  const Value nan = Value::Float(std::numeric_limits<double>::quiet_NaN());
+  const Value one = Value::Float(1.0);
+  ASSERT_TRUE(rel->Insert({nan}).value());
+  ASSERT_TRUE(rel->Insert({one}).value());
+
+  // Removed and re-added in one delta: a net no-op that keeps the row in
+  // place and reports nothing.
+  DeltaBatch both;
+  both.relations.push_back(RelationDelta{"f", {{nan}}, {{nan}}});
+  Result<AppliedDelta> applied = db.ApplyDelta(both);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied->total_added, 0u);
+  EXPECT_EQ(applied->total_removed, 0u);
+  EXPECT_TRUE(applied->relations.empty());
+  ASSERT_EQ(rel->size(), 2u);
+  EXPECT_EQ(rel->ValueAt(0, 0).RawBits(), nan.RawBits());
+
+  // Listed twice in the removes: erased and reported once.
+  DeltaBatch twice;
+  twice.relations.push_back(RelationDelta{"f", {}, {{nan}, {nan}}});
+  applied = db.ApplyDelta(twice);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied->total_removed, 1u);
+  ASSERT_EQ(applied->relations.size(), 1u);
+  EXPECT_EQ(applied->relations[0].removed.size(), 1u);
+  EXPECT_EQ(rel->size(), 1u);
+  EXPECT_FALSE(rel->Contains({nan}));
+  EXPECT_TRUE(rel->Contains({one}));
+}
+
 TEST(DatabaseTest, StrInternsSymbols) {
   Database db;
   Value a = db.Str("alpha");
@@ -640,8 +806,8 @@ TEST(CsvTest, LoadTypedFields) {
   Status st = LoadDelimitedText(&db, rel, "1\tada\t2.5\n2\tbob\t1.0\n");
   ASSERT_TRUE(st.ok()) << st.ToString();
   ASSERT_EQ(rel->size(), 2u);
-  EXPECT_EQ(rel->rows()[0][1], db.Str("ada"));
-  EXPECT_DOUBLE_EQ(rel->rows()[0][2].AsFloat(), 2.5);
+  EXPECT_EQ(rel->MaterializeRows()[0][1], db.Str("ada"));
+  EXPECT_DOUBLE_EQ(rel->MaterializeRows()[0][2].AsFloat(), 2.5);
 }
 
 TEST(CsvTest, RejectsArityMismatch) {
@@ -672,6 +838,17 @@ TEST(CsvTest, ReportsLineColumnAndTokenOfBadField) {
   EXPECT_NE(st.message().find("'x'"), std::string::npos) << st.ToString();
   // Errors surface before anything is inserted (batch-parsed load).
   EXPECT_EQ(rel->size(), 0u);
+}
+
+TEST(CsvTest, NanFieldsLoadAsOneRow) {
+  Database db;
+  RelationSchema s;
+  s.name = "f";
+  s.columns = {{"x", ValueType::kFloat}};
+  Relation* rel = *db.CreateRelation(s);
+  ASSERT_TRUE(LoadDelimitedText(&db, rel, "nan\nnan\nnan\n").ok());
+  EXPECT_EQ(rel->size(), 1u);
+  EXPECT_TRUE(std::isnan(rel->ValueAt(0, 0).AsFloat()));
 }
 
 TEST(CsvTest, RoundTrips) {
