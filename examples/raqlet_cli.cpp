@@ -22,6 +22,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -565,8 +566,8 @@ int main(int argc, char** argv) {
     } else if (options.run == "datalog") {
       raqlet::engine::EvalOptions eval_options;
       eval_options.num_threads = options.threads;
-      eval_options.guard = &guard;
-      result = compiler.RunOnDatalog(program, &db, nullptr, eval_options, qm);
+      result = compiler.RunOnDatalog(program, &db, nullptr, eval_options, qm,
+                                     &guard);
     } else if (options.run == "sql") {
       result = compiler.RunOnSql(program, &db,
                                  raqlet::engine::SqlMode::kVectorized,
@@ -585,9 +586,8 @@ int main(int argc, char** argv) {
         // against the default column-batch executor (same results).
         graph_options.mode = raqlet::engine::GraphMode::kRowBinding;
       }
-      graph_options.guard = &guard;
       result = compiler.RunOnGraph(unit.pgir, *store, &db, nullptr,
-                                   graph_options, qm);
+                                   graph_options, qm, &guard);
     } else {
       return Usage();
     }
@@ -604,38 +604,67 @@ int main(int argc, char** argv) {
 
     if (options.demo) {
       // Guardrail tour: a row-hungry recursive query (the full KNOWS
-      // reachability closure) under a deliberately small row budget trips
-      // with a terminal status, the report shows how far it got, and —
-      // the cancellation contract — re-running the very same query on the
-      // same database without the budget succeeds normally.
+      // reachability closure) runs on each engine under a deliberately
+      // small row budget, handed over as the Run call's trailing guard. It
+      // must trip with a terminal status, the report shows how far it got,
+      // and — the cancellation contract — re-running the very same query
+      // on the same database without the budget must succeed.
       std::cout << "\n-- execution guardrails --\n";
       auto closure = compiler.CompileCypher(
           "MATCH (a:Person)-[:KNOWS*]->(b:Person) "
           "RETURN DISTINCT a.id AS src, b.id AS dst");
       if (!closure.ok()) return Fail(closure.status());
-      raqlet::runtime::QueryGuard demo_guard;
-      demo_guard.set_max_rows(500);
-      raqlet::obs::QueryMetrics trip_metrics;
-      raqlet::engine::EvalOptions tripped_options;
-      tripped_options.num_threads = options.threads;
-      tripped_options.guard = &demo_guard;
-      auto tripped = compiler.RunOnDatalog(closure->optimized, &db, nullptr,
-                                           tripped_options, &trip_metrics);
-      std::cout << "KNOWS closure with --max-rows 500: "
-                << (tripped.ok() ? "unexpected: did not trip"
-                                 : tripped.status().ToString())
-                << "\n";
-      if (!tripped.ok()) {
+      auto store = compiler.BuildGraphStore(db);
+      if (!store.ok()) return Fail(store.status());
+      raqlet::engine::EvalOptions eval_options;
+      eval_options.num_threads = options.threads;
+      using RunFn = std::function<raqlet::Result<raqlet::engine::ResultTable>(
+          raqlet::obs::QueryMetrics*, const raqlet::runtime::QueryGuard*)>;
+      const std::vector<std::pair<std::string, RunFn>> engines = {
+          {"datalog",
+           [&](auto* sink, auto* g) {
+             return compiler.RunOnDatalog(closure->optimized, &db, nullptr,
+                                          eval_options, sink, g);
+           }},
+          {"sql",
+           [&](auto* sink, auto* g) {
+             return compiler.RunOnSql(closure->optimized, &db,
+                                      raqlet::engine::SqlMode::kVectorized,
+                                      nullptr, options.threads, sink, g);
+           }},
+          {"graph",
+           [&](auto* sink, auto* g) {
+             return compiler.RunOnGraph(closure->pgir, *store, &db, nullptr,
+                                        {}, sink, g);
+           }},
+      };
+      bool tour_ok = true;
+      for (const auto& [name, run] : engines) {
+        raqlet::runtime::QueryGuard demo_guard;
+        demo_guard.set_max_rows(500);
+        raqlet::obs::QueryMetrics trip_metrics;
+        auto tripped = run(&trip_metrics, &demo_guard);
+        std::cout << name << ": KNOWS closure with --max-rows 500: "
+                  << (tripped.ok() ? "unexpected: did not trip"
+                                   : tripped.status().ToString())
+                  << "\n";
+        if (tripped.status().code() !=
+            raqlet::StatusCode::kResourceExhausted) {
+          tour_ok = false;
+          continue;
+        }
         std::cout << trip_metrics.ToString();
-        raqlet::engine::EvalOptions retry_options;
-        retry_options.num_threads = options.threads;
-        auto retry = compiler.RunOnDatalog(closure->optimized, &db, nullptr,
-                                           retry_options, nullptr);
-        std::cout << "re-run without budget: "
+        auto retry = run(nullptr, nullptr);
+        std::cout << name << ": re-run without budget: "
                   << (retry.ok() ? "ok, " + std::to_string(retry->rows.size())
                                        + " rows"
                                  : retry.status().ToString())
                   << "\n";
+        tour_ok = tour_ok && retry.ok();
+      }
+      if (!tour_ok) {
+        std::cerr << "error: the guardrail tour failed\n";
+        return 1;
       }
     }
   }

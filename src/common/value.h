@@ -90,11 +90,15 @@ class Value {
     return int_ < other.int_;
   }
 
+  /// Consistent with operator== (equal values hash equal, so the
+  /// TupleHash-keyed join indexes find 0.0 from -0.0) and with the bit
+  /// equality of TupleBitEq.
   size_t Hash() const {
     size_t h = static_cast<size_t>(kind_) * 0x9e3779b97f4a7c15ULL;
     uint64_t bits;
     if (kind_ == ValueType::kFloat) {
-      bits = std::bit_cast<uint64_t>(float_);
+      // -0.0 hashes as 0.0, the one pair of distinct bits that == equates.
+      bits = std::bit_cast<uint64_t>(float_ == 0.0 ? 0.0 : float_);
     } else {
       bits = static_cast<uint64_t>(int_);
     }

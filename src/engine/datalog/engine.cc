@@ -23,9 +23,10 @@ namespace raqlet::engine {
 
 // Aggregation accumulator: per group, aggregates over the set of distinct
 // body-variable bindings (witnesses), which realizes set-semantics
-// aggregation (§3: RETURN DISTINCT-style translation).
+// aggregation (§3: RETURN DISTINCT-style translation). Bindings are
+// distinct by bits, as the stored rows they come from are.
 struct AggState {
-  std::unordered_set<Tuple, TupleHash> witnesses;
+  std::unordered_set<Tuple, TupleHash, TupleBitEq> witnesses;
   int64_t count = 0;
   double sum = 0.0;
   bool any_float = false;
@@ -592,29 +593,13 @@ RuleEvaluator::RuleEvaluator(SymbolTable* symbols, const EvalOptions& options,
       pool_(context->pool()),
       buffer_pool_(context->PoolFor<EmitBuffer>()) {}
 
-Result<Value> RuleEvaluator::ConstantToValue(const Constant& c) const {
-  switch (c.type) {
-    case ValueType::kNumber:
-      return Value::Number(c.num);
-    case ValueType::kFloat:
-      return Value::Float(c.fval);
-    case ValueType::kSymbol:
-      return Value::Symbol(symbols_->Intern(c.str));
-    case ValueType::kBool:
-      return Value::Bool(c.bval);
-    case ValueType::kNull:
-      return Value::Null();
-  }
-  return Status::Internal("unhandled constant type");
-}
-
 Result<CompiledTerm> RuleEvaluator::CompileTerm(
     const Term& term, std::map<std::string, int>* slots) const {
   CompiledTerm out;
   switch (term.kind) {
     case TermKind::kConstant: {
       out.kind = CompiledTerm::kConst;
-      RAQLET_ASSIGN_OR_RETURN(out.constant, ConstantToValue(term.constant));
+      out.constant = ConstantToValue(term.constant, symbols_);
       return out;
     }
     case TermKind::kVariable: {
@@ -1142,7 +1127,6 @@ namespace {
 // Resolves every declared relation: inputs must exist with the declared
 // arity; IDB relations are created, or cleared and re-shaped.
 Status PrepareRelations(const Program& program, Database* db,
-                        const EvalOptions& options,
                         std::unordered_map<std::string, Relation*>* out) {
   for (const RelationDecl& decl : program.decls) {
     if (decl.is_input) {
@@ -1161,9 +1145,6 @@ Status PrepareRelations(const Program& program, Database* db,
     schema.columns = decl.columns;
     schema.primary_key = decl.primary_key;
     if (db->HasRelation(decl.name)) {
-      if (!options.overwrite_idb) {
-        return Status::AlreadyExists("IDB relation exists: " + decl.name);
-      }
       RAQLET_ASSIGN_OR_RETURN(Relation * rel, db->GetRelation(decl.name));
       rel->Clear();
       if (rel->arity() != decl.arity()) {
@@ -1224,7 +1205,7 @@ Status RunProgram(const Program& program, Database* db,
   obs::TraceScope run_span("datalog.run");
   RAQLET_RETURN_IF_ERROR(program.Validate());
   std::unordered_map<std::string, Relation*> relations;
-  RAQLET_RETURN_IF_ERROR(PrepareRelations(program, db, options, &relations));
+  RAQLET_RETURN_IF_ERROR(PrepareRelations(program, db, &relations));
 
   analysis::DependencyGraph graph = analysis::DependencyGraph::Build(program);
   RAQLET_RETURN_IF_ERROR(CheckStratification(program, graph));
@@ -1313,8 +1294,8 @@ std::string EvalStats::ToString() const {
 Status DatalogEngine::Run(const dlir::Program& program, Database* db,
                           EvalStats* stats, obs::DatalogMetrics* metrics,
                           const runtime::QueryGuard* guard) const {
-  const runtime::QueryGuard* g = guard != nullptr ? guard : options_.guard;
-  return RunProgram(program, db, options_, context_.get(), g, stats, metrics);
+  return RunProgram(program, db, options_, context_.get(), guard, stats,
+                    metrics);
 }
 
 }  // namespace raqlet::engine

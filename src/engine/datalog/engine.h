@@ -50,27 +50,14 @@ struct EvalOptions {
   /// Greedy join ordering inside each rule (most bound arguments first);
   /// when false, body atoms join in written order.
   bool reorder_atoms = true;
-  /// If an IDB relation already exists in the database, clear and
-  /// recompute it instead of failing.
-  bool overwrite_idb = true;
   /// Degree of parallelism. 1 (default) evaluates strictly serially;
   /// N > 1 evaluates independent SCCs and partitioned delta joins on a
   /// thread pool of N threads. Results are identical for every N.
   int num_threads = 1;
-  /// Cooperative guardrails (cancellation, deadline, row/byte budgets)
-  /// polled per fixpoint round and per ParallelFor chunk. A per-Run
-  /// control channel like the metrics sink, NOT a behavioural option:
-  /// excluded from equality so the Compiler's engine cache never keys on
-  /// it (the facade forwards the guard to Run explicitly).
-  const runtime::QueryGuard* guard = nullptr;
 
-  /// Equality over the behavioural fields only (cache key; see `guard`).
-  friend bool operator==(const EvalOptions& a, const EvalOptions& b) {
-    return a.max_iterations == b.max_iterations &&
-           a.seminaive == b.seminaive && a.reorder_atoms == b.reorder_atoms &&
-           a.overwrite_idb == b.overwrite_idb &&
-           a.num_threads == b.num_threads;
-  }
+  /// Behaviour only: the guard and the metrics sink are per-call
+  /// parameters of Run, so the options are a complete engine-cache key.
+  friend bool operator==(const EvalOptions&, const EvalOptions&) = default;
 };
 
 struct EvalStats {
@@ -90,20 +77,20 @@ class DatalogEngine {
             options.num_threads)) {}
 
   /// Evaluates `program` against `db`. Input relations must pre-exist in
-  /// `db` with matching arity; IDB relations are created (or cleared) and
-  /// filled. On success, output relations hold the query results.
+  /// `db` with matching arity; IDB relations are created (or cleared and
+  /// recomputed) and filled. On success, output relations hold the query
+  /// results.
   ///
   /// `metrics`, when given, receives the per-SCC fixpoint breakdown
   /// (rounds, per-round delta sizes, tuples considered/inserted) indexed
   /// by topological SCC order. Every counter in it is bit-identical
   /// across thread counts; only SccMetrics::micros is wall time.
   ///
-  /// `guard` overrides options().guard for this call (the Compiler facade
-  /// uses this so cached engines — keyed on guard-free options equality —
-  /// still honour the caller's per-query guard). A trip aborts evaluation
-  /// with the guard's terminal Status and leaves `db`, this engine, and
-  /// its pools reusable: re-running the same program recomputes the IDB
-  /// relations from scratch, bit-identically to a never-tripped run.
+  /// `guard`, when given, is polled for this call only; the engine keeps
+  /// no guard between calls. A trip aborts evaluation with the guard's
+  /// terminal Status and leaves `db`, this engine, and its pools
+  /// reusable: re-running the same program recomputes the IDB relations
+  /// from scratch, bit-identically to a never-tripped run.
   Status Run(const dlir::Program& program, Database* db,
              EvalStats* stats = nullptr,
              obs::DatalogMetrics* metrics = nullptr,

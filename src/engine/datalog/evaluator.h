@@ -232,7 +232,6 @@ class RuleEvaluator {
                 EvalStats* stats, obs::SccMetrics* slot) const;
 
  private:
-  Result<Value> ConstantToValue(const dlir::Constant& c) const;
   Result<CompiledTerm> CompileTerm(const dlir::Term& term,
                                    std::map<std::string, int>* slots) const;
 

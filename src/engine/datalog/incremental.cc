@@ -228,8 +228,10 @@ struct IncrementalView::Impl {
   std::unordered_map<std::string, Relation*> relations;
   std::set<std::string> input_preds;
   // Per-predicate support counts (number of distinct derivations) for
-  // counting-policy SCCs.
-  std::unordered_map<std::string, std::unordered_map<Tuple, int64_t, TupleHash>>
+  // counting-policy SCCs. Keyed per stored row, so by the relation's dedup
+  // equality (TupleBitEq): 0.0 and -0.0 are two rows with two counts.
+  std::unordered_map<std::string,
+                     std::unordered_map<Tuple, int64_t, TupleHash, TupleBitEq>>
       support;
   // The view's one execution context: every phase fans out on its pool.
   std::unique_ptr<runtime::ExecutionContext> context;
@@ -241,8 +243,6 @@ struct IncrementalView::Impl {
 
   EvalOptions eval_options() const {
     EvalOptions out;
-    out.max_iterations = options.max_iterations;
-    out.reorder_atoms = options.reorder_atoms;
     out.num_threads = options.num_threads;
     return out;
   }
@@ -496,7 +496,7 @@ Status IncrementalView::Impl::ApplyCounting(SccPlan* scc, Pass* pass) {
   std::vector<EmitBuffer> heads;
   RAQLET_RETURN_IF_ERROR(
       pass->eval.Evaluate(variants, &heads, &pass->evaluated));
-  std::unordered_map<Tuple, int64_t, TupleHash> dcount;
+  std::unordered_map<Tuple, int64_t, TupleHash, TupleBitEq> dcount;
   std::vector<Tuple> touched;
   for (const EmitBuffer& buffer : heads) {
     for (size_t row = 0; row < buffer.staged_rows; ++row) {
@@ -595,7 +595,6 @@ Status IncrementalView::Impl::ApplyDred(SccPlan* scc, Pass* pass,
   RAQLET_RETURN_IF_ERROR(pass->EvaluateInto(variants));
 
   std::vector<size_t> propagated(n, 0);  // over rows already joined
-  size_t deletion_rounds = 0;
   while (true) {
     size_t total = 0;
     size_t frontier = 0;
@@ -613,11 +612,6 @@ Status IncrementalView::Impl::ApplyDred(SccPlan* scc, Pass* pass,
     if (frontier == 0) break;
     pass->local.rounds += 1;
     RAQLET_RETURN_IF_ERROR(pass->Guard(frontier));
-    if (options.max_iterations > 0 &&
-        ++deletion_rounds > options.max_iterations) {
-      return Status::ResourceExhausted(
-          "incremental overdeletion exceeded max_iterations");
-    }
     variants.clear();
     for (const CompiledRule& rule : work.rules) {
       for (int a : rule.recursive_atoms) {
@@ -773,7 +767,8 @@ Result<AppliedDelta> IncrementalView::Impl::Apply(
   }
   AppliedDelta base;
   RAQLET_ASSIGN_OR_RETURN(base, db->ApplyDelta(batch));
-  std::unordered_map<std::string, std::unordered_set<Tuple, TupleHash>>
+  std::unordered_map<std::string,
+                     std::unordered_set<Tuple, TupleHash, TupleBitEq>>
       appended;
   std::unordered_map<std::string, std::vector<Tuple>> erased;
   for (AppliedRelationDelta& ard : base.relations) {

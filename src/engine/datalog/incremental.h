@@ -71,10 +71,6 @@
 namespace raqlet::engine {
 
 struct IncrementalOptions {
-  /// Safety valve on incremental fixpoint rounds per SCC (0 = unlimited).
-  size_t max_iterations = 0;
-  /// Greedy join ordering inside each rule (mirrors EvalOptions).
-  bool reorder_atoms = true;
   /// Degree of parallelism for every maintenance phase; results are
   /// identical for every N.
   int num_threads = 1;

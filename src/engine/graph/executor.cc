@@ -781,7 +781,9 @@ class RowExecution {
     }
 
     if (agg_pos < 0) {
-      std::unordered_set<Tuple, TupleHash> dedup;
+      // Rows dedup by bits, as relations (and so the column-batch mode)
+      // do: 0.0 and -0.0 stay two rows.
+      std::unordered_set<Tuple, TupleHash, TupleBitEq> dedup;
       for (const Tuple& row : table_.rows) {
         Tuple out;
         for (size_t i = 0; i < items.size(); ++i) {
@@ -1902,13 +1904,14 @@ class BatchExecution {
 
 Result<ResultTable> GraphEngine::Run(const pgir::PgirQuery& query,
                                      GraphStats* stats,
-                                     obs::GraphMetrics* metrics) const {
+                                     obs::GraphMetrics* metrics,
+                                     const runtime::QueryGuard* guard) const {
   obs::TraceScope run_span("graph.run");
   if (options_.mode == GraphMode::kRowBinding) {
-    RowExecution exec(*store_, *dl_, db_, stats, metrics, options_.guard);
+    RowExecution exec(*store_, *dl_, db_, stats, metrics, guard);
     return exec.Run(query);
   }
-  BatchExecution exec(*store_, *dl_, db_, stats, metrics, options_.guard);
+  BatchExecution exec(*store_, *dl_, db_, stats, metrics, guard);
   return exec.Run(query);
 }
 

@@ -46,23 +46,12 @@ namespace raqlet::engine {
 /// Binding-table representation; see the file comment.
 enum class GraphMode { kColumnBatch, kRowBinding };
 
-/// Evaluation options, mirroring the Datalog engine's EvalOptions and the
-/// SQL engine's SqlOptions so the Compiler facade can cache/choose engines
-/// uniformly. Results are identical for every option value.
+/// Evaluation options: behaviour only, like the Datalog engine's
+/// EvalOptions and the SQL engine's SqlOptions (the guard and the metrics
+/// sink are per-call parameters of Run). Results are identical for every
+/// option value.
 struct GraphOptions {
   GraphMode mode = GraphMode::kColumnBatch;
-  /// Cooperative guardrails polled per clause expansion and per BFS
-  /// frontier. A per-Run control channel like the metrics sink, not a
-  /// behavioural option: excluded from equality so facade-level engine
-  /// caching never keys on it. A trip aborts Run with the guard's
-  /// terminal Status and leaves the store/database reusable; re-running
-  /// the query is bit-identical to a never-tripped run.
-  const runtime::QueryGuard* guard = nullptr;
-
-  /// Equality over the behavioural fields only (see `guard`).
-  friend bool operator==(const GraphOptions& a, const GraphOptions& b) {
-    return a.mode == b.mode;
-  }
 };
 
 struct GraphStats {
@@ -85,9 +74,15 @@ class GraphEngine {
 
   /// `metrics`, when given, additionally receives per-clause binding-table
   /// sizes, closure-cache hit/miss counts and the peak BFS frontier.
+  ///
+  /// `guard`, when given, is polled per clause expansion and per BFS
+  /// frontier of this call. A trip aborts Run with the guard's terminal
+  /// Status and leaves the store and database reusable; re-running the
+  /// query is bit-identical to a never-tripped run.
   Result<ResultTable> Run(const pgir::PgirQuery& query,
                           GraphStats* stats = nullptr,
-                          obs::GraphMetrics* metrics = nullptr) const;
+                          obs::GraphMetrics* metrics = nullptr,
+                          const runtime::QueryGuard* guard = nullptr) const;
 
  private:
   const GraphStore* store_;

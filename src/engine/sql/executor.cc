@@ -113,13 +113,12 @@ constexpr size_t kChunkRows = 64;
 // Evaluates one SELECT block against resolved tables.
 class SelectEvaluator {
  public:
-  // `lead_scan`, when given, is preferred as the leading scan on join-order
-  // ties (the recursive working table: scanning it and probing the stable
-  // tables' cached indexes beats rebuilding an index over it every round).
-  // `delta_begin`/`delta_end` additionally restrict the leading scan to
-  // that row range of `lead_scan` and force it to be the first plan step —
-  // the vectorized semi-naive loop scans the previous round's suffix of
-  // the total relation in place instead of materializing a working table.
+  // `lead_scan`, when given, is forced to be the first plan step and its
+  // scan is restricted to rows `[delta_begin, delta_end)`: the recursive
+  // CTE loop scans the previous round's suffix of the total relation in
+  // place, in both modes, instead of materializing a working table (and
+  // probing the stable tables' cached indexes beats rebuilding an index
+  // over the delta every round).
   SelectEvaluator(const Select& select, const TableResolver& resolver,
                   Database* db, SqlMode mode, SqlStats* stats,
                   runtime::ThreadPool* pool,
@@ -307,19 +306,15 @@ class SelectEvaluator {
       if (!chosen) {
         int best_score = -1;
         size_t best_size = 0;
-        bool best_lead = false;
         for (size_t candidate = 0; candidate < tables_.size(); ++candidate) {
           if (placed[candidate]) continue;
           int score = probe_score(candidate);
           size_t size = tables_[candidate].relation->size();
-          bool lead = tables_[candidate].relation == lead_scan_;
           if (score > best_score ||
-              (score == best_score && !best_lead &&
-               (lead || size < best_size))) {
+              (score == best_score && size < best_size)) {
             i = candidate;
             best_score = score;
             best_size = size;
-            best_lead = lead;
           }
         }
       }
@@ -590,8 +585,13 @@ class SelectEvaluator {
       }
       return Status::OK();
     }
-    const size_t n = step.rel->size();
-    for (uint32_t r = 0; r < n; ++r) RAQLET_RETURN_IF_ERROR(try_row(r));
+    // The leading step scans its range (the delta suffix when
+    // semi-naive); later steps scan the whole table.
+    const bool lead = &step == &plan_.front();
+    const size_t end = lead ? LeadScanEnd() : step.rel->size();
+    for (size_t r = lead ? LeadScanBegin() : 0; r < end; ++r) {
+      RAQLET_RETURN_IF_ERROR(try_row(static_cast<uint32_t>(r)));
+    }
     return Status::OK();
   }
 
@@ -997,7 +997,11 @@ class SelectEvaluator {
       if (stats_ != nullptr) stats_->rows_scanned += chunk_scanned[c];
       for (size_t s = 0; want_steps && s < plan_.size(); ++s) {
         step_totals_[s].batches += chunk_steps[c][s].batches;
-        step_totals_[s].rows_in += chunk_steps[c][s].rows_in;
+        // Every chunk's leading step reads the same unit seed row: count
+        // it once per evaluation, as the serial pipeline does.
+        if (s > 0 || c == 0) {
+          step_totals_[s].rows_in += chunk_steps[c][s].rows_in;
+        }
         step_totals_[s].probes += chunk_steps[c][s].probes;
         step_totals_[s].rows_matched += chunk_steps[c][s].rows_matched;
         step_totals_[s].rows_out += chunk_steps[c][s].rows_out;
@@ -1281,7 +1285,6 @@ Result<ResultTable> SqlEngine::Run(const SqirProgram& program, Database* db,
                                    SqlStats* stats, obs::SqlMetrics* metrics,
                                    const runtime::QueryGuard* guard) const {
   obs::TraceScope run_span("sql.run");
-  const runtime::QueryGuard* g = guard != nullptr ? guard : options_.guard;
   std::map<std::string, std::unique_ptr<Relation>> cte_store;
   runtime::ThreadPool* pool =
       context_ != nullptr ? context_->pool() : nullptr;
@@ -1341,45 +1344,57 @@ Result<ResultTable> SqlEngine::Run(const SqirProgram& program, Database* db,
     size_t rows_seen = 0;
     size_t bytes_seen = 0;
     auto guard_checkpoint = [&]() -> Status {
-      if (g == nullptr) return Status::OK();
+      if (guard == nullptr) return Status::OK();
       size_t rows_now = rel->size();
-      RAQLET_RETURN_IF_ERROR(g->AddRows(rows_now - rows_seen));
+      RAQLET_RETURN_IF_ERROR(guard->AddRows(rows_now - rows_seen));
       rows_seen = rows_now;
-      if (g->max_bytes() > 0) {
+      if (guard->max_bytes() > 0) {
         size_t bytes_now = rel->MemoryBytes();
         size_t delta = bytes_now > bytes_seen ? bytes_now - bytes_seen : 0;
         bytes_seen = bytes_now;
-        RAQLET_RETURN_IF_ERROR(g->AddBytes(delta));
+        RAQLET_RETURN_IF_ERROR(guard->AddBytes(delta));
       }
-      return g->Check();
+      return guard->Check();
     };
 
     for (const Select* branch : base) {
-      if (g != nullptr) RAQLET_RETURN_IF_ERROR(g->Check());
+      if (guard != nullptr) RAQLET_RETURN_IF_ERROR(guard->Check());
       SelectEvaluator eval(*branch, resolver, db, options_.mode, stats,
                            pool, nullptr, 0, SelectEvaluator::kNoDelta, cm,
-                           g);
+                           guard);
       RAQLET_RETURN_IF_ERROR(eval.Evaluate(rel.get()));
     }
     RAQLET_RETURN_IF_ERROR(guard_checkpoint());
 
     if (!recursive.empty()) {
       if (cm != nullptr) cm->recursive = true;
-      // Linear recursion (each recursive branch references the CTE exactly
-      // once) lets the vectorized mode run true semi-naive iteration: the
-      // "working table" is the suffix of `rel` appended last round,
-      // scanned in place — no per-round copy, no re-deduplication.
-      bool linear = true;
+      // Linear recursion only (each recursive branch names the CTE once,
+      // as TranslateToSqir requires): the working table is then the suffix
+      // of `rel` appended last round, scanned in place by both modes — no
+      // per-round copy, no re-deduplication. A second reference would
+      // have to read the whole total, which the delta scan cannot give.
       for (const Select* branch : recursive) {
         size_t refs = 0;
         for (const TableRef& ref : branch->from) {
           if (ref.table == cte.name) ++refs;
         }
-        if (refs != 1) linear = false;
+        if (refs != 1) {
+          return Status::Unsupported(
+              "recursive CTE '" + cte.name +
+              "' is referenced more than once in one branch; non-linear "
+              "recursion is not supported");
+        }
       }
 
+      TableResolver rec_resolver =
+          [&](const std::string& name) -> Result<const Relation*> {
+        if (name == cte.name) return rel.get();
+        return resolver(name);
+      };
       size_t iterations = 0;
-      auto check_cap = [&]() -> Status {
+      size_t delta_begin = 0;
+      size_t delta_end = rel->size();
+      while (delta_begin < delta_end) {
         ++iterations;
         if (stats != nullptr) ++stats->recursive_iterations;
         if (cm != nullptr) ++cm->iterations;
@@ -1390,69 +1405,23 @@ Result<ResultTable> SqlEngine::Run(const SqirProgram& program, Database* db,
               std::to_string(options_.max_recursive_iterations) +
               " iterations");
         }
-        return Status::OK();
-      };
-
-      if (options_.mode == SqlMode::kVectorized && linear) {
-        TableResolver rec_resolver =
-            [&](const std::string& name) -> Result<const Relation*> {
-          if (name == cte.name) return rel.get();
-          return resolver(name);
-        };
-        size_t delta_begin = 0;
-        size_t delta_end = rel->size();
-        while (delta_begin < delta_end) {
-          RAQLET_RETURN_IF_ERROR(check_cap());
-          obs::TraceScope round_span("sql.round",
-                                     static_cast<int64_t>(iterations));
-          // All branches of a round see the same delta; rows a branch
-          // appends join in the next round (SQL:1999 working-table
-          // semantics). Reads of the delta finish before the round's
-          // results merge into `rel`, so scanning and emitting into the
-          // same relation is safe.
-          for (const Select* branch : recursive) {
-            SelectEvaluator eval(*branch, rec_resolver, db, options_.mode,
-                                 stats, pool, rel.get(), delta_begin,
-                                 delta_end, cm, g);
-            RAQLET_RETURN_IF_ERROR(eval.Evaluate(rel.get()));
-          }
-          RAQLET_RETURN_IF_ERROR(guard_checkpoint());
-          delta_begin = delta_end;
-          delta_end = rel->size();
+        obs::TraceScope round_span("sql.round",
+                                   static_cast<int64_t>(iterations));
+        // All branches of a round see the same delta; rows a branch
+        // appends join in the next round (SQL:1999 working-table
+        // semantics). Rows appended during the round land past
+        // `delta_end`, outside the scanned range: the vectorized pipeline
+        // finishes its reads before merging, and the tuple pipeline reads
+        // through row indexes, never through views held across an insert.
+        for (const Select* branch : recursive) {
+          SelectEvaluator eval(*branch, rec_resolver, db, options_.mode,
+                               stats, pool, rel.get(), delta_begin,
+                               delta_end, cm, guard);
+          RAQLET_RETURN_IF_ERROR(eval.Evaluate(rel.get()));
         }
-      } else {
-        // SQL:1999 working-table iteration (tuple mode, and non-linear
-        // recursion in either mode).
-        auto working = std::make_unique<Relation>(schema);
-        RAQLET_RETURN_IF_ERROR(
-            working->InsertBatch(rel->MaterializeRows()).status());
-        while (!working->empty()) {
-          RAQLET_RETURN_IF_ERROR(check_cap());
-          obs::TraceScope round_span("sql.round",
-                                     static_cast<int64_t>(iterations));
-          TableResolver rec_resolver =
-              [&](const std::string& name) -> Result<const Relation*> {
-            if (name == cte.name) return working.get();
-            return resolver(name);
-          };
-          // Recursive branches never read the CTE total (only the working
-          // table), so they can emit straight into `rel`: its dedup is the
-          // union-distinct, and this round's additions are exactly the
-          // insertion-order suffix.
-          const size_t before = rel->size();
-          for (const Select* branch : recursive) {
-            SelectEvaluator eval(*branch, rec_resolver, db, options_.mode,
-                                 stats, pool, working.get(), 0,
-                                 SelectEvaluator::kNoDelta, cm, g);
-            RAQLET_RETURN_IF_ERROR(eval.Evaluate(rel.get()));
-          }
-          RAQLET_RETURN_IF_ERROR(guard_checkpoint());
-          auto next_working = std::make_unique<Relation>(schema);
-          RAQLET_RETURN_IF_ERROR(
-              next_working->InsertBatch(rel->MaterializeRows(before))
-                  .status());
-          working = std::move(next_working);
-        }
+        RAQLET_RETURN_IF_ERROR(guard_checkpoint());
+        delta_begin = delta_end;
+        delta_end = rel->size();
       }
     }
 
@@ -1513,11 +1482,11 @@ Result<ResultTable> SqlEngine::Run(const SqirProgram& program, Database* db,
   Relation out_rel(out_schema);
   SelectEvaluator eval(program.final_select, resolver, db, options_.mode,
                        stats, pool, nullptr, 0, SelectEvaluator::kNoDelta,
-                       final_cm, g);
+                       final_cm, guard);
   RAQLET_RETURN_IF_ERROR(eval.Evaluate(&out_rel));
-  if (g != nullptr) {
-    RAQLET_RETURN_IF_ERROR(g->AddRows(out_rel.size()));
-    RAQLET_RETURN_IF_ERROR(g->Check());
+  if (guard != nullptr) {
+    RAQLET_RETURN_IF_ERROR(guard->AddRows(out_rel.size()));
+    RAQLET_RETURN_IF_ERROR(guard->Check());
   }
   if (final_cm != nullptr) final_cm->rows = out_rel.size();
   result.rows = out_rel.MaterializeRows();

@@ -7,8 +7,10 @@
 // CTEs materialize in dependency order. WITH RECURSIVE follows SQL:1999
 // semantics: the recursive term sees the *working table* (rows added in
 // the previous iteration), results union (distinct) into the total until
-// the working table empties. A recursive reference inside NOT EXISTS is
-// rejected (non-monotonic recursion).
+// the working table empties. Both modes scan the working table in place,
+// as the suffix of the total appended last round. A recursive branch
+// that references the CTE more than once (non-linear recursion) or
+// inside NOT EXISTS (non-monotonic recursion) is rejected.
 //
 // Two execution modes exercise genuinely different join code paths:
 //  * kVectorized (DuckDB stand-in): column-batched execution in the
@@ -56,18 +58,10 @@ struct SqlOptions {
   /// Worker threads for the vectorized batch pipeline (clamped to >= 1).
   /// 1 means strictly serial; results are identical for every value.
   int num_threads = 1;
-  /// Cooperative guardrails polled per CTE materialization step, per
-  /// recursive iteration, and per scan chunk. Like the metrics sink this
-  /// is a per-Run control channel, not a behavioural option: excluded
-  /// from equality so the Compiler's engine cache never keys on it.
-  const runtime::QueryGuard* guard = nullptr;
 
-  /// Equality over the behavioural fields only (cache key; see `guard`).
-  friend bool operator==(const SqlOptions& a, const SqlOptions& b) {
-    return a.mode == b.mode &&
-           a.max_recursive_iterations == b.max_recursive_iterations &&
-           a.num_threads == b.num_threads;
-  }
+  /// Behaviour only: the guard and the metrics sink are per-call
+  /// parameters of Run, so the options are a complete engine-cache key.
+  friend bool operator==(const SqlOptions&, const SqlOptions&) = default;
 };
 
 struct SqlStats {
@@ -89,12 +83,11 @@ class SqlEngine {
   /// dedup counters are bit-identical across thread counts; only
   /// SqlStepMetrics::batches depends on scan chunking.
   ///
-  /// `guard` overrides options().guard for this call (the Compiler facade
-  /// uses this so cached engines — keyed on guard-free options equality —
-  /// still honour the caller's per-query guard). A trip aborts execution
-  /// with the guard's terminal Status and leaves `db` and this engine
-  /// reusable: re-running the same program is bit-identical to a
-  /// never-tripped run.
+  /// `guard`, when given, is polled per CTE materialization step, per
+  /// recursive iteration and per scan chunk of this call only; the engine
+  /// keeps no guard between calls. A trip aborts execution with the
+  /// guard's terminal Status and leaves `db` and this engine reusable:
+  /// re-running the same program is bit-identical to a never-tripped run.
   Result<ResultTable> Run(const sqir::SqirProgram& program, Database* db,
                           SqlStats* stats = nullptr,
                           obs::SqlMetrics* metrics = nullptr,

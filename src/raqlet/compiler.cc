@@ -28,90 +28,41 @@ Status Compiler::CreateEdbs(Database* db) const {
   return schema::CreateEdbRelations(dl_schema_, db);
 }
 
+Result<CompiledQuery> Compiler::CompileCypher(
+    const std::string& query, const CompileOptions& options) const {
+  return CompileGraphQuery("Cypher", query, options, cypher::ParseQuery);
+}
+
 Result<CompiledQuery> Compiler::CompileGql(
     const std::string& query, const CompileOptions& options) const {
-  if (!schema_loaded_) {
-    return Status::InvalidArgument(
-        "load a PG-Schema before compiling GQL queries");
-  }
-  CompiledQuery out;
-  {
-    obs::PhaseTimer timer(options.metrics, "parse");
-    obs::TraceScope span("compile.parse");
-    RAQLET_ASSIGN_OR_RETURN(out.ast, gql::ParseQuery(query));
-  }
-  pgir::LowerOptions lower_options;
-  lower_options.parameters = options.parameters;
-  {
-    obs::PhaseTimer timer(options.metrics, "lower-pgir");
-    obs::TraceScope span("compile.lower");
-    RAQLET_ASSIGN_OR_RETURN(out.pgir,
-                            pgir::LowerCypher(out.ast, lower_options));
-  }
-  out.warnings = out.pgir.warnings;
-  {
-    obs::PhaseTimer timer(options.metrics, "translate-dlir");
-    obs::TraceScope span("compile.translate");
-    RAQLET_ASSIGN_OR_RETURN(out.dlir,
-                            pgir::TranslateToDlir(out.pgir, dl_schema_));
-  }
-  {
-    obs::PhaseTimer timer(options.metrics, "optimize");
-    obs::TraceScope span("compile.optimize");
-    RAQLET_ASSIGN_OR_RETURN(out.optimized,
-                            Optimize(out.dlir, options.opt_level));
-  }
-  return out;
+  return CompileGraphQuery("GQL", query, options, gql::ParseQuery);
 }
 
 Result<CompiledQuery> Compiler::CompileSqlPgq(
     const std::string& query, const CompileOptions& options) const {
-  if (!schema_loaded_) {
-    return Status::InvalidArgument(
-        "load a PG-Schema before compiling SQL/PGQ queries");
-  }
-  CompiledQuery out;
-  {
-    obs::PhaseTimer timer(options.metrics, "parse");
-    obs::TraceScope span("compile.parse");
-    RAQLET_ASSIGN_OR_RETURN(sqlpgq::PgqQuery pgq, sqlpgq::ParseQuery(query));
-    out.ast = std::move(pgq.query);
-  }
-  pgir::LowerOptions lower_options;
-  lower_options.parameters = options.parameters;
-  {
-    obs::PhaseTimer timer(options.metrics, "lower-pgir");
-    obs::TraceScope span("compile.lower");
-    RAQLET_ASSIGN_OR_RETURN(out.pgir,
-                            pgir::LowerCypher(out.ast, lower_options));
-  }
-  out.warnings = out.pgir.warnings;
-  {
-    obs::PhaseTimer timer(options.metrics, "translate-dlir");
-    obs::TraceScope span("compile.translate");
-    RAQLET_ASSIGN_OR_RETURN(out.dlir,
-                            pgir::TranslateToDlir(out.pgir, dl_schema_));
-  }
-  {
-    obs::PhaseTimer timer(options.metrics, "optimize");
-    obs::TraceScope span("compile.optimize");
-    RAQLET_ASSIGN_OR_RETURN(out.optimized,
-                            Optimize(out.dlir, options.opt_level));
-  }
-  return out;
+  return CompileGraphQuery(
+      "SQL/PGQ", query, options,
+      [](const std::string& text) -> Result<cypher::Query> {
+        RAQLET_ASSIGN_OR_RETURN(sqlpgq::PgqQuery pgq,
+                                sqlpgq::ParseQuery(text));
+        return std::move(pgq.query);
+      });
 }
 
-Result<CompiledQuery> Compiler::CompileCypher(
-    const std::string& query, const CompileOptions& options) const {
+Result<CompiledQuery> Compiler::CompileGraphQuery(
+    const char* language, const std::string& query,
+    const CompileOptions& options,
+    Result<cypher::Query> (*parse)(const std::string&)) const {
   if (!schema_loaded_) {
-    return Status::InvalidArgument(
-        "load a PG-Schema before compiling Cypher queries");
+    return Status::InvalidArgument(std::string("load a PG-Schema before "
+                                               "compiling ") +
+                                   language + " queries");
   }
   CompiledQuery out;
   {
     obs::PhaseTimer timer(options.metrics, "parse");
     obs::TraceScope span("compile.parse");
-    RAQLET_ASSIGN_OR_RETURN(out.ast, cypher::ParseQuery(query));
+    RAQLET_ASSIGN_OR_RETURN(out.ast, parse(query));
   }
   pgir::LowerOptions lower_options;
   lower_options.parameters = options.parameters;
@@ -191,33 +142,34 @@ Result<std::string> Compiler::EmitSql(const dlir::Program& program) const {
   return sqir::ToSql(sqir_program);
 }
 
-const engine::DatalogEngine& Compiler::DatalogEngineFor(
-    const engine::EvalOptions& options) const {
-  // Never bake a per-call guard into a cached engine: the cache outlives
-  // the call (options equality deliberately ignores the guard), so a
-  // stored pointer would dangle and silently guard later unguarded runs.
-  // The effective guard is always the Run-call parameter.
-  engine::EvalOptions cache_key = options;
-  cache_key.guard = nullptr;
-  std::lock_guard<std::mutex> lock(engine_cache_mutex_);
-  for (const auto& [cached_options, engine] : engine_cache_) {
-    if (cached_options == cache_key) return *engine;
-  }
-  engine_cache_.emplace_back(
-      cache_key, std::make_unique<engine::DatalogEngine>(cache_key));
-  return *engine_cache_.back().second;
-}
-
 namespace {
 
-// True for the QueryGuard's terminal causes; folds the trip into the
-// metrics sink so EXPLAIN ANALYZE / --demo can report it.
-bool RecordGuardTrip(const Status& status, const runtime::QueryGuard* guard,
+// Returns the cached engine built for `options`, building it on first
+// request. Options hold behaviour only, so they key the cache verbatim.
+template <typename Options, typename Engine>
+const Engine& CachedEngine(
+    std::mutex* mutex,
+    std::vector<std::pair<Options, std::unique_ptr<Engine>>>* cache,
+    const Options& options) {
+  std::lock_guard<std::mutex> lock(*mutex);
+  for (const auto& [cached_options, engine] : *cache) {
+    if (cached_options == options) return *engine;
+  }
+  cache->emplace_back(options, std::make_unique<Engine>(options));
+  return *cache->back().second;
+}
+
+const Status& StatusOf(const Status& status) { return status; }
+template <typename T>
+const Status& StatusOf(const Result<T>& result) {
+  return result.status();
+}
+
+// Folds a QueryGuard trip (its three terminal causes) into the metrics
+// sink, so EXPLAIN ANALYZE and --demo can report it.
+void RecordGuardTrip(const Status& status, const runtime::QueryGuard* guard,
                      obs::QueryMetrics* metrics) {
-  bool tripped = status.code() == StatusCode::kCancelled ||
-                 status.code() == StatusCode::kDeadlineExceeded ||
-                 status.code() == StatusCode::kResourceExhausted;
-  if (!tripped || metrics == nullptr) return tripped;
+  if (metrics == nullptr) return;
   switch (status.code()) {
     case StatusCode::kCancelled:
       ++metrics->guard.cancelled;
@@ -225,38 +177,53 @@ bool RecordGuardTrip(const Status& status, const runtime::QueryGuard* guard,
     case StatusCode::kDeadlineExceeded:
       ++metrics->guard.deadline_exceeded;
       break;
-    default:
+    case StatusCode::kResourceExhausted:
       ++metrics->guard.resource_exhausted;
       break;
+    default:
+      return;
   }
   if (guard != nullptr) {
     metrics->guard.rows = guard->rows();
     metrics->guard.bytes = guard->bytes();
   }
-  return tripped;
+}
+
+// The epilogue of every Run* entry point: times `run` as `phase`, records
+// a guard trip on failure, and on success the memory breakdown of `db`.
+// `run` returns a Status or a Result, which is passed through.
+template <typename Run>
+auto Execute(const char* phase, const Database& db,
+             const runtime::QueryGuard* guard, obs::QueryMetrics* metrics,
+             Run run) -> decltype(run()) {
+  auto result = [&] {
+    obs::PhaseTimer timer(metrics, phase);
+    return run();
+  }();
+  if (!StatusOf(result).ok()) {
+    RecordGuardTrip(StatusOf(result), guard, metrics);
+  } else if (metrics != nullptr) {
+    obs::CollectMemoryBreakdown(db, metrics);
+  }
+  return result;
 }
 
 }  // namespace
 
 Result<engine::ResultTable> Compiler::RunOnDatalog(
     const dlir::Program& program, Database* db, engine::EvalStats* stats,
-    const engine::EvalOptions& options, obs::QueryMetrics* metrics) const {
+    const engine::EvalOptions& options, obs::QueryMetrics* metrics,
+    const runtime::QueryGuard* guard) const {
   // Check-before-execute: in debug/sanitizer builds (or with
   // RAQLET_VERIFY_PASSES=1) every program entering an engine has passed
   // the static analyzer. Release keeps the hot path free of it.
   if (analysis::VerifyByDefault()) RAQLET_RETURN_IF_ERROR(Check(program));
-  const engine::DatalogEngine& eng = DatalogEngineFor(options);
-  {
-    obs::PhaseTimer timer(metrics, "execute-datalog");
-    Status s = eng.Run(program, db, stats,
-                       metrics != nullptr ? &metrics->datalog : nullptr,
-                       options.guard);
-    if (!s.ok()) {
-      RecordGuardTrip(s, options.guard, metrics);
-      return s;
-    }
-  }
-  if (metrics != nullptr) obs::CollectMemoryBreakdown(*db, metrics);
+  const engine::DatalogEngine& eng =
+      CachedEngine(&engine_cache_mutex_, &datalog_engines_, options);
+  RAQLET_RETURN_IF_ERROR(Execute("execute-datalog", *db, guard, metrics, [&] {
+    return eng.Run(program, db, stats,
+                   metrics != nullptr ? &metrics->datalog : nullptr, guard);
+  }));
   std::vector<std::string> outputs = program.OutputRelations();
   if (outputs.size() != 1) {
     return Status::InvalidArgument("expected exactly one output relation");
@@ -272,20 +239,6 @@ Result<engine::ResultTable> Compiler::RunOnDatalog(
   return result;
 }
 
-const engine::SqlEngine& Compiler::SqlEngineFor(
-    const engine::SqlOptions& options) const {
-  // Same no-guard-in-cache rule as DatalogEngineFor.
-  engine::SqlOptions cache_key = options;
-  cache_key.guard = nullptr;
-  std::lock_guard<std::mutex> lock(engine_cache_mutex_);
-  for (const auto& [cached_options, engine] : sql_engine_cache_) {
-    if (cached_options == cache_key) return *engine;
-  }
-  sql_engine_cache_.emplace_back(
-      cache_key, std::make_unique<engine::SqlEngine>(cache_key));
-  return *sql_engine_cache_.back().second;
-}
-
 Result<engine::ResultTable> Compiler::RunOnSql(
     const dlir::Program& program, Database* db, engine::SqlMode mode,
     engine::SqlStats* stats, int num_threads, obs::QueryMetrics* metrics,
@@ -298,32 +251,24 @@ Result<engine::ResultTable> Compiler::RunOnSql(
   engine::SqlOptions options;
   options.mode = mode;
   options.num_threads = num_threads;
-  Result<engine::ResultTable> result =
-      [&]() -> Result<engine::ResultTable> {
-    obs::PhaseTimer timer(metrics, "execute-sql");
-    return SqlEngineFor(options).Run(
-        sqir_program, db, stats,
-        metrics != nullptr ? &metrics->sql : nullptr, guard);
-  }();
-  if (!result.ok()) RecordGuardTrip(result.status(), guard, metrics);
-  if (metrics != nullptr) obs::CollectMemoryBreakdown(*db, metrics);
-  return result;
+  const engine::SqlEngine& eng =
+      CachedEngine(&engine_cache_mutex_, &sql_engines_, options);
+  return Execute("execute-sql", *db, guard, metrics, [&] {
+    return eng.Run(sqir_program, db, stats,
+                   metrics != nullptr ? &metrics->sql : nullptr, guard);
+  });
 }
 
 Result<engine::ResultTable> Compiler::RunOnGraph(
     const pgir::PgirQuery& query, const engine::GraphStore& store,
     Database* db, engine::GraphStats* stats,
-    const engine::GraphOptions& options, obs::QueryMetrics* metrics) const {
+    const engine::GraphOptions& options, obs::QueryMetrics* metrics,
+    const runtime::QueryGuard* guard) const {
   engine::GraphEngine eng(&store, &dl_schema_, db, options);
-  Result<engine::ResultTable> result =
-      [&]() -> Result<engine::ResultTable> {
-    obs::PhaseTimer timer(metrics, "execute-graph");
+  return Execute("execute-graph", *db, guard, metrics, [&] {
     return eng.Run(query, stats,
-                   metrics != nullptr ? &metrics->graph : nullptr);
-  }();
-  if (!result.ok()) RecordGuardTrip(result.status(), options.guard, metrics);
-  if (metrics != nullptr) obs::CollectMemoryBreakdown(*db, metrics);
-  return result;
+                   metrics != nullptr ? &metrics->graph : nullptr, guard);
+  });
 }
 
 Result<engine::GraphStore> Compiler::BuildGraphStore(
@@ -338,15 +283,10 @@ Result<std::unique_ptr<engine::IncrementalView>> Compiler::BeginIncremental(
     const runtime::QueryGuard* guard) const {
   if (analysis::VerifyByDefault()) RAQLET_RETURN_IF_ERROR(Check(program));
   auto view = std::make_unique<engine::IncrementalView>(options);
-  {
-    obs::PhaseTimer timer(metrics, "initialize-incremental");
-    Status s = view->Initialize(program, db, nullptr, guard);
-    if (!s.ok()) {
-      RecordGuardTrip(s, guard, metrics);
-      return s;
-    }
-  }
-  if (metrics != nullptr) obs::CollectMemoryBreakdown(*db, metrics);
+  RAQLET_RETURN_IF_ERROR(
+      Execute("initialize-incremental", *db, guard, metrics, [&] {
+        return view->Initialize(program, db, nullptr, guard);
+      }));
   return view;
 }
 
@@ -358,19 +298,10 @@ Result<AppliedDelta> Compiler::ApplyDelta(engine::IncrementalView* view,
   if (view == nullptr || !view->initialized()) {
     return Status::InvalidArgument("ApplyDelta on an uninitialized view");
   }
-  Result<AppliedDelta> result = [&] {
-    obs::PhaseTimer timer(metrics, "apply-delta");
+  return Execute("apply-delta", *view->database(), guard, metrics, [&] {
     return view->ApplyDelta(
         delta, metrics != nullptr ? &metrics->incremental : nullptr, guard);
-  }();
-  if (!result.ok()) {
-    RecordGuardTrip(result.status(), guard, metrics);
-    return result;
-  }
-  if (metrics != nullptr) {
-    obs::CollectMemoryBreakdown(*view->database(), metrics);
-  }
-  return result;
+  });
 }
 
 }  // namespace raqlet

@@ -131,31 +131,33 @@ class Compiler {
   Result<sqir::SqirProgram> ToSqir(const dlir::Program& program) const;
 
   // ---- engines ----
+  //
+  // The five run entry points share one convention. Options structs hold
+  // behaviour only and key the engine caches verbatim. Each entry point
+  // takes the optional obs::QueryMetrics sink and runtime::QueryGuard as
+  // its last two parameters, for that call only: execution wall time
+  // lands in metrics->phases ("execute-*", "initialize-incremental",
+  // "apply-delta") and the engine's detailed counters in the matching
+  // sub-struct. A tripped guard surfaces as its terminal Status
+  // (Cancelled / DeadlineExceeded / ResourceExhausted), is recorded in
+  // metrics->guard, and leaves the database, the cached engines and this
+  // Compiler reusable. After a successful run the database's memory
+  // breakdown lands in metrics->memory; a failed run returns its Status
+  // and leaves metrics->memory untouched.
 
   /// Bottom-up Datalog evaluation (Soufflé stand-in). Returns the rows of
   /// the single output relation. `options.num_threads > 1` evaluates on
   /// the parallel runtime (identical results, see engine/datalog).
-  /// All three Run* entry points accept an optional obs::QueryMetrics
-  /// sink: execution wall time lands in metrics->phases ("execute-*"),
-  /// the engine's detailed counters in the matching sub-struct, and the
-  /// database memory breakdown in metrics->memory.
   Result<engine::ResultTable> RunOnDatalog(
       const dlir::Program& program, Database* db,
       engine::EvalStats* stats = nullptr,
       const engine::EvalOptions& options = {},
-      obs::QueryMetrics* metrics = nullptr) const;
+      obs::QueryMetrics* metrics = nullptr,
+      const runtime::QueryGuard* guard = nullptr) const;
 
   /// Recursive-SQL evaluation (DuckDB/HyPer stand-ins via `mode`).
   /// `num_threads > 1` partitions the vectorized mode's column batches
   /// across the runtime's thread pool (identical results at any count).
-  ///
-  /// All three Run* entry points honour a runtime::QueryGuard —
-  /// RunOnDatalog via EvalOptions::guard, RunOnSql via the explicit
-  /// `guard` parameter, RunOnGraph via GraphOptions::guard. A tripped
-  /// guard surfaces as the guard's terminal Status (Cancelled /
-  /// DeadlineExceeded / ResourceExhausted), recorded in
-  /// metrics->guard when a metrics sink is attached, and leaves the
-  /// database, cached engines and this Compiler reusable.
   Result<engine::ResultTable> RunOnSql(
       const dlir::Program& program, Database* db,
       engine::SqlMode mode = engine::SqlMode::kVectorized,
@@ -172,7 +174,8 @@ class Compiler {
       const pgir::PgirQuery& query, const engine::GraphStore& store,
       Database* db, engine::GraphStats* stats = nullptr,
       const engine::GraphOptions& options = {},
-      obs::QueryMetrics* metrics = nullptr) const;
+      obs::QueryMetrics* metrics = nullptr,
+      const runtime::QueryGuard* guard = nullptr) const;
 
   /// Builds the adjacency-list property graph from the EDBs in `db`.
   Result<engine::GraphStore> BuildGraphStore(const Database& db) const;
@@ -183,17 +186,15 @@ class Compiler {
   /// view: feed it +/− base-fact deltas via ApplyDelta and the derived
   /// relations track what a full re-evaluation would produce (see
   /// engine/datalog/incremental.h for strategy and determinism contract).
-  /// Runs the same check-before-execute verification as RunOnDatalog;
-  /// records an "initialize-incremental" phase when `metrics` is set.
+  /// Runs the same check-before-execute verification as RunOnDatalog.
   Result<std::unique_ptr<engine::IncrementalView>> BeginIncremental(
       const dlir::Program& program, Database* db,
       const engine::IncrementalOptions& options = {},
       obs::QueryMetrics* metrics = nullptr,
       const runtime::QueryGuard* guard = nullptr) const;
 
-  /// Applies one DeltaBatch through `view`, recording the "apply-delta"
-  /// phase, the incremental counters (metrics->incremental), guard trips
-  /// and the post-delta memory breakdown into `metrics` when set.
+  /// Applies one DeltaBatch through `view`; the incremental counters land
+  /// in metrics->incremental.
   Result<AppliedDelta> ApplyDelta(engine::IncrementalView* view,
                                   const DeltaBatch& delta,
                                   obs::QueryMetrics* metrics = nullptr,
@@ -201,28 +202,29 @@ class Compiler {
       const;
 
  private:
-  // One DatalogEngine per distinct EvalOptions ever requested, so repeated
-  // RunOnDatalog calls reuse the engine's thread pool instead of spawning
-  // and joining workers per query. Engines live until the Compiler dies
-  // (the set of distinct option values is small in practice) and are safe
-  // to run concurrently; the mutex only guards cache lookup/insert.
-  const engine::DatalogEngine& DatalogEngineFor(
-      const engine::EvalOptions& options) const;
-  // Same pattern for the SQL engine (its vectorized mode owns a thread
-  // pool when num_threads > 1).
-  const engine::SqlEngine& SqlEngineFor(
-      const engine::SqlOptions& options) const;
+  // The pipeline every graph-query frontend shares after its parser:
+  // PGIR lowering, DLIR translation and optimization. `language` names
+  // the frontend in the no-schema error.
+  Result<CompiledQuery> CompileGraphQuery(
+      const char* language, const std::string& query,
+      const CompileOptions& options,
+      Result<cypher::Query> (*parse)(const std::string&)) const;
 
   schema::PgSchema pg_schema_;
   schema::DlSchema dl_schema_;
   bool schema_loaded_ = false;
+  // One engine per distinct options value ever requested, so repeated
+  // Run* calls reuse the engine's thread pool instead of spawning and
+  // joining workers per query. Engines live until the Compiler dies (the
+  // set of distinct option values is small in practice) and are safe to
+  // run concurrently; the mutex only guards cache lookup and insert.
+  template <typename Options, typename Engine>
+  using EngineCache =
+      std::vector<std::pair<Options, std::unique_ptr<Engine>>>;
   mutable std::mutex engine_cache_mutex_;
-  mutable std::vector<
-      std::pair<engine::EvalOptions, std::unique_ptr<engine::DatalogEngine>>>
-      engine_cache_;
-  mutable std::vector<
-      std::pair<engine::SqlOptions, std::unique_ptr<engine::SqlEngine>>>
-      sql_engine_cache_;
+  mutable EngineCache<engine::EvalOptions, engine::DatalogEngine>
+      datalog_engines_;
+  mutable EngineCache<engine::SqlOptions, engine::SqlEngine> sql_engines_;
 };
 
 }  // namespace raqlet

@@ -206,6 +206,11 @@ class Relation {
   /// Hash index from the projection of each row onto `key_columns` to the
   /// list of row indices with that key, in ascending (insertion) order —
   /// the semi-naive evaluator's deterministic merge relies on this.
+  ///
+  /// Join keys follow `=` (Value::operator==), not the dedup's bit
+  /// equality: 0.0 and -0.0 are one key (two stored rows, one entry), and
+  /// a NaN key is found by no probe, as NaN = NaN is false, and each NaN
+  /// row gets an entry of its own.
   using KeyIndex = std::unordered_map<Tuple, std::vector<uint32_t>, TupleHash>;
 
   /// Builds (or returns the cached) index for `key_columns`. Indexes are

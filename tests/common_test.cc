@@ -81,6 +81,14 @@ TEST(ValueTest, HashDistinguishesKinds) {
   EXPECT_NE(Value::Number(1).Hash(), Value::Symbol(1).Hash());
 }
 
+TEST(ValueTest, EqualValuesHashEqual) {
+  // 0.0 == -0.0 with different bits: the hash must not tell them apart.
+  ASSERT_EQ(Value::Float(0.0), Value::Float(-0.0));
+  EXPECT_EQ(Value::Float(0.0).Hash(), Value::Float(-0.0).Hash());
+  EXPECT_EQ(TupleHash()({Value::Float(-0.0), Value::Number(1)}),
+            TupleHash()({Value::Float(0.0), Value::Number(1)}));
+}
+
 TEST(SymbolTableTest, InternIsIdempotent) {
   SymbolTable t;
   uint32_t a = t.Intern("hello");

@@ -288,5 +288,92 @@ TEST_P(CrossEngineTest, TracingEnabledIsResultNeutral) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, CrossEngineTest, ::testing::Range(0, 6));
 
+// Runs a Datalog program on the Datalog engine at 1 and 4 threads and on
+// both SQL modes. `inputs` holds each input relation's rows, with the
+// columns the program declares.
+std::vector<std::pair<std::string, Result<engine::ResultTable>>> RunEverywhere(
+    const std::string& text,
+    const std::vector<std::pair<std::string, std::vector<Tuple>>>& inputs) {
+  Compiler compiler;
+  auto program = compiler.CompileDatalog(text);
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+  if (!program.ok()) return {};
+  Database db;
+  for (const auto& [name, rows] : inputs) {
+    const dlir::RelationDecl* decl = program->FindDecl(name);
+    RelationSchema schema;
+    schema.name = name;
+    schema.columns = decl->columns;
+    Relation* rel = *db.CreateRelation(schema);
+    for (const Tuple& row : rows) EXPECT_TRUE(rel->Insert(row).ok());
+  }
+  std::vector<std::pair<std::string, Result<engine::ResultTable>>> runs;
+  for (int threads : {1, 4}) {
+    engine::EvalOptions options;
+    options.num_threads = threads;
+    runs.emplace_back("datalog/" + std::to_string(threads) + "t",
+                      compiler.RunOnDatalog(*program, &db, nullptr, options));
+  }
+  runs.emplace_back("sql-vectorized",
+                    compiler.RunOnSql(*program, &db,
+                                      engine::SqlMode::kVectorized));
+  runs.emplace_back("sql-tuple",
+                    compiler.RunOnSql(*program, &db,
+                                      engine::SqlMode::kTuplePipeline));
+  return runs;
+}
+
+// Join keys follow `=`, under which 0.0 = -0.0: a shared variable, an
+// `x = y` filter and the `x <= y, x >= y` pair each derive the row on
+// every engine, whichever index bucket the keys land in.
+TEST(SignedZeroTest, JoinKeysFollowEquality) {
+  const char* const kRules[] = {
+      "out(x) :- a(x), b(x).",
+      "out(x) :- a(x), b(y), x = y.",
+      "out(x) :- a(x), b(y), x <= y, x >= y.",
+  };
+  for (const char* rule : kRules) {
+    auto runs = RunEverywhere(std::string(R"(
+.decl a(x: float)
+.input a
+.decl b(x: float)
+.input b
+.decl out(x: float)
+.output out
+)") + rule,
+                              {{"a", {{Value::Float(0.0)}}},
+                               {"b", {{Value::Float(-0.0)}}}});
+    ASSERT_EQ(runs.size(), 4u);
+    for (const auto& [engine, result] : runs) {
+      ASSERT_TRUE(result.ok()) << rule << " on " << engine << ": "
+                               << result.status().ToString();
+      ASSERT_EQ(result->rows.size(), 1u) << rule << " on " << engine;
+      EXPECT_EQ(result->rows[0][0].RawBits(), Value::Float(0.0).RawBits())
+          << rule << " on " << engine;
+    }
+  }
+}
+
+// Stored rows stay distinct by bits, so an aggregate sees a(1, 0.0) and
+// a(1, -0.0) as two body matches on every engine.
+TEST(SignedZeroTest, AggregatesCountEachStoredRow) {
+  auto runs = RunEverywhere(R"(
+.decl a(g: number, x: float)
+.input a
+.decl out(g: number, n: number)
+.output out
+out(g, count(x)) :- a(g, x).
+)",
+                            {{"a",
+                              {{Value::Number(1), Value::Float(0.0)},
+                               {Value::Number(1), Value::Float(-0.0)}}}});
+  ASSERT_EQ(runs.size(), 4u);
+  for (const auto& [engine, result] : runs) {
+    ASSERT_TRUE(result.ok()) << engine << ": " << result.status().ToString();
+    ASSERT_EQ(result->rows.size(), 1u) << engine;
+    EXPECT_EQ(result->rows[0][1], Value::Number(2)) << engine;
+  }
+}
+
 }  // namespace
 }  // namespace raqlet

@@ -91,8 +91,8 @@ class FailpointTest : public ::testing::Test {
     auto datalog = [this, guard](int threads) {
       engine::EvalOptions options;
       options.num_threads = threads;
-      options.guard = guard;
-      return compiler_.RunOnDatalog(unit_.dlir, &db_, nullptr, options);
+      return compiler_.RunOnDatalog(unit_.dlir, &db_, nullptr, options,
+                                    nullptr, guard);
     };
     auto sql = [this, guard](engine::SqlMode mode, int threads) {
       return compiler_.RunOnSql(unit_.dlir, &db_, mode, nullptr, threads,
@@ -101,9 +101,8 @@ class FailpointTest : public ::testing::Test {
     auto graph = [this, guard](engine::GraphMode mode) {
       engine::GraphOptions options;
       options.mode = mode;
-      options.guard = guard;
       return compiler_.RunOnGraph(unit_.pgir, *store_, &db_, nullptr,
-                                  options);
+                                  options, nullptr, guard);
     };
     return {
         {"datalog/1t", [datalog] { return datalog(1); }},
@@ -339,8 +338,9 @@ TEST_F(FailpointTest, DelayedPoolDrainsUnderShortDeadline) {
 
   engine::EvalOptions options;
   options.num_threads = 4;
-  options.guard = &guard;
-  EXPECT_EQ(compiler_.RunOnDatalog(unit_.dlir, &db_, nullptr, options)
+  EXPECT_EQ(compiler_
+                .RunOnDatalog(unit_.dlir, &db_, nullptr, options, nullptr,
+                              &guard)
                 .status()
                 .code(),
             StatusCode::kDeadlineExceeded);
@@ -352,11 +352,13 @@ TEST_F(FailpointTest, DelayedPoolDrainsUnderShortDeadline) {
             StatusCode::kDeadlineExceeded);
 
   runtime::DisarmAllFailpoints();
-  auto rerun = compiler_.RunOnDatalog(unit_.dlir, &db_, nullptr, options);
+  auto rerun = compiler_.RunOnDatalog(unit_.dlir, &db_, nullptr, options,
+                                      nullptr, &guard);
   EXPECT_EQ(rerun.status().code(), StatusCode::kDeadlineExceeded)
       << "tripped guard stays tripped until Reset";
   guard.Reset();
-  auto clean = compiler_.RunOnDatalog(unit_.dlir, &db_, nullptr, options);
+  auto clean = compiler_.RunOnDatalog(unit_.dlir, &db_, nullptr, options,
+                                      nullptr, &guard);
   EXPECT_TRUE(clean.ok()) << clean.status().ToString();
 }
 

@@ -323,19 +323,16 @@ CREATE GRAPH {
         case 0: {
           engine::EvalOptions options;
           options.num_threads = 1 + (iter % 2) * 3;
-          options.guard = g;
-          return compiler.RunOnDatalog(unit->dlir, &db, nullptr, options);
+          return compiler.RunOnDatalog(unit->dlir, &db, nullptr, options,
+                                       nullptr, g);
         }
         case 1:
           return compiler.RunOnSql(unit->dlir, &db,
                                    engine::SqlMode::kVectorized, nullptr,
                                    1 + (iter % 2) * 3, nullptr, g);
-        default: {
-          engine::GraphOptions options;
-          options.guard = g;
-          return compiler.RunOnGraph(unit->pgir, *store, &db, nullptr,
-                                     options);
-        }
+        default:
+          return compiler.RunOnGraph(unit->pgir, *store, &db, nullptr, {},
+                                     nullptr, g);
       }
     };
 

@@ -60,6 +60,37 @@ pgir::PgirQuery Lower(const std::string& text) {
   return std::move(pgir).value();
 }
 
+TEST(GraphDistinctTest, KeepsSignedZerosApartInBothModes) {
+  // RETURN DISTINCT dedups rows the way relations do, by bits: 0.0 and
+  // -0.0 stay two rows in the column-batch and the row-binding mode.
+  auto pg = schema::ParsePgSchema(R"(
+CREATE GRAPH {
+  (personType: Person {id INT, score FLOAT})
+}
+)");
+  ASSERT_TRUE(pg.ok()) << pg.status().ToString();
+  schema::DlSchema dl = schema::TranslateSchema(*pg);
+  Database db;
+  ASSERT_TRUE(schema::CreateEdbRelations(dl, &db).ok());
+  Relation* person = *db.GetRelation("Person");
+  ASSERT_TRUE(person->Insert({Value::Number(1), Value::Float(0.0)}).ok());
+  ASSERT_TRUE(person->Insert({Value::Number(2), Value::Float(-0.0)}).ok());
+  ASSERT_TRUE(person->Insert({Value::Number(3), Value::Float(0.0)}).ok());
+  auto store = GraphStore::Build(dl, db);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto query = Lower("MATCH (p:Person) RETURN DISTINCT p.score AS s");
+  for (GraphMode mode : {GraphMode::kColumnBatch, GraphMode::kRowBinding}) {
+    GraphOptions options;
+    options.mode = mode;
+    GraphEngine engine(&*store, &dl, &db, options);
+    auto result = engine.Run(query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->rows.size(), 2u)
+        << (mode == GraphMode::kRowBinding ? "row binding" : "column batch");
+    EXPECT_NE(result->rows[0][0].RawBits(), result->rows[1][0].RawBits());
+  }
+}
+
 TEST(GraphStoreTest, BuildsAdjacency) {
   Fixture f;
   auto store = GraphStore::Build(f.dl, f.db);

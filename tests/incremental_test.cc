@@ -515,6 +515,38 @@ TEST(IncrementalViewTest, NoopDeltaSkipsEverySCC) {
   EXPECT_EQ(view.stats().sccs_skipped, 1u);
 }
 
+TEST(IncrementalViewTest, SignedZeroRowsKeepTheirOwnSupport) {
+  // 0.0 and -0.0 are two stored rows (dedup compares bits), so each
+  // derived row keeps its own support count: removing a(-0.0) removes
+  // out(-0.0) and keeps out(0.0), as a from-scratch evaluation does.
+  Database db;
+  RelationSchema schema;
+  schema.name = "a";
+  schema.columns = {{"x", ValueType::kFloat}};
+  Relation* a = *db.CreateRelation(schema);
+  ASSERT_TRUE(a->Insert({Value::Float(0.0)}).ok());
+  ASSERT_TRUE(a->Insert({Value::Float(-0.0)}).ok());
+  IncrementalView view;
+  ASSERT_TRUE(view.Initialize(Parse(R"(
+.decl a(x: float)
+.input a
+.decl out(x: float)
+.output out
+out(x) :- a(x).
+)"),
+                              &db)
+                  .ok());
+  ASSERT_EQ((*db.GetRelation("out"))->size(), 2u);
+
+  DeltaBatch batch;
+  batch.relations.push_back({"a", {}, {{Value::Float(-0.0)}}});
+  auto applied = view.ApplyDelta(batch);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  std::vector<Tuple> rows = (*db.GetRelation("out"))->MaterializeRows();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0].RawBits(), Value::Float(0.0).RawBits());
+}
+
 TEST(IncrementalViewTest, DeltaToNonInputRelationIsRejectedWithoutPoison) {
   Database db = ChainDb(3);
   IncrementalView view;

@@ -262,8 +262,18 @@ TEST(ObsMetricsTest, SqlTcCycleDedupCounters) {
 }
 
 TEST(ObsMetricsTest, SqlCountersAgreeAcrossModesAndThreads) {
-  auto run = [](engine::SqlMode mode, int threads) {
-    Database db = MakeGraphDb({{1, 2}, {2, 3}, {3, 4}, {4, 2}, {2, 5}});
+  // A cycle plus 100 two-edge chains: `edge` (the base branch's leading
+  // scan) and the first round's delta both span three 64-row scan chunks
+  // at 4 threads, so a counter charged per chunk would show here.
+  std::vector<std::pair<int, int>> edges = {
+      {1, 2}, {2, 3}, {3, 4}, {4, 2}, {2, 5}};
+  for (int k = 0; k < 100; ++k) {
+    const int a = 100 + 3 * k;
+    edges.push_back({a, a + 1});
+    edges.push_back({a + 1, a + 2});
+  }
+  auto run = [&edges](engine::SqlMode mode, int threads) {
+    Database db = MakeGraphDb(edges);
     auto sqir = sqir::TranslateToSqir(Parse(kTc));
     EXPECT_TRUE(sqir.ok());
     engine::SqlOptions options;
@@ -292,18 +302,18 @@ TEST(ObsMetricsTest, SqlCountersAgreeAcrossModesAndThreads) {
     }
     // Per-step row counters match too; `batches` is chunking-dependent
     // and excluded from the contract.
-    ASSERT_EQ(serial.ctes[i].steps.size(), parallel.ctes[i].steps.size());
-    for (size_t s = 0; s < serial.ctes[i].steps.size(); ++s) {
-      EXPECT_EQ(serial.ctes[i].steps[s].relation,
-                parallel.ctes[i].steps[s].relation);
-      EXPECT_EQ(serial.ctes[i].steps[s].rows_in,
-                parallel.ctes[i].steps[s].rows_in);
-      EXPECT_EQ(serial.ctes[i].steps[s].probes,
-                parallel.ctes[i].steps[s].probes);
-      EXPECT_EQ(serial.ctes[i].steps[s].rows_matched,
-                parallel.ctes[i].steps[s].rows_matched);
-      EXPECT_EQ(serial.ctes[i].steps[s].rows_out,
-                parallel.ctes[i].steps[s].rows_out);
+    for (const obs::SqlCteMetrics* other :
+         {&parallel.ctes[i], &tuple.ctes[i]}) {
+      ASSERT_EQ(serial.ctes[i].steps.size(), other->steps.size());
+      for (size_t s = 0; s < serial.ctes[i].steps.size(); ++s) {
+        const obs::SqlStepMetrics& want = serial.ctes[i].steps[s];
+        const obs::SqlStepMetrics& got = other->steps[s];
+        EXPECT_EQ(want.relation, got.relation);
+        EXPECT_EQ(want.rows_in, got.rows_in) << want.relation;
+        EXPECT_EQ(want.probes, got.probes) << want.relation;
+        EXPECT_EQ(want.rows_matched, got.rows_matched) << want.relation;
+        EXPECT_EQ(want.rows_out, got.rows_out) << want.relation;
+      }
     }
   }
 }

@@ -69,8 +69,8 @@ class QueryGuardEngineTest : public ::testing::Test {
                                          obs::QueryMetrics* metrics = nullptr) {
     engine::EvalOptions options;
     options.num_threads = threads;
-    options.guard = guard;
-    return compiler_.RunOnDatalog(unit_.dlir, &db_, nullptr, options, metrics);
+    return compiler_.RunOnDatalog(unit_.dlir, &db_, nullptr, options, metrics,
+                                  guard);
   }
 
   Result<engine::ResultTable> RunSql(const runtime::QueryGuard* guard,
@@ -89,8 +89,8 @@ class QueryGuardEngineTest : public ::testing::Test {
     }
     engine::GraphOptions options;
     options.mode = mode;
-    options.guard = guard;
-    return compiler_.RunOnGraph(unit_.pgir, *store_, &db_, nullptr, options);
+    return compiler_.RunOnGraph(unit_.pgir, *store_, &db_, nullptr, options,
+                                nullptr, guard);
   }
 
   Compiler compiler_;
@@ -329,6 +329,91 @@ TEST_F(QueryGuardEngineTest, ReRunAfterTripIsBitIdentical) {
   auto again = RunDatalog(&guard);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(again->rows, ref_dl->rows);
+}
+
+TEST_F(QueryGuardEngineTest, OneBudgetTripsEveryRunEntryPoint) {
+  // Reference rows first: they build the cached default Datalog and SQL
+  // engines the guarded runs below reuse.
+  auto ref_dl = RunDatalog(nullptr);
+  ASSERT_TRUE(ref_dl.ok()) << ref_dl.status().ToString();
+  auto ref_sql = RunSql(nullptr, engine::SqlMode::kVectorized);
+  ASSERT_TRUE(ref_sql.ok()) << ref_sql.status().ToString();
+  auto store = compiler_.BuildGraphStore(db_);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+
+  // One row budget, handed to each entry point as its trailing guard.
+  runtime::QueryGuard guard;
+  guard.set_max_rows(10);
+  auto expect_trip = [&guard](const Status& status,
+                              const obs::QueryMetrics& metrics,
+                              const char* entry) {
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << entry;
+    EXPECT_EQ(metrics.guard.resource_exhausted, 1u) << entry;
+    EXPECT_GT(metrics.guard.rows, 10u) << entry;
+    EXPECT_EQ(metrics.guard.rows, guard.rows()) << entry;
+    guard.Reset();
+  };
+  {
+    obs::QueryMetrics metrics;
+    expect_trip(compiler_
+                    .RunOnDatalog(unit_.dlir, &db_, nullptr, {}, &metrics,
+                                  &guard)
+                    .status(),
+                metrics, "RunOnDatalog");
+  }
+  {
+    obs::QueryMetrics metrics;
+    expect_trip(compiler_
+                    .RunOnSql(unit_.dlir, &db_, engine::SqlMode::kVectorized,
+                              nullptr, 1, &metrics, &guard)
+                    .status(),
+                metrics, "RunOnSql");
+  }
+  {
+    obs::QueryMetrics metrics;
+    expect_trip(compiler_
+                    .RunOnGraph(unit_.pgir, *store, &db_, nullptr, {},
+                                &metrics, &guard)
+                    .status(),
+                metrics, "RunOnGraph");
+  }
+  // The incremental view maintains a database of its own, so the delta
+  // below leaves db_ as the references saw it.
+  Database view_db;
+  ASSERT_TRUE(compiler_.CreateEdbs(&view_db).ok());
+  FillDb(&view_db, 1234);
+  {
+    obs::QueryMetrics metrics;
+    expect_trip(compiler_
+                    .BeginIncremental(unit_.dlir, &view_db, {}, &metrics,
+                                      &guard)
+                    .status(),
+                metrics, "BeginIncremental");
+  }
+  auto view = compiler_.BeginIncremental(unit_.dlir, &view_db);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  RelationDelta knows;
+  knows.relation = "Person_KNOWS_Person";
+  for (int i = 0; i < 12; ++i) {  // 12 base rows: past the budget
+    knows.adds.push_back({Value::Number(i + 1), Value::Number(30 - i),
+                          Value::Number(1000 + i)});
+  }
+  DeltaBatch delta;
+  delta.relations.push_back(std::move(knows));
+  {
+    obs::QueryMetrics metrics;
+    expect_trip(
+        compiler_.ApplyDelta(view->get(), delta, &metrics, &guard).status(),
+        metrics, "ApplyDelta");
+  }
+
+  // The same cached engines, run next without a guard: the full result.
+  auto dl = RunDatalog(nullptr);
+  ASSERT_TRUE(dl.ok()) << dl.status().ToString();
+  EXPECT_EQ(dl->rows, ref_dl->rows);
+  auto sql = RunSql(nullptr, engine::SqlMode::kVectorized);
+  ASSERT_TRUE(sql.ok()) << sql.status().ToString();
+  EXPECT_EQ(sql->rows, ref_sql->rows);
 }
 
 TEST_F(QueryGuardEngineTest, TripIsRecordedInMetrics) {

@@ -304,6 +304,42 @@ TEST_P(SqlEngineModeTest, RecursiveSelfReferenceInNotExistsRejected) {
       << result.status().ToString();
 }
 
+TEST_P(SqlEngineModeTest, NonLinearRecursionRejected) {
+  // tc(x, z) :- tc(x, y), tc(y, z). over the chain 1 -> 2 -> ... -> 6,
+  // built by hand because TranslateToSqir rejects it. Scanning only the
+  // last round's rows for both references yields 11 of the 15 closure
+  // rows, so the engine must refuse the program instead.
+  Database db = MakeGraphDb({{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}});
+  using sqir::Expr;
+  sqir::SqirProgram program;
+  sqir::Cte cte;
+  cte.name = "tc";
+  cte.columns = {"x", "y"};
+  cte.recursive = true;
+  sqir::Select base;
+  base.items = {{Expr::Column("R1", "x"), "x"},
+                {Expr::Column("R1", "y"), "y"}};
+  base.from = {{"edge", "R1"}};
+  sqir::Select step;
+  step.items = {{Expr::Column("R1", "x"), "x"},
+                {Expr::Column("R2", "y"), "y"}};
+  step.from = {{"tc", "R1"}, {"tc", "R2"}};
+  step.where.push_back(sqir::Predicate{
+      dlir::CmpOp::kEq, Expr::Column("R1", "y"), Expr::Column("R2", "x")});
+  cte.branches = {std::move(base), std::move(step)};
+  program.ctes.push_back(std::move(cte));
+  program.final_select.items = {{Expr::Column("R1", "x"), "x"},
+                                {Expr::Column("R1", "y"), "y"}};
+  program.final_select.from = {{"tc", "R1"}};
+  program.output_columns = {"x", "y"};
+
+  auto result = Engine().Run(program, &db);
+  ASSERT_FALSE(result.ok()) << result->rows.size() << " rows";
+  EXPECT_EQ(result.status().code(), StatusCode::kUnsupported);
+  EXPECT_NE(result.status().ToString().find("non-linear"), std::string::npos)
+      << result.status().ToString();
+}
+
 TEST_P(SqlEngineModeTest, ConstantOnlyPredicateWithEmptyFrom) {
   // Regression: with no FROM tables there are no join steps, so the
   // alias-free predicate was never attached anywhere and Plan() failed
