@@ -4,9 +4,9 @@
 //   raqlet_cli --schema schema.pgs --query q.cypher --emit datalog
 //   raqlet_cli --schema schema.pgs --query q.cypher --emit sql
 //   raqlet_cli --schema schema.pgs --query q.cypher --emit pgir|dlir|report
-//   raqlet_cli --schema schema.pgs --query q.cypher --run datalog \
+//   raqlet_cli --schema schema.pgs --query q.cypher --run datalog
 //              --facts data_dir            # <relation>.facts files (TSV)
-//   raqlet_cli --query q.dl --frontend datalog --run datalog \
+//   raqlet_cli --query q.dl --frontend datalog --run datalog
 //              --apply-delta deltas.txt    # incremental view maintenance
 //   raqlet_cli --demo                      # built-in schema + query
 //
@@ -606,9 +606,10 @@ int main(int argc, char** argv) {
       // Guardrail tour: a row-hungry recursive query (the full KNOWS
       // reachability closure) runs on each engine under a deliberately
       // small row budget, handed over as the Run call's trailing guard. It
-      // must trip with a terminal status, the report shows how far it got,
-      // and — the cancellation contract — re-running the very same query
-      // on the same database without the budget must succeed.
+      // must trip with a terminal status, without charging more than twice
+      // its budget, the report shows how far it got, and — the
+      // cancellation contract — re-running the very same query on the
+      // same database without the budget must succeed.
       std::cout << "\n-- execution guardrails --\n";
       auto closure = compiler.CompileCypher(
           "MATCH (a:Person)-[:KNOWS*]->(b:Person) "
@@ -638,13 +639,15 @@ int main(int argc, char** argv) {
                                         {}, sink, g);
            }},
       };
+      constexpr size_t kDemoBudget = 500;
       bool tour_ok = true;
       for (const auto& [name, run] : engines) {
         raqlet::runtime::QueryGuard demo_guard;
-        demo_guard.set_max_rows(500);
+        demo_guard.set_max_rows(kDemoBudget);
         raqlet::obs::QueryMetrics trip_metrics;
         auto tripped = run(&trip_metrics, &demo_guard);
-        std::cout << name << ": KNOWS closure with --max-rows 500: "
+        std::cout << name << ": KNOWS closure with --max-rows "
+                  << kDemoBudget << ": "
                   << (tripped.ok() ? "unexpected: did not trip"
                                    : tripped.status().ToString())
                   << "\n";
@@ -654,6 +657,11 @@ int main(int argc, char** argv) {
           continue;
         }
         std::cout << trip_metrics.ToString();
+        if (demo_guard.rows() > 2 * kDemoBudget) {
+          std::cout << name << ": unexpected: charged " << demo_guard.rows()
+                    << " rows, more than twice the budget\n";
+          tour_ok = false;
+        }
         auto retry = run(nullptr, nullptr);
         std::cout << name << ": re-run without budget: "
                   << (retry.ok() ? "ok, " + std::to_string(retry->rows.size())

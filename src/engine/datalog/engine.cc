@@ -1067,12 +1067,6 @@ Status RuleEvaluator::RunScc(SccWork* work,
     ++stats->fixpoint_rounds;
     obs::TraceScope round_span("datalog.round",
                                static_cast<int64_t>(round));
-    if (options_.max_iterations != 0 && round > options_.max_iterations) {
-      return finish(Status::Unsupported(
-          "fixpoint did not converge within " +
-          std::to_string(options_.max_iterations) +
-          " rounds; the termination analysis may flag this query"));
-    }
 
     // Nothing mutates between here and the merge, so every size read now
     // is this round's snapshot.

@@ -42,8 +42,6 @@
 namespace raqlet::engine {
 
 struct EvalOptions {
-  /// Safety valve on fixpoint rounds per SCC (0 = unlimited).
-  size_t max_iterations = 0;
   /// Semi-naive (deltas) vs naive (full re-evaluation each round).
   /// Naive mode exists for the optimizer ablation benchmarks.
   bool seminaive = true;

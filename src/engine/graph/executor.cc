@@ -1,15 +1,17 @@
 #include "engine/graph/executor.h"
 
 #include <algorithm>
+#include <array>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <tuple>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "obs/trace.h"
 #include "runtime/failpoint.h"
@@ -32,11 +34,53 @@ using pgir::ReturnOp;
 using pgir::WhereOp;
 using pgir::WithOp;
 
+// A MATCH expansion charges the guard's row budget, and so polls it, once
+// per this many emitted bindings (the SQL tuple pipeline's cadence).
+constexpr size_t kGuardChunk = 64;
+
 struct ColumnMeta {
   enum Kind { kNode, kEdge, kValue, kPathLength };
   Kind kind = kValue;
   std::string label;       // node label / edge label
   int row_column = -1;     // kEdge: index of the hidden edge-row column
+};
+
+// Names and kinds of the binding table's columns, shared by both table
+// representations.
+struct Layout {
+  std::vector<std::string> columns;
+  std::map<std::string, size_t> index;
+  std::vector<ColumnMeta> meta;
+
+  int Find(const std::string& name) const {
+    auto it = index.find(name);
+    return it == index.end() ? -1 : static_cast<int>(it->second);
+  }
+  size_t Add(const std::string& name, ColumnMeta m) {
+    index[name] = columns.size();
+    columns.push_back(name);
+    meta.push_back(std::move(m));
+    return columns.size() - 1;
+  }
+  size_t size() const { return columns.size(); }
+};
+
+// The values one match binds, in the order the expansion added their
+// columns: at most a source, a destination, an edge id and its row.
+struct NewValues {
+  std::array<Value, 4> values;
+  size_t size = 0;
+  void Push(Value v) { values[size++] = v; }
+};
+
+// What a WITH/RETURN produces: its layout (the items, then the hidden
+// edge-row columns it carries), the item expressions, the input column
+// each carried column copies, and the aggregate item's position.
+struct Projection {
+  Layout layout;
+  std::vector<const Expr*> exprs;
+  std::vector<size_t> carried;
+  int agg = -1;
 };
 
 dlir::CmpOp ToCmpOp(BinOp op) {
@@ -71,43 +115,50 @@ dlir::ArithOp ToArithOp(BinOp op) {
   }
 }
 
-// Traversal machinery shared by both binding-table representations:
-// direction-aware neighbour walks, the memoized >=1-step reachability
-// closure, and the BFS variants for bounded/shortest variable-length
-// patterns. Memoization lives here so a query pays for each closure once
-// regardless of which executor asked for it.
+// Reads property `name` of the node or edge bound in a column described by
+// `meta`: `id` is the column's value, `edge_row` the value of its hidden
+// edge-row column (edges only).
+Result<Value> ReadProperty(const GraphStore& store, const ColumnMeta& meta,
+                           const Value& id, const Value& edge_row,
+                           const std::string& name) {
+  if (name == "id") return id;
+  if (meta.kind == ColumnMeta::kNode) {
+    return store.NodeProperty(meta.label, id.AsNumber(), name);
+  }
+  return store.EdgeProperty(meta.label,
+                            static_cast<uint32_t>(edge_row.AsNumber()), name);
+}
+
+// Traversal machinery: direction-aware adjacency, the memoized >=1-step
+// reachability closure, and the walks behind variable-length and shortest
+// patterns. Memoization lives here so a query pays for each closure once.
 class Traversals {
  public:
+  using Neighbors = std::vector<GraphStore::Neighbor>;
+
   Traversals(const GraphStore& store, GraphStats* stats,
-             obs::GraphMetrics* metrics = nullptr,
-             const runtime::QueryGuard* guard = nullptr)
+             obs::GraphMetrics* metrics, const runtime::QueryGuard* guard)
       : store_(store), stats_(stats), metrics_(metrics), guard_(guard) {}
 
-  // Polled once per BFS frontier pop. A trip abandons the walk early; the
-  // partial closure is still memoized, but the memo dies with this
-  // execution object (one per Run), and the clause loop re-checks the
-  // guard before any partial result could reach the caller.
-  bool GuardTripped() const {
-    return guard_ != nullptr && !guard_->Check().ok();
-  }
-
-  // Neighbour expansion respecting direction.
-  void ForEachNeighbor(const std::string& edge_label, int64_t node,
-                       EdgeDirection direction, bool reverse,
-                       const std::function<void(const GraphStore::Neighbor&)>&
-                           visit) const {
-    EdgeDirection dir = direction;
-    if (reverse && dir == EdgeDirection::kOutgoing) {
-      dir = EdgeDirection::kIncoming;
-    } else if (reverse && dir == EdgeDirection::kIncoming) {
-      dir = EdgeDirection::kOutgoing;
+  // The adjacency lists a walk from `node` follows, in walk order: the
+  // out-list, the in-list, or both for an undirected edge. `reverse` walks
+  // against the edge direction.
+  std::array<const Neighbors*, 2> Adjacent(const std::string& upper,
+                                           int64_t node,
+                                           EdgeDirection direction,
+                                           bool reverse) const {
+    static const Neighbors kNone;
+    if (reverse && direction != EdgeDirection::kUndirected) {
+      direction = direction == EdgeDirection::kOutgoing
+                      ? EdgeDirection::kIncoming
+                      : EdgeDirection::kOutgoing;
     }
-    if (dir == EdgeDirection::kOutgoing || dir == EdgeDirection::kUndirected) {
-      for (const auto& nb : store_.OutNeighbors(edge_label, node)) visit(nb);
-    }
-    if (dir == EdgeDirection::kIncoming || dir == EdgeDirection::kUndirected) {
-      for (const auto& nb : store_.InNeighbors(edge_label, node)) visit(nb);
-    }
+    return {direction != EdgeDirection::kIncoming
+                ? &store_.OutNeighbors(upper, node)
+                : &kNone,
+            direction != EdgeDirection::kOutgoing
+                ? &store_.InNeighbors(upper, node)
+                : &kNone};
   }
 
   // Memoized >=1-step reachability closure, keyed per (edge label,
@@ -130,10 +181,14 @@ class Traversals {
     auto result = std::make_unique<NodeSet>();
     NodeSet& reached = *result;
     std::deque<int64_t> queue;  // nodes whose edges still need walking
-    auto visit = [&](const GraphStore::Neighbor& nb) {
-      if (reached.insert(nb.node).second) queue.push_back(nb.node);
+    auto expand = [&](int64_t node) {
+      for (const Neighbors* list : Adjacent(upper, node, direction, reverse)) {
+        for (const GraphStore::Neighbor& nb : *list) {
+          if (reached.insert(nb.node).second) queue.push_back(nb.node);
+        }
+      }
     };
-    ForEachNeighbor(upper, start, direction, reverse, visit);
+    expand(start);
     while (!queue.empty()) {
       if (GuardTripped()) break;
       NoteFrontier(queue.size());
@@ -145,7 +200,7 @@ class Traversals {
         for (int64_t m : *cached->second) reached.insert(m);
         continue;
       }
-      ForEachNeighbor(upper, node, direction, reverse, visit);
+      expand(node);
       if (stats_ != nullptr) ++stats_->bfs_visits;
     }
     return *memo.emplace(start, std::move(result)).first->second;
@@ -153,7 +208,8 @@ class Traversals {
 
   // Sorted view of Closure(start), cached so repeated bindings with the
   // same start do not re-sort (the deterministic emit order of unbounded
-  // reachability is ascending node id).
+  // reachability is ascending node id). Only a miss of this cache looks
+  // the closure up, so only that lookup counts as a closure hit or miss.
   const std::vector<int64_t>& SortedClosure(const std::string& upper,
                                             EdgeDirection direction,
                                             bool reverse,
@@ -168,77 +224,97 @@ class Traversals {
     return memo.emplace(start, std::move(sorted)).first->second;
   }
 
-  // BFS over (node, depth) states, mirroring the DLIR walk semantics.
-  // Returns reachable nodes with qualifying depths in [min_hops, max_hops]
-  // (max < 0 = unbounded), or min distances when `shortest`.
-  std::vector<std::pair<int64_t, int64_t>> Bfs(const std::string& upper,
-                                               int64_t start,
-                                               EdgeDirection direction,
-                                               bool reverse, int min_hops,
-                                               int max_hops,
-                                               bool shortest) const {
-    std::vector<std::pair<int64_t, int64_t>> out;
-    if (!shortest && max_hops < 0 && min_hops <= 1) {
-      // Plain unbounded reachability: no caller consumes the depths (the
-      // emit path only reads them for shortest-path length bindings), so
-      // serve the memoized closure. Sorted for a deterministic row order.
+  // Calls visit(node, length) -> Status for every node the variable-length
+  // or shortest pattern `edge` reaches from `start`, mirroring the DLIR
+  // walk semantics; a visit error stops the walk. A shortest pattern
+  // reports each reached node with its distance (a cycle back to `start`
+  // included), then `start` at length 0 when min_hops is 0. Any other
+  // pattern reports each reached node once, in ascending id order, with
+  // its first qualifying length; unbounded reachability (no max, min_hops
+  // <= 1) is the memoized closure.
+  template <typename Visit>
+  Status Reach(const EdgePat& edge, const std::string& upper, bool reverse,
+               int64_t start, Visit visit) const {
+    const EdgeDirection direction = edge.direction;
+    if (edge.shortest) {
+      for (const auto& [node, d] :
+           ShortestDistances(upper, start, direction, reverse)) {
+        RAQLET_RETURN_IF_ERROR(visit(node, d));
+      }
+      return edge.min_hops == 0 ? visit(start, 0) : Status::OK();
+    }
+    if (edge.max_hops < 0 && edge.min_hops <= 1) {
       const std::vector<int64_t>& closed =
           SortedClosure(upper, direction, reverse, start);
-      out.reserve(closed.size() + 1);
-      for (int64_t node : closed) out.emplace_back(node, 1);
-      if (min_hops == 0) out.emplace_back(start, 0);
-      return out;
-    }
-    if (shortest || max_hops < 0) {
-      if (!shortest && min_hops > 1) {
-        // Walks of length >= m: exact-depth states up to m, then closure.
-        auto exact = BoundedWalks(upper, start, direction, reverse, min_hops,
-                                  min_hops);
-        std::set<int64_t> frontier;
-        for (const auto& [node, d] : exact) frontier.insert(node);
-        std::set<int64_t> all(frontier);
-        for (int64_t node : frontier) {
-          for (const auto& [n2, d2] :
-               Bfs(upper, node, direction, reverse, 1, -1, false)) {
-            all.insert(n2);
-          }
-        }
-        for (int64_t node : all) out.emplace_back(node, min_hops);
-        return out;
+      for (int64_t node : closed) RAQLET_RETURN_IF_ERROR(visit(node, 1));
+      if (edge.min_hops == 0 &&
+          !std::binary_search(closed.begin(), closed.end(), start)) {
+        return visit(start, 0);
       }
-      // Min walk-length (>= 1) BFS, seeded from the one-step neighbours so
-      // that cycles back to `start` are found (matching the DLIR
-      // reachability/lattice semantics, where dist(x, x) exists on cycles).
-      std::unordered_map<int64_t, int64_t> dist;
-      std::deque<int64_t> queue;
-      ForEachNeighbor(upper, start, direction, reverse,
-                      [&](const GraphStore::Neighbor& nb) {
-                        if (dist.count(nb.node) > 0) return;
-                        dist[nb.node] = 1;
-                        queue.push_back(nb.node);
-                      });
-      while (!queue.empty()) {
-        if (GuardTripped()) break;
-        NoteFrontier(queue.size());
-        int64_t node = queue.front();
-        queue.pop_front();
-        int64_t d = dist[node];
-        ForEachNeighbor(upper, node, direction, reverse,
-                        [&](const GraphStore::Neighbor& nb) {
-                          if (dist.count(nb.node) > 0) return;
-                          dist[nb.node] = d + 1;
-                          queue.push_back(nb.node);
-                        });
-        if (stats_ != nullptr) ++stats_->bfs_visits;
-      }
-      for (const auto& [node, d] : dist) out.emplace_back(node, d);
-      if (min_hops == 0) out.emplace_back(start, 0);
-      return out;
+      return Status::OK();
     }
-    return BoundedWalks(upper, start, direction, reverse, min_hops, max_hops);
+    if (edge.max_hops >= 0) {
+      for (const auto& [node, d] : BoundedWalks(upper, start, direction,
+                                                reverse, edge.min_hops,
+                                                edge.max_hops)) {
+        RAQLET_RETURN_IF_ERROR(visit(node, d));
+      }
+      return Status::OK();
+    }
+    // Walks of length >= min_hops > 1: the exact-length ends, then all
+    // they reach.
+    std::set<int64_t> all;
+    for (const auto& [node, d] : BoundedWalks(upper, start, direction,
+                                              reverse, edge.min_hops,
+                                              edge.min_hops)) {
+      all.insert(node);
+      const std::vector<int64_t>& closed =
+          SortedClosure(upper, direction, reverse, node);
+      all.insert(closed.begin(), closed.end());
+    }
+    for (int64_t node : all) RAQLET_RETURN_IF_ERROR(visit(node, edge.min_hops));
+    return Status::OK();
   }
 
-  // Exact (node, depth) walk states for bounded ranges.
+ private:
+  // Polled once per BFS frontier pop. A trip abandons the walk early; the
+  // partial closure is still memoized, but the memo dies with this
+  // execution (one per Run), and the clause loop re-polls the guard
+  // before any partial result could reach the caller.
+  bool GuardTripped() const {
+    return guard_ != nullptr && !guard_->Check().ok();
+  }
+
+  // Min walk-length (>= 1) BFS, seeded from the one-step neighbours so
+  // that cycles back to `start` are found (matching the DLIR
+  // reachability/lattice semantics, where dist(x, x) exists on cycles).
+  std::unordered_map<int64_t, int64_t> ShortestDistances(
+      const std::string& upper, int64_t start, EdgeDirection direction,
+      bool reverse) const {
+    std::unordered_map<int64_t, int64_t> dist;
+    std::deque<int64_t> queue;
+    auto expand = [&](int64_t node, int64_t d) {
+      for (const Neighbors* list : Adjacent(upper, node, direction, reverse)) {
+        for (const GraphStore::Neighbor& nb : *list) {
+          if (dist.try_emplace(nb.node, d).second) queue.push_back(nb.node);
+        }
+      }
+    };
+    expand(start, 1);
+    while (!queue.empty()) {
+      if (GuardTripped()) break;
+      NoteFrontier(queue.size());
+      int64_t node = queue.front();
+      queue.pop_front();
+      expand(node, dist[node] + 1);
+      if (stats_ != nullptr) ++stats_->bfs_visits;
+    }
+    return dist;
+  }
+
+  // BFS over (node, depth) states up to max_hops. Returns each node that
+  // ends a walk of min_hops..max_hops edges once, in ascending order, with
+  // its shortest such walk.
   std::vector<std::pair<int64_t, int64_t>> BoundedWalks(
       const std::string& upper, int64_t start, EdgeDirection direction,
       bool reverse, int min_hops, int max_hops) const {
@@ -246,27 +322,30 @@ class Traversals {
     std::deque<std::pair<int64_t, int64_t>> queue;
     queue.emplace_back(start, 0);
     states.insert({start, 0});
-    std::set<std::pair<int64_t, int64_t>> result;
+    std::set<std::pair<int64_t, int64_t>> ends;
     while (!queue.empty()) {
       if (GuardTripped()) break;
       NoteFrontier(queue.size());
       auto [node, d] = queue.front();
       queue.pop_front();
-      if (d >= min_hops && d >= 1) result.insert({node, d});
-      if (min_hops == 0 && d == 0) result.insert({node, 0});
+      if (d >= min_hops && (d >= 1 || min_hops == 0)) ends.insert({node, d});
       if (d == max_hops) continue;
-      ForEachNeighbor(upper, node, direction, reverse,
-                      [&](const GraphStore::Neighbor& nb) {
-                        if (states.insert({nb.node, d + 1}).second) {
-                          queue.emplace_back(nb.node, d + 1);
-                        }
-                      });
+      for (const Neighbors* list : Adjacent(upper, node, direction, reverse)) {
+        for (const GraphStore::Neighbor& nb : *list) {
+          if (states.insert({nb.node, d + 1}).second) {
+            queue.emplace_back(nb.node, d + 1);
+          }
+        }
+      }
       if (stats_ != nullptr) ++stats_->bfs_visits;
     }
-    return {result.begin(), result.end()};
+    std::vector<std::pair<int64_t, int64_t>> out;
+    for (const auto& end : ends) {
+      if (out.empty() || out.back().first != end.first) out.push_back(end);
+    }
+    return out;
   }
 
- private:
   void NoteClosureHit() const {
     if (stats_ != nullptr) ++stats_->closure_cache_hits;
     if (metrics_ != nullptr) ++metrics_->closure_cache_hits;
@@ -295,418 +374,141 @@ class Traversals {
 };
 
 // ---------------------------------------------------------------------------
-// kRowBinding: the historical per-binding interpreter. The binding table is
-// a vector of row tuples; every MATCH step copies and extends whole rows one
-// binding at a time. Kept verbatim as the paper's Table 1 per-binding
-// stand-in and as the reference the batch mode is differentially tested
-// against (cross_engine_test.cc asserts exact row-order equality).
+// The two binding tables. Execution (below) drives either one through the
+// same interface:
+//   size(), NumberAt(col, row)        read the bound rows
+//   BeginClause()                     before every clause
+//   BeginExpansion(), Append(row, v), EndExpansion()
+//                                     one MATCH step: each match extends
+//                                     source row `row` by the values `v`
+//   Compact(keep)                     drop the rows whose flag is 0
+//   ForEachRow(exprs, visit)          visit(row, values) with `exprs`
+//                                     evaluated on every row
+//   Project(projection, distinct)     a WITH/RETURN without aggregation
+//   Install(layout, rows)             an aggregation's rows
+//   TakeRows()                        the final rows
+// `layout` names the columns; an expansion adds its columns to it before
+// BeginExpansion.
 // ---------------------------------------------------------------------------
 
-// The clause-by-clause binding table.
-struct BindingTable {
-  std::vector<std::string> columns;
-  std::map<std::string, size_t> index;
-  std::vector<ColumnMeta> meta;
-  std::vector<Tuple> rows;
-
-  int Find(const std::string& name) const {
-    auto it = index.find(name);
-    return it == index.end() ? -1 : static_cast<int>(it->second);
-  }
-  size_t AddColumn(const std::string& name, ColumnMeta m) {
-    index[name] = columns.size();
-    columns.push_back(name);
-    meta.push_back(m);
-    return columns.size() - 1;
-  }
-};
-
-class RowExecution {
+// The per-binding interpreter: the table is a vector of row tuples, every
+// match copies and extends its source row, expressions are evaluated one
+// row at a time, and DISTINCT rehashes tuple by tuple.
+class RowTable {
  public:
-  RowExecution(const GraphStore& store, const schema::DlSchema& dl,
-               Database* db, GraphStats* stats,
-               obs::GraphMetrics* metrics = nullptr,
-               const runtime::QueryGuard* guard = nullptr)
-      : store_(store), dl_(dl), db_(db), stats_(stats), metrics_(metrics),
-        guard_(guard), trav_(store, stats, metrics, guard) {}
-
-  Result<ResultTable> Run(const PgirQuery& query) {
-    table_.rows.push_back({});  // one empty binding
-    int64_t clause_index = 0;
-    size_t rows_prev = 0;
-    for (const pgir::Op& op : query.ops) {
-      // Per-clause guard checkpoint: poll before expanding, and feed the
-      // budget the previous clause's binding-table growth (deterministic
-      // — clause boundaries are the same at every thread count).
-      if (guard_ != nullptr) {
-        size_t now = table_.rows.size();
-        RAQLET_RETURN_IF_ERROR(
-            guard_->AddRows(now > rows_prev ? now - rows_prev : 0));
-        rows_prev = now;
-        RAQLET_RETURN_IF_ERROR(guard_->Check());
-      }
-      obs::TraceScope clause_span("graph.clause", clause_index++);
-      const char* kind = "";
-      if (const auto* match = std::get_if<MatchOp>(&op)) {
-        kind = "match";
-        RAQLET_RETURN_IF_ERROR(ExecMatch(*match));
-      } else if (const auto* where = std::get_if<WhereOp>(&op)) {
-        kind = "where";
-        RAQLET_RETURN_IF_ERROR(ExecWhere(*where));
-      } else if (const auto* with = std::get_if<WithOp>(&op)) {
-        kind = "with";
-        RAQLET_RETURN_IF_ERROR(ExecProjection(with->items, with->distinct,
-                                              /*is_return=*/false));
-      } else if (const auto* ret = std::get_if<ReturnOp>(&op)) {
-        kind = "return";
-        RAQLET_RETURN_IF_ERROR(
-            ExecProjection(ret->items, ret->distinct, /*is_return=*/true));
-      }
-      if (metrics_ != nullptr) {
-        metrics_->clauses.push_back({kind, table_.rows.size()});
-      }
-    }
-    // A trip inside the last clause (e.g. a BFS abandoned mid-frontier)
-    // must surface as the terminal status, never as a partial result.
-    if (guard_ != nullptr) RAQLET_RETURN_IF_ERROR(guard_->Check());
-    ResultTable result;
-    result.columns = table_.columns;
-    result.rows = std::move(table_.rows);
-    return result;
+  RowTable(const GraphStore& store, Database* db) : store_(store), db_(db) {
+    rows_.emplace_back();  // one empty binding
   }
+
+  Layout layout;
+
+  size_t size() const { return rows_.size(); }
+  int64_t NumberAt(size_t col, size_t row) const {
+    return rows_[row][col].AsNumber();
+  }
+  void BeginClause() {}
+
+  void BeginExpansion() { next_.clear(); }
+  void Append(size_t row, const NewValues& v) {
+    Tuple extended;
+    extended.reserve(rows_[row].size() + v.size);
+    extended = rows_[row];
+    extended.insert(extended.end(), v.values.begin(),
+                    v.values.begin() + static_cast<std::ptrdiff_t>(v.size));
+    next_.push_back(std::move(extended));
+  }
+  void EndExpansion() { rows_ = std::move(next_); }
+
+  void Compact(const std::vector<char>& keep) {
+    size_t kept = 0;
+    for (size_t i = 0; i < rows_.size(); ++i) {
+      if (!keep[i]) continue;
+      if (kept != i) rows_[kept] = std::move(rows_[i]);
+      ++kept;
+    }
+    rows_.resize(kept);
+  }
+
+  template <typename Visit>
+  Status ForEachRow(const std::vector<const Expr*>& exprs,
+                    Visit visit) const {
+    Tuple values(exprs.size());
+    for (size_t i = 0; i < rows_.size(); ++i) {
+      for (size_t k = 0; k < exprs.size(); ++k) {
+        RAQLET_ASSIGN_OR_RETURN(values[k], Eval(*exprs[k], rows_[i]));
+      }
+      visit(i, values);
+    }
+    return Status::OK();
+  }
+
+  Status Project(Projection p, bool distinct) {
+    // Rows dedup by bits, as relations (and so the column table) do: 0.0
+    // and -0.0 stay two rows.
+    std::unordered_set<Tuple, TupleHash, TupleBitEq> seen;
+    std::vector<Tuple> out;
+    RAQLET_RETURN_IF_ERROR(
+        ForEachRow(p.exprs, [&](size_t i, const Tuple& values) {
+          Tuple row = values;
+          for (size_t col : p.carried) row.push_back(rows_[i][col]);
+          if (distinct && !seen.insert(row).second) return;
+          out.push_back(std::move(row));
+        }));
+    Install(std::move(p.layout), std::move(out));
+    return Status::OK();
+  }
+
+  void Install(Layout next, std::vector<Tuple> rows) {
+    layout = std::move(next);
+    rows_ = std::move(rows);
+  }
+
+  std::vector<Tuple> TakeRows() { return std::move(rows_); }
 
  private:
-  // ---- MATCH ----
-
-  Status CheckNode(const NodePat& node, bool* known) {
-    int col = table_.Find(node.id);
-    *known = col >= 0;
-    if (!*known && node.label.empty()) {
-      return Status::Unsupported("unlabeled node pattern introduces '" +
-                                 node.id + "'");
-    }
-    if (!node.label.empty() && dl_.FindNode(node.label) == nullptr) {
-      return Status::NotFound("no node type with label '" + node.label + "'");
-    }
-    return Status::OK();
-  }
-
-  Status ExecMatch(const MatchOp& match) {
-    for (const EdgePat& edge : match.edges) {
-      if (edge.variable_length || edge.shortest) {
-        RAQLET_RETURN_IF_ERROR(ExpandRecursive(edge));
-      } else {
-        RAQLET_RETURN_IF_ERROR(ExpandSimple(edge));
-      }
-    }
-    for (const NodePat& node : match.nodes) {
-      RAQLET_RETURN_IF_ERROR(ExpandLoneNode(node));
-    }
-    return Status::OK();
-  }
-
-  Status ExpandLoneNode(const NodePat& node) {
-    bool known = false;
-    RAQLET_RETURN_IF_ERROR(CheckNode(node, &known));
-    if (known) {
-      // Label filter on the existing binding.
-      if (node.label.empty()) return Status::OK();
-      size_t col = static_cast<size_t>(table_.Find(node.id));
-      std::vector<Tuple> kept;
-      for (Tuple& row : table_.rows) {
-        if (store_.HasLabel(node.label, row[col].AsNumber())) {
-          kept.push_back(std::move(row));
-        }
-      }
-      table_.rows = std::move(kept);
-      return Status::OK();
-    }
-    size_t col = table_.AddColumn(node.id, {ColumnMeta::kNode, node.label, -1});
-    (void)col;
-    std::vector<Tuple> next;
-    for (const Tuple& row : table_.rows) {
-      for (int64_t id : store_.NodesWithLabel(node.label)) {
-        Tuple extended = row;
-        extended.push_back(Value::Number(id));
-        next.push_back(std::move(extended));
-        if (stats_ != nullptr) ++stats_->rows_expanded;
-      }
-    }
-    table_.rows = std::move(next);
-    return Status::OK();
-  }
-
-  // Resolves endpoint label checks after traversal.
-  bool EndpointOk(const NodePat& node, int64_t id) const {
-    return node.label.empty() || store_.HasLabel(node.label, id);
-  }
-
-  Status ExpandSimple(const EdgePat& edge) {
-    const schema::EdgeRelationInfo* info = dl_.FindEdge(edge.label);
-    if (info == nullptr) {
-      return Status::NotFound("no edge type with label '" + edge.label + "'");
-    }
-    bool src_known = false;
-    bool dst_known = false;
-    RAQLET_RETURN_IF_ERROR(CheckNode(edge.src, &src_known));
-    RAQLET_RETURN_IF_ERROR(CheckNode(edge.dst, &dst_known));
-
-    int src_col = table_.Find(edge.src.id);
-    int dst_col = table_.Find(edge.dst.id);
-
-    // New columns for unbound endpoints and the edge binding.
-    if (!src_known) {
-      table_.AddColumn(edge.src.id, {ColumnMeta::kNode, edge.src.label, -1});
-    }
-    if (!dst_known && edge.dst.id != edge.src.id) {
-      table_.AddColumn(edge.dst.id, {ColumnMeta::kNode, edge.dst.label, -1});
-    }
-    bool bind_edge = info->PropertyColumn("id") >= 0 &&
-                     edge.direction != EdgeDirection::kUndirected &&
-                     table_.Find(edge.id) < 0;
-    int edge_row_col = -1;
-    if (bind_edge) {
-      edge_row_col = static_cast<int>(table_.columns.size()) + 1;
-      table_.AddColumn(edge.id,
-                       {ColumnMeta::kEdge, edge.label, edge_row_col});
-      table_.AddColumn("__row_" + edge.id, {ColumnMeta::kValue, "", -1});
-    }
-
-    const std::string upper = schema::ToUpperSnake(edge.label);
-    int id_prop_col = info->PropertyColumn("id");
-    // Borrow the edge-id column once for the whole expansion.
-    Relation::ColumnView edge_id_col;
-    if (bind_edge) {
-      Result<Relation::ColumnView> c = store_.EdgeColumn(upper, id_prop_col);
-      RAQLET_RETURN_IF_ERROR(c.status());
-      edge_id_col = *c;
-    }
-    std::vector<Tuple> next;
-    auto emit = [&](const Tuple& base, int64_t src_id, int64_t dst_id,
-                    uint32_t edge_row) {
-      if (!EndpointOk(edge.src, src_id) || !EndpointOk(edge.dst, dst_id)) {
-        return;
-      }
-      Tuple row = base;
-      if (!src_known) row.push_back(Value::Number(src_id));
-      if (!dst_known && edge.dst.id != edge.src.id) {
-        row.push_back(Value::Number(dst_id));
-      } else if (!dst_known && edge.dst.id == edge.src.id &&
-                 src_id != dst_id) {
-        return;  // (a)-[:X]->(a): self loop required
-      }
-      if (bind_edge) {
-        row.push_back(edge_id_col.at(edge_row));
-        row.push_back(Value::Number(edge_row));
-      }
-      next.push_back(std::move(row));
-      if (stats_ != nullptr) ++stats_->rows_expanded;
-    };
-
-    for (const Tuple& row : table_.rows) {
-      std::optional<int64_t> src_val;
-      std::optional<int64_t> dst_val;
-      if (src_known) src_val = row[static_cast<size_t>(src_col)].AsNumber();
-      if (dst_known) dst_val = row[static_cast<size_t>(dst_col)].AsNumber();
-
-      // Deduplicate undirected self-loop double visits.
-      std::set<std::pair<int64_t, uint32_t>> seen;
-      auto visit = [&](int64_t from, const GraphStore::Neighbor& nb) {
-        if (!seen.insert({nb.node, nb.edge_row}).second) return;
-        if (dst_val.has_value() && nb.node != *dst_val) return;
-        if (edge.dst.id == edge.src.id && !dst_known && nb.node != from) {
-          return;  // repeated identifier within the pattern
-        }
-        emit(row, from, nb.node, nb.edge_row);
-      };
-
-      if (src_val.has_value()) {
-        trav_.ForEachNeighbor(upper, *src_val, edge.direction,
-                              /*reverse=*/false,
-                              [&](const GraphStore::Neighbor& nb) {
-                                visit(*src_val, nb);
-                              });
-      } else if (dst_val.has_value()) {
-        // Traverse backwards, binding the source.
-        trav_.ForEachNeighbor(upper, *dst_val, edge.direction,
-                              /*reverse=*/true,
-                              [&](const GraphStore::Neighbor& nb) {
-                                seen.clear();
-                                if (dst_val.has_value()) {
-                                  // nb.node is the source here.
-                                  emit(row, nb.node, *dst_val, nb.edge_row);
-                                }
-                              });
-      } else {
-        // Neither endpoint bound: scan source label (or all labeled nodes
-        // of the schema endpoint).
-        std::string scan_label = !edge.src.label.empty()
-                                     ? edge.src.label
-                                     : info->src_label;
-        for (int64_t id : store_.NodesWithLabel(scan_label)) {
-          seen.clear();
-          trav_.ForEachNeighbor(upper, id, edge.direction, /*reverse=*/false,
-                                [&](const GraphStore::Neighbor& nb) {
-                                  visit(id, nb);
-                                });
-        }
-      }
-    }
-    table_.rows = std::move(next);
-    return Status::OK();
-  }
-
-  Status ExpandRecursive(const EdgePat& edge) {
-    const schema::EdgeRelationInfo* info = dl_.FindEdge(edge.label);
-    if (info == nullptr) {
-      return Status::NotFound("no edge type with label '" + edge.label + "'");
-    }
-    const std::string upper = schema::ToUpperSnake(edge.label);
-    bool src_known = false;
-    bool dst_known = false;
-    RAQLET_RETURN_IF_ERROR(CheckNode(edge.src, &src_known));
-    RAQLET_RETURN_IF_ERROR(CheckNode(edge.dst, &dst_known));
-    int src_col = table_.Find(edge.src.id);
-    int dst_col = table_.Find(edge.dst.id);
-
-    if (!src_known) {
-      table_.AddColumn(edge.src.id, {ColumnMeta::kNode, edge.src.label, -1});
-    }
-    if (!dst_known) {
-      table_.AddColumn(edge.dst.id, {ColumnMeta::kNode, edge.dst.label, -1});
-    }
-    bool bind_len = edge.shortest && !edge.path_id.empty();
-    if (bind_len) {
-      table_.AddColumn(edge.path_id + "_len",
-                       {ColumnMeta::kPathLength, "", -1});
-    }
-
-    std::vector<Tuple> next;
-    auto emit = [&](const Tuple& base, int64_t src_id, int64_t dst_id,
-                    int64_t len) {
-      if (!EndpointOk(edge.src, src_id) || !EndpointOk(edge.dst, dst_id)) {
-        return;
-      }
-      Tuple row = base;
-      if (!src_known) row.push_back(Value::Number(src_id));
-      if (!dst_known) row.push_back(Value::Number(dst_id));
-      if (bind_len) row.push_back(Value::Number(len));
-      next.push_back(std::move(row));
-      if (stats_ != nullptr) ++stats_->rows_expanded;
-    };
-
-    for (const Tuple& row : table_.rows) {
-      std::optional<int64_t> src_val;
-      std::optional<int64_t> dst_val;
-      if (src_known) src_val = row[static_cast<size_t>(src_col)].AsNumber();
-      if (dst_known) dst_val = row[static_cast<size_t>(dst_col)].AsNumber();
-
-      auto run_from = [&](int64_t start) {
-        auto reached = trav_.Bfs(upper, start, edge.direction,
-                                 /*reverse=*/false, edge.min_hops,
-                                 edge.max_hops, edge.shortest);
-        std::set<std::pair<int64_t, int64_t>> dedup;
-        for (const auto& [node, d] : reached) {
-          if (dst_val.has_value() && node != *dst_val) continue;
-          if (edge.shortest) {
-            emit(row, start, node, d);
-          } else if (dedup.insert({node, 0}).second) {
-            emit(row, start, node, d);  // pair once, any qualifying depth
-          }
-        }
-      };
-
-      if (src_val.has_value()) {
-        run_from(*src_val);
-      } else if (dst_val.has_value()) {
-        // Reverse BFS from the destination.
-        auto reached = trav_.Bfs(upper, *dst_val, edge.direction,
-                                 /*reverse=*/true, edge.min_hops,
-                                 edge.max_hops, edge.shortest);
-        std::set<int64_t> dedup;
-        for (const auto& [node, d] : reached) {
-          if (edge.shortest) {
-            emit(row, node, *dst_val, d);
-          } else if (dedup.insert(node).second) {
-            emit(row, node, *dst_val, d);
-          }
-        }
-      } else {
-        std::string scan_label = !edge.src.label.empty()
-                                     ? edge.src.label
-                                     : info->src_label;
-        for (int64_t start : store_.NodesWithLabel(scan_label)) {
-          run_from(start);
-        }
-      }
-    }
-    table_.rows = std::move(next);
-    return Status::OK();
-  }
-
-  // ---- expressions ----
-
   Result<Value> Eval(const Expr& expr, const Tuple& row) const {
     switch (expr.kind) {
       case ExprKind::kLiteral:
         return ConstantToValue(expr.literal, &db_->symbols());
-      case ExprKind::kVariable: {
-        int col = table_.Find(expr.var);
-        if (col < 0) {
-          return Status::NotFound("unknown identifier '" + expr.var + "'");
-        }
-        return row[static_cast<size_t>(col)];
-      }
+      case ExprKind::kVariable:
       case ExprKind::kProperty: {
-        int col = table_.Find(expr.var);
+        int col = layout.Find(expr.var);
         if (col < 0) {
           return Status::NotFound("unknown identifier '" + expr.var + "'");
         }
-        const ColumnMeta& meta = table_.meta[static_cast<size_t>(col)];
-        if (meta.kind == ColumnMeta::kNode) {
-          if (expr.property == "id") return row[static_cast<size_t>(col)];
-          return store_.NodeProperty(meta.label,
-                                     row[static_cast<size_t>(col)].AsNumber(),
-                                     expr.property);
+        const Value& id = row[static_cast<size_t>(col)];
+        if (expr.kind == ExprKind::kVariable) return id;
+        const ColumnMeta& meta = layout.meta[static_cast<size_t>(col)];
+        if (meta.kind != ColumnMeta::kNode && meta.kind != ColumnMeta::kEdge) {
+          return Status::Unsupported("property access on value identifier '" +
+                                     expr.var + "'");
         }
-        if (meta.kind == ColumnMeta::kEdge) {
-          if (expr.property == "id") return row[static_cast<size_t>(col)];
-          uint32_t edge_row = static_cast<uint32_t>(
-              row[static_cast<size_t>(meta.row_column)].AsNumber());
-          return store_.EdgeProperty(meta.label, edge_row, expr.property);
-        }
-        return Status::Unsupported("property access on value identifier '" +
-                                   expr.var + "'");
+        const Value& edge_row =
+            meta.kind == ColumnMeta::kEdge
+                ? row[static_cast<size_t>(meta.row_column)]
+                : id;
+        return ReadProperty(store_, meta, id, edge_row, expr.property);
       }
       case ExprKind::kParameter:
         return Status::Internal("unresolved parameter");
       case ExprKind::kBinary: {
+        RAQLET_ASSIGN_OR_RETURN(Value lhs, Eval(expr.children[0], row));
+        RAQLET_ASSIGN_OR_RETURN(Value rhs, Eval(expr.children[1], row));
         switch (expr.bin_op) {
           case BinOp::kAnd:
-          case BinOp::kOr: {
-            RAQLET_ASSIGN_OR_RETURN(Value lhs, Eval(expr.children[0], row));
-            RAQLET_ASSIGN_OR_RETURN(Value rhs, Eval(expr.children[1], row));
-            bool l = lhs.AsBool();
-            bool r = rhs.AsBool();
-            return Value::Bool(expr.bin_op == BinOp::kAnd ? (l && r)
-                                                          : (l || r));
-          }
+            return Value::Bool(lhs.AsBool() && rhs.AsBool());
+          case BinOp::kOr:
+            return Value::Bool(lhs.AsBool() || rhs.AsBool());
           case BinOp::kEq:
           case BinOp::kNe:
           case BinOp::kLt:
           case BinOp::kLe:
           case BinOp::kGt:
-          case BinOp::kGe: {
-            RAQLET_ASSIGN_OR_RETURN(Value lhs, Eval(expr.children[0], row));
-            RAQLET_ASSIGN_OR_RETURN(Value rhs, Eval(expr.children[1], row));
+          case BinOp::kGe:
             return Value::Bool(
                 CheckCmp(ToCmpOp(expr.bin_op), lhs, rhs, db_->symbols()));
-          }
-          default: {
-            RAQLET_ASSIGN_OR_RETURN(Value lhs, Eval(expr.children[0], row));
-            RAQLET_ASSIGN_OR_RETURN(Value rhs, Eval(expr.children[1], row));
+          default:
             return EvalArith(ToArithOp(expr.bin_op), lhs, rhs);
-          }
         }
       }
       case ExprKind::kUnary: {
@@ -722,7 +524,7 @@ class RowExecution {
         }
         if (expr.function == "length" && expr.children.size() == 1 &&
             expr.children[0].kind == ExprKind::kVariable) {
-          int col = table_.Find(expr.children[0].var + "_len");
+          int col = layout.Find(expr.children[0].var + "_len");
           if (col >= 0) return row[static_cast<size_t>(col)];
           return Status::Unsupported("length() of a non-shortest-path "
                                      "variable");
@@ -733,236 +535,354 @@ class RowExecution {
     return Status::Internal("unhandled expression kind");
   }
 
-  Status ExecWhere(const WhereOp& where) {
-    std::vector<Tuple> kept;
-    for (Tuple& row : table_.rows) {
-      RAQLET_ASSIGN_OR_RETURN(Value v, Eval(where.predicate, row));
-      if (v.AsBool()) kept.push_back(std::move(row));
+  const GraphStore& store_;
+  Database* db_;
+  std::vector<Tuple> rows_;
+  std::vector<Tuple> next_;  // the rows of the expansion in progress
+};
+
+// The columnar table: one Value column per bound variable. An expansion
+// records, per match, only the index of its source row plus the newly
+// bound values, then gathers every prior column through that selection in
+// one pass per column — no per-match row copy. Expressions are evaluated
+// column-at-a-time, and DISTINCT dedups once per batch through
+// Relation::InsertColumns.
+class ColumnTable {
+ public:
+  ColumnTable(const GraphStore& store, Database* db)
+      : store_(store), db_(db) {}
+
+  Layout layout;
+
+  size_t size() const { return rows_; }
+  int64_t NumberAt(size_t col, size_t row) const {
+    return cols_[col][row].AsNumber();
+  }
+
+  // DISTINCT and aggregation leave their rows boxed (the final RETURN is
+  // handed out as is); a clause that follows gets them back as columns.
+  void BeginClause() {
+    if (!boxed_) return;
+    cols_.assign(layout.size(), {});
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      cols_[c].resize(rows_);
+      for (size_t i = 0; i < rows_; ++i) cols_[c][i] = boxed_rows_[i][c];
     }
-    table_.rows = std::move(kept);
+    boxed_rows_.clear();
+    boxed_ = false;
+  }
+
+  void BeginExpansion() {
+    selection_.clear();
+    appended_.assign(layout.size() - cols_.size(), {});
+  }
+  void Append(size_t row, const NewValues& v) {
+    selection_.push_back(static_cast<uint32_t>(row));
+    for (size_t k = 0; k < v.size; ++k) appended_[k].push_back(v.values[k]);
+  }
+  void EndExpansion() {
+    for (std::vector<Value>& col : cols_) {
+      std::vector<Value> gathered(selection_.size());
+      for (size_t k = 0; k < selection_.size(); ++k) {
+        gathered[k] = col[selection_[k]];
+      }
+      col = std::move(gathered);
+    }
+    for (std::vector<Value>& col : appended_) cols_.push_back(std::move(col));
+    rows_ = selection_.size();
+    selection_ = std::vector<uint32_t>();  // free it before later clauses
+  }
+
+  void Compact(const std::vector<char>& keep) {
+    size_t kept = 0;
+    for (size_t i = 0; i < rows_; ++i) kept += keep[i] != 0;
+    if (kept == rows_) return;
+    for (std::vector<Value>& col : cols_) {
+      size_t w = 0;
+      for (size_t i = 0; i < rows_; ++i) {
+        if (keep[i]) col[w++] = col[i];
+      }
+      col.resize(w);
+    }
+    rows_ = kept;
+  }
+
+  template <typename Visit>
+  Status ForEachRow(const std::vector<const Expr*>& exprs,
+                    Visit visit) const {
+    if (rows_ == 0) return Status::OK();
+    EvalScratch scratch;
+    std::vector<BCol> cols;
+    cols.reserve(exprs.size());
+    for (const Expr* expr : exprs) {
+      RAQLET_ASSIGN_OR_RETURN(BCol col, EvalBatch(*expr, &scratch));
+      cols.push_back(col);
+    }
+    Tuple values(exprs.size());
+    for (size_t i = 0; i < rows_; ++i) {
+      for (size_t k = 0; k < cols.size(); ++k) values[k] = cols[k].at(i);
+      visit(i, values);
+    }
     return Status::OK();
   }
 
-  // ---- WITH / RETURN ----
-
-  Status ExecProjection(const std::vector<Item>& items, bool distinct,
-                        bool is_return) {
-    RAQLET_FAILPOINT("graph.project");
-    int agg_pos = -1;
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (items[i].expr.IsAggregateCall()) {
-        if (agg_pos >= 0) {
-          return Status::Unsupported("at most one aggregate per projection");
+  Status Project(Projection p, bool distinct) {
+    const size_t n = rows_;
+    const size_t width = p.layout.size();
+    std::vector<std::vector<Value>> out(width);
+    if (n > 0) {
+      // Evaluate every item column-at-a-time; carried edge-row columns
+      // borrow their source column directly.
+      EvalScratch scratch;
+      std::vector<BCol> src(width);
+      for (size_t c = 0; c < p.exprs.size(); ++c) {
+        RAQLET_ASSIGN_OR_RETURN(src[c], EvalBatch(*p.exprs[c], &scratch));
+      }
+      for (size_t k = 0; k < p.carried.size(); ++k) {
+        src[p.exprs.size() + k].col = &cols_[p.carried[k]];
+      }
+      // Both borrow sources — the old columns and the scratch deque — are
+      // discarded right after, so a column borrowed by exactly one output
+      // is moved, not copied (a second borrow of the same source copies).
+      std::map<const std::vector<Value>*, size_t> borrows;
+      for (const BCol& c : src) {
+        if (c.col != nullptr) ++borrows[c.col];
+      }
+      auto find_mutable =
+          [&](const std::vector<Value>* col) -> std::vector<Value>* {
+        for (std::vector<Value>& own : cols_) {
+          if (&own == col) return &own;
         }
-        agg_pos = static_cast<int>(i);
+        for (std::vector<Value>& own : scratch) {
+          if (&own == col) return &own;
+        }
+        return nullptr;
+      };
+      for (size_t c = 0; c < width; ++c) {
+        if (src[c].col == nullptr) {
+          out[c].assign(n, src[c].scalar);
+          continue;
+        }
+        std::vector<Value>* source =
+            borrows[src[c].col] == 1 ? find_mutable(src[c].col) : nullptr;
+        if (source != nullptr) {
+          out[c] = std::move(*source);
+        } else {
+          out[c] = *src[c].col;
+        }
       }
     }
-
-    BindingTable next;
-    for (const Item& item : items) {
-      ColumnMeta meta{ColumnMeta::kValue, "", -1};
-      if (item.expr.kind == ExprKind::kVariable) {
-        int col = table_.Find(item.expr.var);
-        if (col >= 0) meta = table_.meta[static_cast<size_t>(col)];
-      }
-      next.AddColumn(item.alias, meta);
-    }
-    // Preserve hidden edge-row columns for identifiers that survive.
-    std::map<size_t, size_t> row_col_remap;
-    for (size_t i = 0; i < items.size(); ++i) {
-      const ColumnMeta& meta = next.meta[i];
-      if (meta.kind == ColumnMeta::kEdge && meta.row_column >= 0) {
-        size_t hidden =
-            next.AddColumn("__row_" + items[i].alias,
-                           {ColumnMeta::kValue, "", -1});
-        row_col_remap[i] = hidden;
-        next.meta[i].row_column = static_cast<int>(hidden);
-      }
-    }
-
-    if (agg_pos < 0) {
-      // Rows dedup by bits, as relations (and so the column-batch mode)
-      // do: 0.0 and -0.0 stay two rows.
-      std::unordered_set<Tuple, TupleHash, TupleBitEq> dedup;
-      for (const Tuple& row : table_.rows) {
-        Tuple out;
-        for (size_t i = 0; i < items.size(); ++i) {
-          RAQLET_ASSIGN_OR_RETURN(Value v, Eval(items[i].expr, row));
-          out.push_back(v);
-        }
-        for (const auto& [item_idx, hidden_idx] : row_col_remap) {
-          int old_col = table_.Find(items[item_idx].expr.var);
-          const ColumnMeta& old_meta =
-              table_.meta[static_cast<size_t>(old_col)];
-          out.push_back(row[static_cast<size_t>(old_meta.row_column)]);
-        }
-        if (distinct && !dedup.insert(out).second) continue;
-        next.rows.push_back(std::move(out));
-      }
-      // Hidden columns are internal: drop them for RETURN.
-      if (is_return) DropHiddenColumns(&next);
-      table_ = std::move(next);
+    if (distinct && n > 0) {
+      // Dedup once per batch: first occurrence wins and batch order is
+      // kept, the row table's policy.
+      RelationSchema schema;
+      schema.name = "__graph_distinct__";
+      schema.columns.resize(width);
+      Relation dedup(schema);
+      RAQLET_RETURN_IF_ERROR(dedup.InsertColumns(&out).status());
+      Install(std::move(p.layout), dedup.MaterializeRows());
       return Status::OK();
     }
-
-    // Aggregation (bag semantics over the binding table, Cypher-style).
-    const Expr& agg_call = items[static_cast<size_t>(agg_pos)].expr;
-    struct AggState {
-      int64_t count = 0;
-      double sum = 0.0;
-      bool any_float = false;
-      std::optional<Value> min;
-      std::optional<Value> max;
-      std::unordered_set<Tuple, TupleHash> distinct_args;
-    };
-    std::map<Tuple, AggState> groups;
-    for (const Tuple& row : table_.rows) {
-      Tuple key;
-      for (size_t i = 0; i < items.size(); ++i) {
-        if (static_cast<int>(i) == agg_pos) continue;
-        RAQLET_ASSIGN_OR_RETURN(Value v, Eval(items[i].expr, row));
-        key.push_back(v);
-      }
-      AggState& state = groups[key];
-      Value arg = Value::Number(0);
-      if (!agg_call.children.empty()) {
-        RAQLET_ASSIGN_OR_RETURN(arg, Eval(agg_call.children[0], row));
-      }
-      if (agg_call.distinct_arg &&
-          !state.distinct_args.insert(Tuple{arg}).second) {
-        continue;
-      }
-      state.count += 1;
-      state.any_float |= arg.kind() == ValueType::kFloat;
-      state.sum += arg.NumericValue();
-      if (!state.min.has_value() ||
-          CompareValues(arg, *state.min, db_->symbols()) < 0) {
-        state.min = arg;
-      }
-      if (!state.max.has_value() ||
-          CompareValues(arg, *state.max, db_->symbols()) > 0) {
-        state.max = arg;
-      }
-    }
-    for (const auto& [key, state] : groups) {
-      Value result;
-      if (agg_call.function == "count") {
-        result = Value::Number(state.count);
-      } else if (agg_call.function == "sum") {
-        result = state.any_float
-                     ? Value::Float(state.sum)
-                     : Value::Number(static_cast<int64_t>(state.sum));
-      } else if (agg_call.function == "min") {
-        result = state.min.value_or(Value::Null());
-      } else if (agg_call.function == "max") {
-        result = state.max.value_or(Value::Null());
-      } else {  // avg
-        result = Value::Float(state.count == 0
-                                  ? 0.0
-                                  : state.sum /
-                                        static_cast<double>(state.count));
-      }
-      Tuple out;
-      size_t ki = 0;
-      for (size_t i = 0; i < items.size(); ++i) {
-        if (static_cast<int>(i) == agg_pos) {
-          out.push_back(result);
-        } else {
-          out.push_back(key[ki++]);
-        }
-      }
-      next.rows.push_back(std::move(out));
-    }
-    if (is_return) DropHiddenColumns(&next);
-    table_ = std::move(next);
+    layout = std::move(p.layout);
+    cols_ = std::move(out);
     return Status::OK();
   }
 
-  void DropHiddenColumns(BindingTable* table) const {
-    std::vector<size_t> keep;
-    for (size_t i = 0; i < table->columns.size(); ++i) {
-      if (table->columns[i].rfind("__row_", 0) != 0) keep.push_back(i);
+  void Install(Layout next, std::vector<Tuple> rows) {
+    layout = std::move(next);
+    cols_.clear();
+    rows_ = rows.size();
+    boxed_rows_ = std::move(rows);
+    boxed_ = true;
+  }
+
+  std::vector<Tuple> TakeRows() {
+    if (boxed_) return std::move(boxed_rows_);
+    std::vector<Tuple> rows(rows_);
+    for (size_t i = 0; i < rows_; ++i) {
+      rows[i].reserve(cols_.size());
+      for (const std::vector<Value>& col : cols_) rows[i].push_back(col[i]);
     }
-    if (keep.size() == table->columns.size()) return;
-    BindingTable trimmed;
-    for (size_t i : keep) {
-      trimmed.AddColumn(table->columns[i], table->meta[i]);
+    return rows;
+  }
+
+ private:
+  // A column expression over the batch: either a borrowed column (one
+  // value per batch row) or a broadcast scalar. Computed intermediates
+  // live in an EvalScratch deque so borrowed pointers stay stable.
+  struct BCol {
+    const std::vector<Value>* col = nullptr;
+    Value scalar;
+    const Value& at(size_t i) const {
+      return col != nullptr ? (*col)[i] : scalar;
     }
-    for (const Tuple& row : table->rows) {
-      Tuple out;
-      for (size_t i : keep) out.push_back(row[i]);
-      trimmed.rows.push_back(std::move(out));
+  };
+  using EvalScratch = std::deque<std::vector<Value>>;
+
+  Result<BCol> EvalBatch(const Expr& expr, EvalScratch* scratch) const {
+    const size_t n = rows_;
+    auto make_scalar = [](Value v) {
+      BCol out;
+      out.scalar = v;
+      return out;
+    };
+    auto make_column = [](const std::vector<Value>* col) {
+      BCol out;
+      out.col = col;
+      return out;
+    };
+    auto make_owned = [&](std::vector<Value> vals) {
+      scratch->push_back(std::move(vals));
+      return make_column(&scratch->back());
+    };
+    // Applies `op` (returning Value, or Result<Value> when it can fail)
+    // row by row, or once when both sides are scalars.
+    auto map2 = [&](const BCol& lhs, const BCol& rhs,
+                    auto op) -> Result<BCol> {
+      if (lhs.col == nullptr && rhs.col == nullptr) {
+        RAQLET_ASSIGN_OR_RETURN(Value v,
+                                Result<Value>(op(lhs.scalar, rhs.scalar)));
+        return make_scalar(v);
+      }
+      std::vector<Value> vals(n);
+      for (size_t i = 0; i < n; ++i) {
+        if constexpr (std::is_same_v<decltype(op(lhs.at(i), rhs.at(i))),
+                                     Value>) {
+          vals[i] = op(lhs.at(i), rhs.at(i));
+        } else {
+          RAQLET_ASSIGN_OR_RETURN(vals[i], op(lhs.at(i), rhs.at(i)));
+        }
+      }
+      return make_owned(std::move(vals));
+    };
+    switch (expr.kind) {
+      case ExprKind::kLiteral:
+        return make_scalar(ConstantToValue(expr.literal, &db_->symbols()));
+      case ExprKind::kVariable:
+      case ExprKind::kProperty: {
+        int col = layout.Find(expr.var);
+        if (col < 0) {
+          return Status::NotFound("unknown identifier '" + expr.var + "'");
+        }
+        const std::vector<Value>& ids = cols_[static_cast<size_t>(col)];
+        if (expr.kind == ExprKind::kVariable) return make_column(&ids);
+        const ColumnMeta& meta = layout.meta[static_cast<size_t>(col)];
+        if (meta.kind != ColumnMeta::kNode && meta.kind != ColumnMeta::kEdge) {
+          return Status::Unsupported("property access on value identifier '" +
+                                     expr.var + "'");
+        }
+        if (expr.property == "id") return make_column(&ids);
+        const std::vector<Value>& edge_rows =
+            meta.kind == ColumnMeta::kEdge
+                ? cols_[static_cast<size_t>(meta.row_column)]
+                : ids;
+        std::vector<Value> vals(n);
+        for (size_t i = 0; i < n; ++i) {
+          RAQLET_ASSIGN_OR_RETURN(
+              vals[i],
+              ReadProperty(store_, meta, ids[i], edge_rows[i], expr.property));
+        }
+        return make_owned(std::move(vals));
+      }
+      case ExprKind::kParameter:
+        return Status::Internal("unresolved parameter");
+      case ExprKind::kBinary: {
+        RAQLET_ASSIGN_OR_RETURN(BCol lhs,
+                                EvalBatch(expr.children[0], scratch));
+        RAQLET_ASSIGN_OR_RETURN(BCol rhs,
+                                EvalBatch(expr.children[1], scratch));
+        switch (expr.bin_op) {
+          case BinOp::kAnd:
+          case BinOp::kOr: {
+            const bool conj = expr.bin_op == BinOp::kAnd;
+            return map2(lhs, rhs, [conj](const Value& l, const Value& r) {
+              return Value::Bool(conj ? l.AsBool() && r.AsBool()
+                                      : l.AsBool() || r.AsBool());
+            });
+          }
+          case BinOp::kEq:
+          case BinOp::kNe:
+          case BinOp::kLt:
+          case BinOp::kLe:
+          case BinOp::kGt:
+          case BinOp::kGe: {
+            const dlir::CmpOp op = ToCmpOp(expr.bin_op);
+            return map2(lhs, rhs, [&](const Value& l, const Value& r) {
+              return Value::Bool(CheckCmp(op, l, r, db_->symbols()));
+            });
+          }
+          default: {
+            const dlir::ArithOp op = ToArithOp(expr.bin_op);
+            return map2(lhs, rhs, [op](const Value& l, const Value& r) {
+              return EvalArith(op, l, r);
+            });
+          }
+        }
+      }
+      case ExprKind::kUnary: {
+        // A unary operator maps its operand paired with itself.
+        RAQLET_ASSIGN_OR_RETURN(BCol inner,
+                                EvalBatch(expr.children[0], scratch));
+        if (expr.un_op == cypher::UnOp::kNot) {
+          return map2(inner, inner, [](const Value& v, const Value&) {
+            return Value::Bool(!v.AsBool());
+          });
+        }
+        return map2(inner, inner, [](const Value& v, const Value&) {
+          return EvalArith(dlir::ArithOp::kSub, Value::Number(0), v);
+        });
+      }
+      case ExprKind::kCall: {
+        if (expr.function == "id" && expr.children.size() == 1) {
+          return EvalBatch(expr.children[0], scratch);
+        }
+        if (expr.function == "length" && expr.children.size() == 1 &&
+            expr.children[0].kind == ExprKind::kVariable) {
+          int col = layout.Find(expr.children[0].var + "_len");
+          if (col >= 0) return make_column(&cols_[static_cast<size_t>(col)]);
+          return Status::Unsupported("length() of a non-shortest-path "
+                                     "variable");
+        }
+        return Status::Unsupported("function '" + expr.function + "'");
+      }
     }
-    *table = std::move(trimmed);
+    return Status::Internal("unhandled expression kind");
   }
 
   const GraphStore& store_;
-  const schema::DlSchema& dl_;
   Database* db_;
-  GraphStats* stats_;
-  obs::GraphMetrics* metrics_;
-  const runtime::QueryGuard* guard_;
-  BindingTable table_;
-  Traversals trav_;
+  std::vector<std::vector<Value>> cols_;  // one vector per layout column
+  size_t rows_ = 1;                       // one empty binding
+  // Row-major rows of the latest DISTINCT or aggregation; see BeginClause.
+  std::vector<Tuple> boxed_rows_;
+  bool boxed_ = false;
+  // The expansion in progress: source row and new values of each match.
+  std::vector<uint32_t> selection_;
+  std::vector<std::vector<Value>> appended_;
 };
 
 // ---------------------------------------------------------------------------
-// kColumnBatch: the columnar binding table. One Value column per bound
-// variable; MATCH expansion records, per emitted binding, only the index of
-// its source row plus the newly-bound values, then gathers every prior
-// column through that selection in one pass per column — no per-match row
-// copy, no per-row allocation. WHERE compacts via a selection mask,
-// projection evaluates items column-at-a-time, and DISTINCT dedups once per
-// batch through Relation::InsertColumns. Row order is bit-identical to the
-// row-binding interpreter (asserted by cross_engine_test.cc).
+// One execution of a query over binding table `Table`: the clause loop, the
+// pattern matcher and its expanders, the projection layout and the
+// aggregation are written once; the table decides how bindings are stored,
+// evaluated and deduplicated.
 // ---------------------------------------------------------------------------
 
-struct BindingBatch {
-  std::vector<std::string> columns;
-  std::map<std::string, size_t> index;
-  std::vector<ColumnMeta> meta;
-  std::vector<std::vector<Value>> cols;  // one vector per column
-  size_t rows = 0;
-
-  int Find(const std::string& name) const {
-    auto it = index.find(name);
-    return it == index.end() ? -1 : static_cast<int>(it->second);
-  }
-  size_t AddColumn(const std::string& name, ColumnMeta m) {
-    index[name] = columns.size();
-    columns.push_back(name);
-    meta.push_back(m);
-    cols.emplace_back();
-    return columns.size() - 1;
-  }
-};
-
-class BatchExecution {
+template <typename Table>
+class Execution {
  public:
-  BatchExecution(const GraphStore& store, const schema::DlSchema& dl,
-                 Database* db, GraphStats* stats,
-                 obs::GraphMetrics* metrics = nullptr,
-                 const runtime::QueryGuard* guard = nullptr)
+  Execution(const GraphStore& store, const schema::DlSchema& dl, Database* db,
+            GraphStats* stats, obs::GraphMetrics* metrics,
+            const runtime::QueryGuard* guard)
       : store_(store), dl_(dl), db_(db), stats_(stats), metrics_(metrics),
-        guard_(guard), trav_(store, stats, metrics, guard) {}
+        guard_(guard), table_(store, db), trav_(store, stats, metrics, guard) {}
 
   Result<ResultTable> Run(const PgirQuery& query) {
-    table_.rows = 1;  // one empty binding
     int64_t clause_index = 0;
-    size_t rows_prev = 0;
     for (const pgir::Op& op : query.ops) {
-      // Per-clause guard checkpoint; see RowExecution::Run. The two modes
-      // count identical row deltas, so a fixed budget trips both at the
-      // same clause.
-      if (guard_ != nullptr) {
-        size_t now = have_result_rows_ ? result_rows_.size() : table_.rows;
-        RAQLET_RETURN_IF_ERROR(
-            guard_->AddRows(now > rows_prev ? now - rows_prev : 0));
-        rows_prev = now;
-        RAQLET_RETURN_IF_ERROR(guard_->Check());
-      }
+      if (guard_ != nullptr) RAQLET_RETURN_IF_ERROR(PollGuard());
       obs::TraceScope clause_span("graph.clause", clause_index++);
-      EnsureColumnar();
+      table_.BeginClause();
       const char* kind = "";
       if (const auto* match = std::get_if<MatchOp>(&op)) {
         kind = "match";
@@ -980,108 +900,23 @@ class BatchExecution {
             ExecProjection(ret->items, ret->distinct, /*is_return=*/true));
       }
       if (metrics_ != nullptr) {
-        metrics_->clauses.push_back(
-            {kind, have_result_rows_ ? result_rows_.size() : table_.rows});
+        metrics_->clauses.push_back({kind, table_.size()});
       }
     }
-    // See RowExecution::Run: a trip inside the last clause must surface
-    // as the terminal status, never as a partial result.
-    if (guard_ != nullptr) RAQLET_RETURN_IF_ERROR(guard_->Check());
+    // A trip inside the last clause (e.g. a BFS abandoned mid-frontier)
+    // must surface as the terminal status, never as a partial result.
+    if (guard_ != nullptr) RAQLET_RETURN_IF_ERROR(PollGuard());
     ResultTable result;
-    result.columns = table_.columns;
-    if (have_result_rows_) {
-      result.rows = std::move(result_rows_);
-    } else {
-      result.rows = Materialize();
-    }
+    result.columns = table_.layout.columns;
+    result.rows = table_.TakeRows();
     return result;
   }
 
  private:
-  // A column expression over the batch: either a borrowed column (one
-  // value per batch row) or a broadcast scalar. Computed intermediates
-  // live in an EvalScratch deque so borrowed pointers stay stable.
-  struct BCol {
-    const std::vector<Value>* col = nullptr;
-    Value scalar;
-    const Value& at(size_t i) const {
-      return col != nullptr ? (*col)[i] : scalar;
-    }
-  };
-  using EvalScratch = std::deque<std::vector<Value>>;
-
-  // ---- batch plumbing ----
-
-  // Projection/aggregation paths that dedup through a Relation hand the
-  // result back as row tuples; re-transpose lazily if another clause
-  // follows (RETURN is last in every real query, so this is free).
-  void EnsureColumnar() {
-    if (!have_result_rows_) return;
-    table_.cols.assign(table_.columns.size(), {});
-    for (size_t c = 0; c < table_.columns.size(); ++c) {
-      std::vector<Value>& col = table_.cols[c];
-      col.resize(result_rows_.size());
-      for (size_t i = 0; i < result_rows_.size(); ++i) {
-        col[i] = c < result_rows_[i].size() ? result_rows_[i][c] : Value();
-      }
-    }
-    table_.rows = result_rows_.size();
-    result_rows_.clear();
-    have_result_rows_ = false;
-  }
-
-  std::vector<Tuple> Materialize() const {
-    std::vector<Tuple> rows(table_.rows);
-    for (size_t i = 0; i < table_.rows; ++i) {
-      Tuple& t = rows[i];
-      t.reserve(table_.cols.size());
-      for (const std::vector<Value>& col : table_.cols) {
-        t.push_back(i < col.size() ? col[i] : Value());
-      }
-    }
-    return rows;
-  }
-
-  // Gathers the pre-expansion columns through the match selection `src`
-  // (one pass per column) and installs the columns this clause appended.
-  // `appended` must hold exactly the vectors for columns registered after
-  // `prior_ncols`, in registration order.
-  void InstallExpansion(size_t prior_ncols, const std::vector<uint32_t>& src,
-                        std::vector<std::vector<Value>> appended) {
-    for (size_t c = 0; c < prior_ncols; ++c) {
-      const std::vector<Value>& old = table_.cols[c];
-      std::vector<Value> gathered(src.size());
-      for (size_t k = 0; k < src.size(); ++k) gathered[k] = old[src[k]];
-      table_.cols[c] = std::move(gathered);
-    }
-    for (size_t k = 0; k < appended.size(); ++k) {
-      table_.cols[prior_ncols + k] = std::move(appended[k]);
-    }
-    table_.rows = src.size();
-  }
-
-  // Drops batch rows whose keep flag is 0, compacting every column in
-  // place (stable).
-  void CompactBatch(const std::vector<char>& keep) {
-    size_t kept = 0;
-    for (size_t i = 0; i < table_.rows; ++i) kept += keep[i] != 0;
-    if (kept == table_.rows) return;
-    for (std::vector<Value>& col : table_.cols) {
-      if (col.size() != table_.rows) continue;
-      size_t w = 0;
-      for (size_t i = 0; i < col.size(); ++i) {
-        if (keep[i]) col[w++] = col[i];
-      }
-      col.resize(w);
-    }
-    table_.rows = kept;
-  }
-
   // ---- MATCH ----
 
-  Status CheckNode(const NodePat& node, bool* known) {
-    int col = table_.Find(node.id);
-    *known = col >= 0;
+  Status CheckNode(const NodePat& node, bool* known) const {
+    *known = table_.layout.Find(node.id) >= 0;
     if (!*known && node.label.empty()) {
       return Status::Unsupported("unlabeled node pattern introduces '" +
                                  node.id + "'");
@@ -1092,60 +927,73 @@ class BatchExecution {
     return Status::OK();
   }
 
+  Status ExecMatch(const MatchOp& match) {
+    for (const EdgePat& edge : match.edges) {
+      if (edge.variable_length || edge.shortest) {
+        RAQLET_RETURN_IF_ERROR(ExpandPath(edge));
+      } else {
+        RAQLET_RETURN_IF_ERROR(ExpandEdge(edge));
+      }
+    }
+    for (const NodePat& node : match.nodes) {
+      RAQLET_RETURN_IF_ERROR(ExpandNode(node));
+    }
+    return Status::OK();
+  }
+
+  // The candidates for an unbound node pattern: every node with its label,
+  // or with `schema_label` when the pattern has none.
+  const std::vector<int64_t>& ScanNodes(
+      const NodePat& node, const std::string& schema_label = "") const {
+    return store_.NodesWithLabel(node.label.empty() ? schema_label
+                                                    : node.label);
+  }
+
   bool EndpointOk(const NodePat& node, int64_t id) const {
     return node.label.empty() || store_.HasLabel(node.label, id);
   }
 
-  Status ExecMatch(const MatchOp& match) {
-    for (const EdgePat& edge : match.edges) {
-      if (edge.variable_length || edge.shortest) {
-        RAQLET_RETURN_IF_ERROR(ExpandRecursive(edge));
-      } else {
-        RAQLET_RETURN_IF_ERROR(ExpandSimple(edge));
-      }
-    }
-    for (const NodePat& node : match.nodes) {
-      RAQLET_RETURN_IF_ERROR(ExpandLoneNode(node));
-    }
+  // Hands one match to the table and charges it: every emitted binding
+  // counts once toward rows_expanded and toward the guard's row budget,
+  // which is charged and polled every kGuardChunk bindings.
+  Status Emit(size_t row, const NewValues& values) {
+    table_.Append(row, values);
+    if (stats_ != nullptr) ++stats_->rows_expanded;
+    if (guard_ != nullptr && ++unpaid_ == kGuardChunk) return PollGuard();
     return Status::OK();
   }
 
-  Status ExpandLoneNode(const NodePat& node) {
+  Status PollGuard() { return guard_->AddRows(std::exchange(unpaid_, 0)); }
+
+  Status ExpandNode(const NodePat& node) {
     bool known = false;
     RAQLET_RETURN_IF_ERROR(CheckNode(node, &known));
     if (known) {
-      // Label filter on the existing binding: selection-mask compaction.
+      // Label filter on the existing binding.
       if (node.label.empty()) return Status::OK();
-      const std::vector<Value>& col =
-          table_.cols[static_cast<size_t>(table_.Find(node.id))];
-      std::vector<char> keep(table_.rows);
-      for (size_t i = 0; i < table_.rows; ++i) {
-        keep[i] = store_.HasLabel(node.label, col[i].AsNumber());
+      const size_t col = static_cast<size_t>(table_.layout.Find(node.id));
+      std::vector<char> keep(table_.size());
+      for (size_t i = 0; i < keep.size(); ++i) {
+        keep[i] = store_.HasLabel(node.label, table_.NumberAt(col, i));
       }
-      CompactBatch(keep);
+      table_.Compact(keep);
       return Status::OK();
     }
-    const size_t prior_ncols = table_.cols.size();
-    table_.AddColumn(node.id, {ColumnMeta::kNode, node.label, -1});
-    const std::vector<int64_t>& nodes = store_.NodesWithLabel(node.label);
-    std::vector<uint32_t> src;
-    std::vector<Value> vals;
-    src.reserve(table_.rows * nodes.size());
-    vals.reserve(table_.rows * nodes.size());
-    for (size_t i = 0; i < table_.rows; ++i) {
-      for (int64_t id : nodes) {
-        src.push_back(static_cast<uint32_t>(i));
-        vals.push_back(Value::Number(id));
-        if (stats_ != nullptr) ++stats_->rows_expanded;
+    table_.layout.Add(node.id, {ColumnMeta::kNode, node.label, -1});
+    table_.BeginExpansion();
+    const std::vector<int64_t>& ids = ScanNodes(node);
+    for (size_t i = 0, n = table_.size(); i < n; ++i) {
+      for (int64_t id : ids) {
+        NewValues v;
+        v.Push(Value::Number(id));
+        RAQLET_RETURN_IF_ERROR(Emit(i, v));
       }
     }
-    std::vector<std::vector<Value>> appended;
-    appended.push_back(std::move(vals));
-    InstallExpansion(prior_ncols, src, std::move(appended));
+    table_.EndExpansion();
     return Status::OK();
   }
 
-  Status ExpandSimple(const EdgePat& edge) {
+  Status ExpandEdge(const EdgePat& edge) {
     const schema::EdgeRelationInfo* info = dl_.FindEdge(edge.label);
     if (info == nullptr) {
       return Status::NotFound("no edge type with label '" + edge.label + "'");
@@ -1154,648 +1002,227 @@ class BatchExecution {
     bool dst_known = false;
     RAQLET_RETURN_IF_ERROR(CheckNode(edge.src, &src_known));
     RAQLET_RETURN_IF_ERROR(CheckNode(edge.dst, &dst_known));
+    Layout& layout = table_.layout;
+    const int src_col = layout.Find(edge.src.id);
+    const int dst_col = layout.Find(edge.dst.id);
+    // (a)-[:X]->(a): the repeated identifier needs a self-loop.
+    const bool self = edge.dst.id == edge.src.id;
 
-    int src_col = table_.Find(edge.src.id);
-    int dst_col = table_.Find(edge.dst.id);
-
-    const size_t prior_ncols = table_.cols.size();
+    // New columns for unbound endpoints and the edge binding.
     if (!src_known) {
-      table_.AddColumn(edge.src.id, {ColumnMeta::kNode, edge.src.label, -1});
+      layout.Add(edge.src.id, {ColumnMeta::kNode, edge.src.label, -1});
     }
-    if (!dst_known && edge.dst.id != edge.src.id) {
-      table_.AddColumn(edge.dst.id, {ColumnMeta::kNode, edge.dst.label, -1});
+    if (!dst_known && !self) {
+      layout.Add(edge.dst.id, {ColumnMeta::kNode, edge.dst.label, -1});
     }
-    bool bind_edge = info->PropertyColumn("id") >= 0 &&
-                     edge.direction != EdgeDirection::kUndirected &&
-                     table_.Find(edge.id) < 0;
+    const int id_prop_col = info->PropertyColumn("id");
+    const bool undirected = edge.direction == EdgeDirection::kUndirected;
+    const bool bind_edge =
+        id_prop_col >= 0 && !undirected && layout.Find(edge.id) < 0;
     if (bind_edge) {
-      int edge_row_col = static_cast<int>(table_.columns.size()) + 1;
-      table_.AddColumn(edge.id,
-                       {ColumnMeta::kEdge, edge.label, edge_row_col});
-      table_.AddColumn("__row_" + edge.id, {ColumnMeta::kValue, "", -1});
+      const int edge_row_col = static_cast<int>(layout.size()) + 1;
+      layout.Add(edge.id, {ColumnMeta::kEdge, edge.label, edge_row_col});
+      layout.Add("__row_" + edge.id, {ColumnMeta::kValue, "", -1});
     }
 
     const std::string upper = schema::ToUpperSnake(edge.label);
-    int id_prop_col = info->PropertyColumn("id");
     // Borrow the edge-id column once for the whole expansion.
-    Relation::ColumnView edge_id_col;
+    Relation::ColumnView edge_ids;
     if (bind_edge) {
-      Result<Relation::ColumnView> c = store_.EdgeColumn(upper, id_prop_col);
-      RAQLET_RETURN_IF_ERROR(c.status());
-      edge_id_col = *c;
+      RAQLET_ASSIGN_OR_RETURN(edge_ids, store_.EdgeColumn(upper, id_prop_col));
     }
 
-    // Per-match output: the source-row selection plus one vector per
-    // newly-bound column. Prior columns are gathered once at the end.
-    std::vector<uint32_t> match_src;
-    std::vector<Value> col_src;
-    std::vector<Value> col_dst;
-    std::vector<Value> col_edge;
-    std::vector<Value> col_erow;
-    auto emit = [&](size_t row_i, int64_t src_id, int64_t dst_id,
-                    uint32_t edge_row) {
-      if (!EndpointOk(edge.src, src_id) || !EndpointOk(edge.dst, dst_id)) {
-        return;
-      }
-      if (!dst_known && edge.dst.id == edge.src.id && src_id != dst_id) {
-        return;  // (a)-[:X]->(a): self loop required
-      }
-      match_src.push_back(static_cast<uint32_t>(row_i));
-      if (!src_known) col_src.push_back(Value::Number(src_id));
-      if (!dst_known && edge.dst.id != edge.src.id) {
-        col_dst.push_back(Value::Number(dst_id));
-      }
-      if (bind_edge) {
-        col_edge.push_back(edge_id_col.at(edge_row));
-        col_erow.push_back(Value::Number(edge_row));
-      }
-      if (stats_ != nullptr) ++stats_->rows_expanded;
-    };
-
-    std::set<std::pair<int64_t, uint32_t>> seen;
-    for (size_t i = 0; i < table_.rows; ++i) {
-      std::optional<int64_t> src_val;
-      std::optional<int64_t> dst_val;
-      if (src_known) {
-        src_val = table_.cols[static_cast<size_t>(src_col)][i].AsNumber();
-      }
-      if (dst_known) {
-        dst_val = table_.cols[static_cast<size_t>(dst_col)][i].AsNumber();
-      }
-
-      // Deduplicate undirected self-loop double visits.
-      seen.clear();
-      auto visit = [&](int64_t from, const GraphStore::Neighbor& nb) {
-        if (!seen.insert({nb.node, nb.edge_row}).second) return;
-        if (dst_val.has_value() && nb.node != *dst_val) return;
-        if (edge.dst.id == edge.src.id && !dst_known && nb.node != from) {
-          return;  // repeated identifier within the pattern
+    table_.BeginExpansion();
+    std::set<uint32_t> loops;  // self-loops an undirected walk meets twice
+    for (size_t i = 0, n = table_.size(); i < n; ++i) {
+      auto emit = [&](int64_t src_id, int64_t dst_id,
+                      uint32_t edge_row) -> Status {
+        if (!EndpointOk(edge.src, src_id) || !EndpointOk(edge.dst, dst_id)) {
+          return Status::OK();
         }
-        emit(i, from, nb.node, nb.edge_row);
+        NewValues v;
+        if (!src_known) v.Push(Value::Number(src_id));
+        if (!dst_known && !self) v.Push(Value::Number(dst_id));
+        if (bind_edge) {
+          v.Push(edge_ids.at(edge_row));
+          v.Push(Value::Number(edge_row));
+        }
+        return Emit(i, v);
+      };
+      // Walks the edges of `from`, bound as the source, to `to` if given.
+      auto walk = [&](int64_t from, std::optional<int64_t> to) -> Status {
+        loops.clear();
+        for (const auto* list :
+             trav_.Adjacent(upper, from, edge.direction, /*reverse=*/false)) {
+          for (const GraphStore::Neighbor& nb : *list) {
+            if (to.has_value() && nb.node != *to) continue;
+            if (self && !dst_known && nb.node != from) continue;
+            if (undirected && nb.node == from &&
+                !loops.insert(nb.edge_row).second) {
+              continue;
+            }
+            RAQLET_RETURN_IF_ERROR(emit(from, nb.node, nb.edge_row));
+          }
+        }
+        return Status::OK();
       };
 
-      if (src_val.has_value()) {
-        trav_.ForEachNeighbor(upper, *src_val, edge.direction,
-                              /*reverse=*/false,
-                              [&](const GraphStore::Neighbor& nb) {
-                                visit(*src_val, nb);
-                              });
-      } else if (dst_val.has_value()) {
-        // Traverse backwards, binding the source.
-        trav_.ForEachNeighbor(upper, *dst_val, edge.direction,
-                              /*reverse=*/true,
-                              [&](const GraphStore::Neighbor& nb) {
-                                // nb.node is the source here.
-                                emit(i, nb.node, *dst_val, nb.edge_row);
-                              });
+      if (src_known) {
+        std::optional<int64_t> to;
+        if (dst_known) to = table_.NumberAt(static_cast<size_t>(dst_col), i);
+        RAQLET_RETURN_IF_ERROR(
+            walk(table_.NumberAt(static_cast<size_t>(src_col), i), to));
+      } else if (dst_known) {
+        // Walk backwards from the bound destination, binding the source.
+        const int64_t to = table_.NumberAt(static_cast<size_t>(dst_col), i);
+        for (const auto* list :
+             trav_.Adjacent(upper, to, edge.direction, /*reverse=*/true)) {
+          for (const GraphStore::Neighbor& nb : *list) {
+            RAQLET_RETURN_IF_ERROR(emit(nb.node, to, nb.edge_row));
+          }
+        }
       } else {
-        // Neither endpoint bound: scan source label (or all labeled nodes
-        // of the schema endpoint).
-        std::string scan_label = !edge.src.label.empty()
-                                     ? edge.src.label
-                                     : info->src_label;
-        for (int64_t id : store_.NodesWithLabel(scan_label)) {
-          seen.clear();
-          trav_.ForEachNeighbor(upper, id, edge.direction, /*reverse=*/false,
-                                [&](const GraphStore::Neighbor& nb) {
-                                  visit(id, nb);
-                                });
+        for (int64_t from : ScanNodes(edge.src, info->src_label)) {
+          RAQLET_RETURN_IF_ERROR(walk(from, std::nullopt));
         }
       }
     }
-
-    std::vector<std::vector<Value>> appended;
-    if (!src_known) appended.push_back(std::move(col_src));
-    if (!dst_known && edge.dst.id != edge.src.id) {
-      appended.push_back(std::move(col_dst));
-    }
-    if (bind_edge) {
-      appended.push_back(std::move(col_edge));
-      appended.push_back(std::move(col_erow));
-    }
-    InstallExpansion(prior_ncols, match_src, std::move(appended));
+    table_.EndExpansion();
     return Status::OK();
   }
 
-  Status ExpandRecursive(const EdgePat& edge) {
+  Status ExpandPath(const EdgePat& edge) {
     const schema::EdgeRelationInfo* info = dl_.FindEdge(edge.label);
     if (info == nullptr) {
       return Status::NotFound("no edge type with label '" + edge.label + "'");
     }
-    const std::string upper = schema::ToUpperSnake(edge.label);
     bool src_known = false;
     bool dst_known = false;
     RAQLET_RETURN_IF_ERROR(CheckNode(edge.src, &src_known));
     RAQLET_RETURN_IF_ERROR(CheckNode(edge.dst, &dst_known));
-    int src_col = table_.Find(edge.src.id);
-    int dst_col = table_.Find(edge.dst.id);
+    Layout& layout = table_.layout;
+    const int src_col = layout.Find(edge.src.id);
+    const int dst_col = layout.Find(edge.dst.id);
 
-    const size_t prior_ncols = table_.cols.size();
     if (!src_known) {
-      table_.AddColumn(edge.src.id, {ColumnMeta::kNode, edge.src.label, -1});
+      layout.Add(edge.src.id, {ColumnMeta::kNode, edge.src.label, -1});
     }
     if (!dst_known) {
-      table_.AddColumn(edge.dst.id, {ColumnMeta::kNode, edge.dst.label, -1});
+      layout.Add(edge.dst.id, {ColumnMeta::kNode, edge.dst.label, -1});
     }
-    bool bind_len = edge.shortest && !edge.path_id.empty();
+    const bool bind_len = edge.shortest && !edge.path_id.empty();
     if (bind_len) {
-      table_.AddColumn(edge.path_id + "_len",
-                       {ColumnMeta::kPathLength, "", -1});
+      layout.Add(edge.path_id + "_len", {ColumnMeta::kPathLength, "", -1});
     }
 
-    std::vector<uint32_t> match_src;
-    std::vector<Value> col_src;
-    std::vector<Value> col_dst;
-    std::vector<Value> col_len;
-    auto emit = [&](size_t row_i, int64_t src_id, int64_t dst_id,
-                    int64_t len) {
-      if (!EndpointOk(edge.src, src_id) || !EndpointOk(edge.dst, dst_id)) {
-        return;
-      }
-      match_src.push_back(static_cast<uint32_t>(row_i));
-      if (!src_known) col_src.push_back(Value::Number(src_id));
-      if (!dst_known) col_dst.push_back(Value::Number(dst_id));
-      if (bind_len) col_len.push_back(Value::Number(len));
-      if (stats_ != nullptr) ++stats_->rows_expanded;
-    };
+    const std::string upper = schema::ToUpperSnake(edge.label);
+    table_.BeginExpansion();
+    for (size_t i = 0, n = table_.size(); i < n; ++i) {
+      auto emit = [&](int64_t src_id, int64_t dst_id, int64_t len) -> Status {
+        if (!EndpointOk(edge.src, src_id) || !EndpointOk(edge.dst, dst_id)) {
+          return Status::OK();
+        }
+        NewValues v;
+        if (!src_known) v.Push(Value::Number(src_id));
+        if (!dst_known) v.Push(Value::Number(dst_id));
+        if (bind_len) v.Push(Value::Number(len));
+        return Emit(i, v);
+      };
 
-    // Unbounded non-shortest reachability skips the per-row (node, depth)
-    // materialization and set-based dedup entirely: the memoized closure
-    // is already a set, so its sorted members union straight into the
-    // destination column. Equivalent to (and ordered like) the generic
-    // path below.
-    const bool closure_fast =
-        !edge.shortest && edge.max_hops < 0 && edge.min_hops <= 1;
-
-    for (size_t i = 0; i < table_.rows; ++i) {
-      std::optional<int64_t> src_val;
-      std::optional<int64_t> dst_val;
       if (src_known) {
-        src_val = table_.cols[static_cast<size_t>(src_col)][i].AsNumber();
-      }
-      if (dst_known) {
-        dst_val = table_.cols[static_cast<size_t>(dst_col)][i].AsNumber();
-      }
-
-      auto closure_from = [&](int64_t start) {
-        for (int64_t node :
-             trav_.SortedClosure(upper, edge.direction, false, start)) {
-          if (dst_val.has_value() && node != *dst_val) continue;
-          emit(i, start, node, 1);
-        }
-        if (edge.min_hops == 0 &&
-            (!dst_val.has_value() || *dst_val == start) &&
-            trav_.Closure(upper, edge.direction, false, start)
-                    .count(start) == 0) {
-          emit(i, start, start, 0);
-        }
-      };
-
-      auto run_from = [&](int64_t start) {
-        if (closure_fast) {
-          closure_from(start);
-          return;
-        }
-        auto reached = trav_.Bfs(upper, start, edge.direction,
-                                 /*reverse=*/false, edge.min_hops,
-                                 edge.max_hops, edge.shortest);
-        std::set<std::pair<int64_t, int64_t>> dedup;
-        for (const auto& [node, d] : reached) {
-          if (dst_val.has_value() && node != *dst_val) continue;
-          if (edge.shortest) {
-            emit(i, start, node, d);
-          } else if (dedup.insert({node, 0}).second) {
-            emit(i, start, node, d);  // pair once, any qualifying depth
-          }
-        }
-      };
-
-      if (src_val.has_value()) {
-        run_from(*src_val);
-      } else if (dst_val.has_value()) {
+        const int64_t from = table_.NumberAt(static_cast<size_t>(src_col), i);
+        std::optional<int64_t> to;
+        if (dst_known) to = table_.NumberAt(static_cast<size_t>(dst_col), i);
+        RAQLET_RETURN_IF_ERROR(trav_.Reach(
+            edge, upper, /*reverse=*/false, from,
+            [&](int64_t node, int64_t len) {
+              return to.has_value() && node != *to ? Status::OK()
+                                                   : emit(from, node, len);
+            }));
+      } else if (dst_known) {
         // Reverse traversal from the destination, binding sources.
-        if (closure_fast) {
-          for (int64_t node :
-               trav_.SortedClosure(upper, edge.direction, true, *dst_val)) {
-            emit(i, node, *dst_val, 1);
-          }
-          if (edge.min_hops == 0 &&
-              trav_.Closure(upper, edge.direction, true, *dst_val)
-                      .count(*dst_val) == 0) {
-            emit(i, *dst_val, *dst_val, 0);
-          }
-          continue;
-        }
-        auto reached = trav_.Bfs(upper, *dst_val, edge.direction,
-                                 /*reverse=*/true, edge.min_hops,
-                                 edge.max_hops, edge.shortest);
-        std::set<int64_t> dedup;
-        for (const auto& [node, d] : reached) {
-          if (edge.shortest) {
-            emit(i, node, *dst_val, d);
-          } else if (dedup.insert(node).second) {
-            emit(i, node, *dst_val, d);
-          }
-        }
+        const int64_t to = table_.NumberAt(static_cast<size_t>(dst_col), i);
+        RAQLET_RETURN_IF_ERROR(trav_.Reach(
+            edge, upper, /*reverse=*/true, to,
+            [&](int64_t node, int64_t len) { return emit(node, to, len); }));
       } else {
-        std::string scan_label = !edge.src.label.empty()
-                                     ? edge.src.label
-                                     : info->src_label;
-        for (int64_t start : store_.NodesWithLabel(scan_label)) {
-          run_from(start);
+        for (int64_t from : ScanNodes(edge.src, info->src_label)) {
+          RAQLET_RETURN_IF_ERROR(trav_.Reach(
+              edge, upper, /*reverse=*/false, from,
+              [&](int64_t node, int64_t len) {
+                return emit(from, node, len);
+              }));
         }
       }
     }
-
-    std::vector<std::vector<Value>> appended;
-    if (!src_known) appended.push_back(std::move(col_src));
-    if (!dst_known) appended.push_back(std::move(col_dst));
-    if (bind_len) appended.push_back(std::move(col_len));
-    InstallExpansion(prior_ncols, match_src, std::move(appended));
+    table_.EndExpansion();
     return Status::OK();
   }
 
-  // ---- expressions (column-at-a-time) ----
-
-  Result<BCol> EvalBatch(const Expr& expr, EvalScratch* scratch) const {
-    const size_t n = table_.rows;
-    auto make_scalar = [](Value v) {
-      BCol out;
-      out.scalar = v;
-      return out;
-    };
-    auto make_owned = [&](std::vector<Value> vals) {
-      scratch->push_back(std::move(vals));
-      BCol out;
-      out.col = &scratch->back();
-      return out;
-    };
-    switch (expr.kind) {
-      case ExprKind::kLiteral:
-        return make_scalar(ConstantToValue(expr.literal, &db_->symbols()));
-      case ExprKind::kVariable: {
-        int col = table_.Find(expr.var);
-        if (col < 0) {
-          return Status::NotFound("unknown identifier '" + expr.var + "'");
-        }
-        BCol out;
-        out.col = &table_.cols[static_cast<size_t>(col)];
-        return out;
-      }
-      case ExprKind::kProperty: {
-        int col = table_.Find(expr.var);
-        if (col < 0) {
-          return Status::NotFound("unknown identifier '" + expr.var + "'");
-        }
-        const ColumnMeta& meta = table_.meta[static_cast<size_t>(col)];
-        if (meta.kind == ColumnMeta::kNode) {
-          const std::vector<Value>& ids =
-              table_.cols[static_cast<size_t>(col)];
-          if (expr.property == "id") {
-            BCol out;
-            out.col = &ids;
-            return out;
-          }
-          std::vector<Value> vals(n);
-          for (size_t i = 0; i < n; ++i) {
-            RAQLET_ASSIGN_OR_RETURN(
-                vals[i], store_.NodeProperty(meta.label, ids[i].AsNumber(),
-                                             expr.property));
-          }
-          return make_owned(std::move(vals));
-        }
-        if (meta.kind == ColumnMeta::kEdge) {
-          if (expr.property == "id") {
-            BCol out;
-            out.col = &table_.cols[static_cast<size_t>(col)];
-            return out;
-          }
-          const std::vector<Value>& edge_rows =
-              table_.cols[static_cast<size_t>(meta.row_column)];
-          std::vector<Value> vals(n);
-          for (size_t i = 0; i < n; ++i) {
-            RAQLET_ASSIGN_OR_RETURN(
-                vals[i],
-                store_.EdgeProperty(
-                    meta.label,
-                    static_cast<uint32_t>(edge_rows[i].AsNumber()),
-                    expr.property));
-          }
-          return make_owned(std::move(vals));
-        }
-        return Status::Unsupported("property access on value identifier '" +
-                                   expr.var + "'");
-      }
-      case ExprKind::kParameter:
-        return Status::Internal("unresolved parameter");
-      case ExprKind::kBinary: {
-        RAQLET_ASSIGN_OR_RETURN(BCol lhs,
-                                EvalBatch(expr.children[0], scratch));
-        RAQLET_ASSIGN_OR_RETURN(BCol rhs,
-                                EvalBatch(expr.children[1], scratch));
-        const bool scalar = lhs.col == nullptr && rhs.col == nullptr;
-        switch (expr.bin_op) {
-          case BinOp::kAnd:
-          case BinOp::kOr: {
-            auto apply = [&](const Value& l, const Value& r) {
-              bool lb = l.AsBool();
-              bool rb = r.AsBool();
-              return Value::Bool(expr.bin_op == BinOp::kAnd ? (lb && rb)
-                                                            : (lb || rb));
-            };
-            if (scalar) return make_scalar(apply(lhs.scalar, rhs.scalar));
-            std::vector<Value> vals(n);
-            for (size_t i = 0; i < n; ++i) {
-              vals[i] = apply(lhs.at(i), rhs.at(i));
-            }
-            return make_owned(std::move(vals));
-          }
-          case BinOp::kEq:
-          case BinOp::kNe:
-          case BinOp::kLt:
-          case BinOp::kLe:
-          case BinOp::kGt:
-          case BinOp::kGe: {
-            dlir::CmpOp op = ToCmpOp(expr.bin_op);
-            if (scalar) {
-              return make_scalar(Value::Bool(
-                  CheckCmp(op, lhs.scalar, rhs.scalar, db_->symbols())));
-            }
-            std::vector<Value> vals(n);
-            for (size_t i = 0; i < n; ++i) {
-              vals[i] = Value::Bool(
-                  CheckCmp(op, lhs.at(i), rhs.at(i), db_->symbols()));
-            }
-            return make_owned(std::move(vals));
-          }
-          default: {
-            dlir::ArithOp op = ToArithOp(expr.bin_op);
-            if (scalar) {
-              RAQLET_ASSIGN_OR_RETURN(Value v,
-                                      EvalArith(op, lhs.scalar, rhs.scalar));
-              return make_scalar(v);
-            }
-            std::vector<Value> vals(n);
-            for (size_t i = 0; i < n; ++i) {
-              RAQLET_ASSIGN_OR_RETURN(vals[i],
-                                      EvalArith(op, lhs.at(i), rhs.at(i)));
-            }
-            return make_owned(std::move(vals));
-          }
-        }
-      }
-      case ExprKind::kUnary: {
-        RAQLET_ASSIGN_OR_RETURN(BCol inner,
-                                EvalBatch(expr.children[0], scratch));
-        if (expr.un_op == cypher::UnOp::kNot) {
-          if (inner.col == nullptr) {
-            return make_scalar(Value::Bool(!inner.scalar.AsBool()));
-          }
-          std::vector<Value> vals(n);
-          for (size_t i = 0; i < n; ++i) {
-            vals[i] = Value::Bool(!inner.at(i).AsBool());
-          }
-          return make_owned(std::move(vals));
-        }
-        if (inner.col == nullptr) {
-          RAQLET_ASSIGN_OR_RETURN(
-              Value v, EvalArith(dlir::ArithOp::kSub, Value::Number(0),
-                                 inner.scalar));
-          return make_scalar(v);
-        }
-        std::vector<Value> vals(n);
-        for (size_t i = 0; i < n; ++i) {
-          RAQLET_ASSIGN_OR_RETURN(
-              vals[i],
-              EvalArith(dlir::ArithOp::kSub, Value::Number(0), inner.at(i)));
-        }
-        return make_owned(std::move(vals));
-      }
-      case ExprKind::kCall: {
-        if (expr.function == "id" && expr.children.size() == 1) {
-          return EvalBatch(expr.children[0], scratch);
-        }
-        if (expr.function == "length" && expr.children.size() == 1 &&
-            expr.children[0].kind == ExprKind::kVariable) {
-          int col = table_.Find(expr.children[0].var + "_len");
-          if (col >= 0) {
-            BCol out;
-            out.col = &table_.cols[static_cast<size_t>(col)];
-            return out;
-          }
-          return Status::Unsupported("length() of a non-shortest-path "
-                                     "variable");
-        }
-        return Status::Unsupported("function '" + expr.function + "'");
-      }
-    }
-    return Status::Internal("unhandled expression kind");
-  }
+  // ---- WHERE ----
 
   Status ExecWhere(const WhereOp& where) {
-    if (table_.rows == 0) return Status::OK();
-    EvalScratch scratch;
-    RAQLET_ASSIGN_OR_RETURN(BCol pred, EvalBatch(where.predicate, &scratch));
-    std::vector<char> keep(table_.rows);
-    for (size_t i = 0; i < table_.rows; ++i) {
-      keep[i] = pred.at(i).AsBool();
-    }
-    CompactBatch(keep);
+    std::vector<char> keep(table_.size());
+    RAQLET_RETURN_IF_ERROR(table_.ForEachRow(
+        {&where.predicate},
+        [&](size_t i, const Tuple& values) { keep[i] = values[0].AsBool(); }));
+    table_.Compact(keep);
     return Status::OK();
   }
 
   // ---- WITH / RETURN ----
 
-  static RelationSchema ScratchSchema(size_t ncols) {
-    RelationSchema schema;
-    schema.name = "__graph_distinct__";
-    schema.columns.resize(ncols);
-    return schema;
-  }
-
-  // Drops "__row_" columns from a projection result. `rows`, when given,
-  // holds the row-major form of the table (hidden columns are always
-  // registered last by ExecProjection, so dropping is a truncation).
-  static void DropHidden(BindingBatch* table, std::vector<Tuple>* rows) {
-    std::vector<size_t> keep;
-    for (size_t i = 0; i < table->columns.size(); ++i) {
-      if (table->columns[i].rfind("__row_", 0) != 0) keep.push_back(i);
-    }
-    if (keep.size() == table->columns.size()) return;
-    bool prefix = true;
-    for (size_t k = 0; k < keep.size(); ++k) prefix &= keep[k] == k;
-    BindingBatch trimmed;
-    for (size_t i : keep) {
-      trimmed.AddColumn(table->columns[i], table->meta[i]);
-      trimmed.cols.back() = std::move(table->cols[i]);
-    }
-    trimmed.rows = table->rows;
-    *table = std::move(trimmed);
-    if (rows == nullptr) return;
-    for (Tuple& row : *rows) {
-      if (prefix) {
-        if (row.size() > keep.size()) row.resize(keep.size());
-        continue;
-      }
-      Tuple out;
-      out.reserve(keep.size());
-      for (size_t i : keep) {
-        if (i < row.size()) out.push_back(row[i]);
-      }
-      row = std::move(out);
-    }
-  }
-
   Status ExecProjection(const std::vector<Item>& items, bool distinct,
                         bool is_return) {
     RAQLET_FAILPOINT("graph.project");
-    int agg_pos = -1;
+    const Layout& input = table_.layout;
+    Projection p;
     for (size_t i = 0; i < items.size(); ++i) {
-      if (items[i].expr.IsAggregateCall()) {
-        if (agg_pos >= 0) {
+      const Expr& expr = items[i].expr;
+      if (expr.IsAggregateCall()) {
+        if (p.agg >= 0) {
           return Status::Unsupported("at most one aggregate per projection");
         }
-        agg_pos = static_cast<int>(i);
+        p.agg = static_cast<int>(i);
       }
-    }
-
-    BindingBatch next;
-    for (const Item& item : items) {
-      ColumnMeta meta{ColumnMeta::kValue, "", -1};
-      if (item.expr.kind == ExprKind::kVariable) {
-        int col = table_.Find(item.expr.var);
-        if (col >= 0) meta = table_.meta[static_cast<size_t>(col)];
+      ColumnMeta meta;
+      if (expr.kind == ExprKind::kVariable) {
+        int col = input.Find(expr.var);
+        if (col >= 0) meta = input.meta[static_cast<size_t>(col)];
       }
-      next.AddColumn(item.alias, meta);
+      p.layout.Add(items[i].alias, meta);
+      p.exprs.push_back(&expr);
     }
-    // Preserve hidden edge-row columns for identifiers that survive.
-    std::map<size_t, size_t> row_col_remap;
+    // A WITH without aggregation carries the hidden edge-row column of
+    // every edge it passes on, so later clauses can read the edge's
+    // properties. RETURN ends the query and an aggregate's rows hold only
+    // its items, so there an edge becomes a plain value.
     for (size_t i = 0; i < items.size(); ++i) {
-      const ColumnMeta& meta = next.meta[i];
-      if (meta.kind == ColumnMeta::kEdge && meta.row_column >= 0) {
-        size_t hidden =
-            next.AddColumn("__row_" + items[i].alias,
-                           {ColumnMeta::kValue, "", -1});
-        row_col_remap[i] = hidden;
-        next.meta[i].row_column = static_cast<int>(hidden);
-      }
-    }
-
-    if (agg_pos < 0) {
-      return ProjectPlain(items, distinct, is_return, row_col_remap, &next);
-    }
-    return ProjectAggregate(items, static_cast<size_t>(agg_pos), is_return,
-                            &next);
-  }
-
-  Status ProjectPlain(const std::vector<Item>& items, bool distinct,
-                      bool is_return,
-                      const std::map<size_t, size_t>& row_col_remap,
-                      BindingBatch* next) {
-    const size_t n = table_.rows;
-    const size_t out_cols = next->columns.size();
-    if (n == 0) {
-      if (is_return) DropHidden(next, nullptr);
-      table_ = std::move(*next);
-      table_.rows = 0;
-      have_result_rows_ = false;
-      return Status::OK();
-    }
-
-    // Evaluate every item column-at-a-time; hidden edge-row columns
-    // borrow their source column directly.
-    EvalScratch scratch;
-    std::vector<BCol> out(out_cols);
-    for (size_t i = 0; i < items.size(); ++i) {
-      RAQLET_ASSIGN_OR_RETURN(out[i], EvalBatch(items[i].expr, &scratch));
-    }
-    for (const auto& [item_idx, hidden_idx] : row_col_remap) {
-      int old_col = table_.Find(items[item_idx].expr.var);
-      const ColumnMeta& old_meta = table_.meta[static_cast<size_t>(old_col)];
-      out[hidden_idx].col =
-          &table_.cols[static_cast<size_t>(old_meta.row_column)];
-    }
-
-    if (distinct) {
-      // Stage the evaluated columns and dedup once per batch through
-      // Relation::InsertColumns (first occurrence wins, batch order kept —
-      // the same policy the per-tuple hash set implemented). Columnar in,
-      // columnar out; rows are only boxed for the final RETURN.
-      std::vector<std::vector<Value>> staged(out_cols);
-      for (size_t c = 0; c < out_cols; ++c) {
-        staged[c].reserve(n);
-        for (size_t i = 0; i < n; ++i) staged[c].push_back(out[c].at(i));
-      }
-      Relation dedup_rel(ScratchSchema(out_cols));
-      RAQLET_RETURN_IF_ERROR(dedup_rel.InsertColumns(&staged).status());
-      if (is_return) {
-        std::vector<Tuple> rows = dedup_rel.MaterializeRows();
-        DropHidden(next, &rows);
-        table_ = std::move(*next);
-        table_.rows = rows.size();
-        result_rows_ = std::move(rows);
-        have_result_rows_ = true;
-        return Status::OK();
-      }
-      // Intermediate WITH DISTINCT: stay columnar.
-      next->cols.assign(out_cols, {});
-      for (size_t c = 0; c < out_cols; ++c) {
-        const Relation::ColumnView view = dedup_rel.Column(c);
-        next->cols[c].reserve(view.size());
-        for (size_t i = 0; i < view.size(); ++i) {
-          next->cols[c].push_back(view.at(i));
-        }
-      }
-      next->rows = dedup_rel.size();
-      table_ = std::move(*next);
-      have_result_rows_ = false;
-      return Status::OK();
-    }
-
-    // No dedup: install the evaluated columns directly. Both borrow
-    // sources — the old binding table and the scratch deque — are
-    // discarded right after, so a column borrowed by exactly one output
-    // is moved, not copied (a second borrow of the same source copies).
-    std::map<const std::vector<Value>*, size_t> borrows;
-    for (size_t c = 0; c < out_cols; ++c) {
-      if (out[c].col != nullptr) ++borrows[out[c].col];
-    }
-    auto find_mutable =
-        [&](const std::vector<Value>* src) -> std::vector<Value>* {
-      for (std::vector<Value>& col : table_.cols) {
-        if (&col == src) return &col;
-      }
-      for (std::vector<Value>& col : scratch) {
-        if (&col == src) return &col;
-      }
-      return nullptr;
-    };
-    for (size_t c = 0; c < out_cols; ++c) {
-      if (out[c].col == nullptr) {
-        next->cols[c].assign(n, out[c].scalar);
+      if (p.layout.meta[i].kind != ColumnMeta::kEdge) continue;
+      if (is_return || p.agg >= 0) {
+        p.layout.meta[i] = ColumnMeta{};
         continue;
       }
-      std::vector<Value>* source =
-          borrows[out[c].col] == 1 ? find_mutable(out[c].col) : nullptr;
-      if (source != nullptr) {
-        next->cols[c] = std::move(*source);
-      } else {
-        next->cols[c] = *out[c].col;
-      }
+      p.carried.push_back(static_cast<size_t>(p.layout.meta[i].row_column));
+      p.layout.meta[i].row_column = static_cast<int>(
+          p.layout.Add("__row_" + items[i].alias, ColumnMeta{}));
     }
-    next->rows = n;
-    if (is_return) DropHidden(next, nullptr);
-    table_ = std::move(*next);
-    have_result_rows_ = false;
-    return Status::OK();
+    if (p.agg >= 0) return Aggregate(std::move(p));
+    return table_.Project(std::move(p), distinct);
   }
 
-  Status ProjectAggregate(const std::vector<Item>& items, size_t agg_pos,
-                          bool is_return, BindingBatch* next) {
-    // Aggregation (bag semantics over the binding table, Cypher-style):
-    // group keys and the aggregate argument are evaluated column-wise,
-    // then accumulated in one pass over the batch.
-    const Expr& agg_call = items[agg_pos].expr;
+  // Aggregation (bag semantics over the binding table, Cypher-style): the
+  // group keys are the other items, and the groups come out in key order.
+  Status Aggregate(Projection p) {
+    const size_t agg = static_cast<size_t>(p.agg);
+    const Expr& call = *p.exprs[agg];
+    std::vector<const Expr*> inputs;  // the group keys, then the argument
+    for (size_t i = 0; i < p.exprs.size(); ++i) {
+      if (i != agg) inputs.push_back(p.exprs[i]);
+    }
+    const size_t nkeys = inputs.size();
+    if (!call.children.empty()) inputs.push_back(&call.children[0]);
+
     struct AggState {
       int64_t count = 0;
       double sum = 0.0;
@@ -1805,61 +1232,44 @@ class BatchExecution {
       std::unordered_set<Tuple, TupleHash> distinct_args;
     };
     std::map<Tuple, AggState> groups;
-    const size_t n = table_.rows;
-    if (n > 0) {
-      EvalScratch scratch;
-      std::vector<BCol> key_cols;
-      key_cols.reserve(items.size() - 1);
-      for (size_t i = 0; i < items.size(); ++i) {
-        if (i == agg_pos) continue;
-        RAQLET_ASSIGN_OR_RETURN(BCol c, EvalBatch(items[i].expr, &scratch));
-        key_cols.push_back(c);
-      }
-      std::optional<BCol> arg_col;
-      if (!agg_call.children.empty()) {
-        RAQLET_ASSIGN_OR_RETURN(BCol c,
-                                EvalBatch(agg_call.children[0], &scratch));
-        arg_col = c;
-      }
-      Tuple key(key_cols.size());
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t k = 0; k < key_cols.size(); ++k) {
-          key[k] = key_cols[k].at(i);
-        }
-        AggState& state = groups[key];
-        Value arg =
-            arg_col.has_value() ? arg_col->at(i) : Value::Number(0);
-        if (agg_call.distinct_arg &&
-            !state.distinct_args.insert(Tuple{arg}).second) {
-          continue;
-        }
-        state.count += 1;
-        state.any_float |= arg.kind() == ValueType::kFloat;
-        state.sum += arg.NumericValue();
-        if (!state.min.has_value() ||
-            CompareValues(arg, *state.min, db_->symbols()) < 0) {
-          state.min = arg;
-        }
-        if (!state.max.has_value() ||
-            CompareValues(arg, *state.max, db_->symbols()) > 0) {
-          state.max = arg;
-        }
-      }
-    }
+    Tuple key;
+    RAQLET_RETURN_IF_ERROR(
+        table_.ForEachRow(inputs, [&](size_t, const Tuple& values) {
+          key.assign(values.begin(),
+                     values.begin() + static_cast<std::ptrdiff_t>(nkeys));
+          AggState& state = groups[key];
+          const Value arg =
+              values.size() > nkeys ? values[nkeys] : Value::Number(0);
+          if (call.distinct_arg &&
+              !state.distinct_args.insert(Tuple{arg}).second) {
+            return;
+          }
+          state.count += 1;
+          state.any_float |= arg.kind() == ValueType::kFloat;
+          state.sum += arg.NumericValue();
+          if (!state.min.has_value() ||
+              CompareValues(arg, *state.min, db_->symbols()) < 0) {
+            state.min = arg;
+          }
+          if (!state.max.has_value() ||
+              CompareValues(arg, *state.max, db_->symbols()) > 0) {
+            state.max = arg;
+          }
+        }));
 
-    std::vector<Tuple> out_rows;
-    out_rows.reserve(groups.size());
-    for (const auto& [key, state] : groups) {
+    std::vector<Tuple> rows;
+    rows.reserve(groups.size());
+    for (const auto& [group, state] : groups) {
       Value result;
-      if (agg_call.function == "count") {
+      if (call.function == "count") {
         result = Value::Number(state.count);
-      } else if (agg_call.function == "sum") {
+      } else if (call.function == "sum") {
         result = state.any_float
                      ? Value::Float(state.sum)
                      : Value::Number(static_cast<int64_t>(state.sum));
-      } else if (agg_call.function == "min") {
+      } else if (call.function == "min") {
         result = state.min.value_or(Value::Null());
-      } else if (agg_call.function == "max") {
+      } else if (call.function == "max") {
         result = state.max.value_or(Value::Null());
       } else {  // avg
         result = Value::Float(state.count == 0
@@ -1867,22 +1277,11 @@ class BatchExecution {
                                   : state.sum /
                                         static_cast<double>(state.count));
       }
-      Tuple out;
-      size_t ki = 0;
-      for (size_t i = 0; i < items.size(); ++i) {
-        if (i == agg_pos) {
-          out.push_back(result);
-        } else {
-          out.push_back(key[ki++]);
-        }
-      }
-      out_rows.push_back(std::move(out));
+      Tuple row = group;
+      row.insert(row.begin() + static_cast<std::ptrdiff_t>(agg), result);
+      rows.push_back(std::move(row));
     }
-    if (is_return) DropHidden(next, &out_rows);
-    table_ = std::move(*next);
-    table_.rows = out_rows.size();
-    result_rows_ = std::move(out_rows);
-    have_result_rows_ = true;
+    table_.Install(std::move(p.layout), std::move(rows));
     return Status::OK();
   }
 
@@ -1892,12 +1291,9 @@ class BatchExecution {
   GraphStats* stats_;
   obs::GraphMetrics* metrics_;
   const runtime::QueryGuard* guard_;
-  BindingBatch table_;
+  Table table_;
   Traversals trav_;
-  // Row-major form of the latest projection when it went through a dedup
-  // relation or aggregation; see EnsureColumnar.
-  std::vector<Tuple> result_rows_;
-  bool have_result_rows_ = false;
+  size_t unpaid_ = 0;  // emitted bindings not yet charged to the guard
 };
 
 }  // namespace
@@ -1908,11 +1304,11 @@ Result<ResultTable> GraphEngine::Run(const pgir::PgirQuery& query,
                                      const runtime::QueryGuard* guard) const {
   obs::TraceScope run_span("graph.run");
   if (options_.mode == GraphMode::kRowBinding) {
-    RowExecution exec(*store_, *dl_, db_, stats, metrics, guard);
-    return exec.Run(query);
+    return Execution<RowTable>(*store_, *dl_, db_, stats, metrics, guard)
+        .Run(query);
   }
-  BatchExecution exec(*store_, *dl_, db_, stats, metrics, guard);
-  return exec.Run(query);
+  return Execution<ColumnTable>(*store_, *dl_, db_, stats, metrics, guard)
+      .Run(query);
 }
 
 }  // namespace raqlet::engine

@@ -6,29 +6,29 @@
 // patterns expand via pointer traversal, variable-length and shortest
 // paths run BFS. This is the Table 1 "Neo4j" stand-in (DESIGN.md §2).
 //
-// Two execution modes share the traversal machinery (adjacency walks and
-// the memoized reachability closure) but differ in how the binding table
-// is represented — the axis the paper's per-binding-interpreter critique
-// is about:
+// One execution drives every query: the clause loop (guard poll,
+// graph.clause span, per-clause metrics), the pattern matcher with one
+// expander per pattern kind (lone node, single edge, variable-length or
+// shortest edge), the projection layout and the aggregation are written
+// once, over the traversal machinery (adjacency walks, BFS, and the
+// memoized reachability closure). Every expander scans unbound endpoints
+// through one helper and hands each match — a source row plus the values
+// it binds — to the binding table. The two modes differ only in that
+// table, the axis the paper's per-binding-interpreter critique is about:
 //
-//  * kColumnBatch (default): the binding table is columnar — one Value
-//    column per bound variable. MATCH expansion appends match columns
-//    and gathers prior columns through the match selection (no per-match
-//    row copy), WHERE filters compact via selection masks, the memoized
-//    reachability closure unions straight into a column, and RETURN/WITH
-//    projection evaluates items column-at-a-time with DISTINCT deduped
-//    once per batch through Relation::InsertColumns' flat open-addressing
-//    table (columnar in, columnar out; edge-id binding borrows the edge
-//    relation's column storage zero-copy). Aggregates (count/sum/min/max/
-//    avg) accumulate column-wise.
-//  * kRowBinding: the historical per-binding interpreter — every MATCH
-//    step copies and extends whole rows, one binding at a time, and
-//    DISTINCT rehashes tuple by tuple. Kept as the faithful per-binding
-//    stand-in for benchmarks and as the reference implementation the
-//    batch mode is differentially tested against.
+//  * kColumnBatch (default): one Value column per bound variable. A MATCH
+//    step records the match selection and gathers each prior column once
+//    through it (no per-match row copy), expressions are evaluated
+//    column-at-a-time, and DISTINCT dedups once per batch through
+//    Relation::InsertColumns.
+//  * kRowBinding: the per-binding interpreter. Every match copies and
+//    extends its source row, expressions are evaluated one row at a time,
+//    and DISTINCT rehashes tuple by tuple. It is the faithful per-binding
+//    stand-in for benchmarks and the reference for the representation.
 //
 // Both modes produce bit-identical results — the same rows in the same
-// order — which tests/cross_engine_test.cc asserts query by query.
+// order — and identical GraphStats and GraphMetrics, which
+// tests/cross_engine_test.cc asserts query by query.
 //
 // Semantics note: intermediate clauses follow Cypher's bag semantics;
 // RETURN DISTINCT deduplicates. The translated queries use DISTINCT (§3),
@@ -75,10 +75,12 @@ class GraphEngine {
   /// `metrics`, when given, additionally receives per-clause binding-table
   /// sizes, closure-cache hit/miss counts and the peak BFS frontier.
   ///
-  /// `guard`, when given, is polled per clause expansion and per BFS
-  /// frontier of this call. A trip aborts Run with the guard's terminal
-  /// Status and leaves the store and database reusable; re-running the
-  /// query is bit-identical to a never-tripped run.
+  /// `guard`, when given, is polled per clause and per BFS frontier of
+  /// this call. Each binding a MATCH expansion emits is charged once to
+  /// its row budget, in chunks of 64 that also poll it, so a budget trips
+  /// at most 64 rows past its limit. A trip aborts Run with the guard's
+  /// terminal Status and leaves the store and database reusable;
+  /// re-running the query is bit-identical to a never-tripped run.
   Result<ResultTable> Run(const pgir::PgirQuery& query,
                           GraphStats* stats = nullptr,
                           obs::GraphMetrics* metrics = nullptr,

@@ -1398,13 +1398,6 @@ Result<ResultTable> SqlEngine::Run(const SqirProgram& program, Database* db,
         ++iterations;
         if (stats != nullptr) ++stats->recursive_iterations;
         if (cm != nullptr) ++cm->iterations;
-        if (options_.max_recursive_iterations != 0 &&
-            iterations > options_.max_recursive_iterations) {
-          return Status::Unsupported(
-              "recursive CTE '" + cte.name + "' exceeded " +
-              std::to_string(options_.max_recursive_iterations) +
-              " iterations");
-        }
         obs::TraceScope round_span("sql.round",
                                    static_cast<int64_t>(iterations));
         // All branches of a round see the same delta; rows a branch

@@ -53,8 +53,6 @@ enum class SqlMode { kVectorized, kTuplePipeline };
 
 struct SqlOptions {
   SqlMode mode = SqlMode::kVectorized;
-  /// Safety valve for runaway recursive CTEs (0 = unlimited).
-  size_t max_recursive_iterations = 0;
   /// Worker threads for the vectorized batch pipeline (clamped to >= 1).
   /// 1 means strictly serial; results are identical for every value.
   int num_threads = 1;

@@ -53,7 +53,7 @@ const char* kGenders[] = {"female", "male", "nonbinary"};
 
 }  // namespace
 
-Status GenerateSnbData(const schema::DlSchema& dl, Database* db,
+Status GenerateSnbData(const schema::DlSchema& /*dl*/, Database* db,
                        const GeneratorOptions& options) {
   std::mt19937 rng(options.seed);
   const int persons = options.persons();

@@ -157,7 +157,6 @@ Result<Program> InlineRules(const Program& program) {
             if (atom.negated) continue;
             auto it = source_rule.find(atom.predicate);
             if (it == source_rule.end()) continue;
-            if (it->second == &rule) continue;  // cannot inline into itself
             dlir::VarGen gen(rule.AllVars());
             if (!InlineAt(&rule, i, *it->second, &gen)) {
               feasible = false;

@@ -5,9 +5,10 @@
 // row/memory budgets for one query evaluation.
 //
 // A QueryGuard is owned by the caller (CLI, test, future raqletd session)
-// and handed to the engines through their options structs. Engines poll it
-// at natural quiescence points — per fixpoint round, per CTE iteration,
-// per batch/chunk, per clause, per BFS frontier — never mid-tuple, so a
+// and handed to an engine as the trailing `guard` parameter of one run
+// call; no options struct carries it. Engines poll it at natural
+// quiescence points — per fixpoint round, per CTE iteration, per
+// batch/chunk, per clause, per BFS frontier — never mid-tuple, so a
 // trip can only be observed where the engine's existing error paths
 // already guarantee clean unwinding (pooled buffers reset, staged columns
 // dropped, partial IDB state cleared on the next run).
@@ -26,8 +27,9 @@
 //    the same Status, so a ParallelFor seeing trips in several chunks and
 //    RunSccDag's lowest-index-error discipline both report one cause.
 //  * Row budgets trip deterministically: AddRows() is fed the engines'
-//    deterministic tuple counters at round/iteration boundaries, so the
-//    same budget trips in the same round at any thread count.
+//    deterministic tuple counters at round/iteration boundaries (the
+//    graph engine: every 64 bindings a MATCH emits), so the same budget
+//    trips in the same round at any thread count.
 //  * Deadlines and Cancel() are wall-clock events; *when* they trip is
 //    inherently timing-dependent, but the terminal code and the clean
 //    post-trip state are not.

@@ -59,6 +59,25 @@ void FillDb(Database* db, int persons, int cities, int knows_edges,
   }
 }
 
+// The graph engine's work counters (GraphStats and GraphMetrics), which
+// both binding-table modes must report identically.
+std::string GraphCounters(const engine::GraphStats& stats,
+                          const obs::GraphMetrics& metrics) {
+  std::string out = "rows_expanded=" + std::to_string(stats.rows_expanded) +
+                    " bfs_visits=" + std::to_string(stats.bfs_visits) +
+                    " closure_hits=" +
+                    std::to_string(stats.closure_cache_hits) + "/" +
+                    std::to_string(metrics.closure_cache_hits) +
+                    " closure_misses=" +
+                    std::to_string(stats.closure_cache_misses) + "/" +
+                    std::to_string(metrics.closure_cache_misses) +
+                    " frontier_peak=" + std::to_string(metrics.frontier_peak);
+  for (const obs::GraphClauseMetrics& clause : metrics.clauses) {
+    out += " " + clause.kind + "=" + std::to_string(clause.rows_after);
+  }
+  return out;
+}
+
 struct EngineRuns {
   std::set<std::string> graph;
   std::set<std::string> datalog_unopt;
@@ -74,7 +93,8 @@ class CrossEngineTest : public ::testing::TestWithParam<int> {
   // class; everything else must agree.
   //
   // Determinism invariants asserted inside (exact rows, exact order):
-  //  * graph column-batch executor == graph row-binding interpreter
+  //  * graph column-batch executor == graph row-binding interpreter, work
+  //    counters included
   //  * Datalog at 1 thread == Datalog at 4 threads
   EngineRuns RunEverywhere(const std::string& query, bool* sql_supported) {
     Compiler compiler;
@@ -93,22 +113,30 @@ class CrossEngineTest : public ::testing::TestWithParam<int> {
 
     EngineRuns runs;
     // Graph engine: the column-batch executor must be bit-identical —
-    // same rows, same order — to the per-binding row interpreter it
-    // replaced on the default path.
+    // same rows, same order, same work counters — to the per-binding row
+    // interpreter.
     auto store = compiler.BuildGraphStore(db);
     EXPECT_TRUE(store.ok()) << store.status().ToString();
-    auto graph = compiler.RunOnGraph(unit->pgir, *store, &db);
+    engine::GraphStats batch_stats;
+    obs::QueryMetrics batch_metrics;
+    auto graph = compiler.RunOnGraph(unit->pgir, *store, &db, &batch_stats,
+                                     {}, &batch_metrics);
     EXPECT_TRUE(graph.ok()) << graph.status().ToString();
     if (graph.ok()) runs.graph = graph->ToStringSet(db.symbols());
     engine::GraphOptions row_mode;
     row_mode.mode = engine::GraphMode::kRowBinding;
-    auto graph_rows =
-        compiler.RunOnGraph(unit->pgir, *store, &db, nullptr, row_mode);
+    engine::GraphStats row_stats;
+    obs::QueryMetrics row_metrics;
+    auto graph_rows = compiler.RunOnGraph(unit->pgir, *store, &db, &row_stats,
+                                          row_mode, &row_metrics);
     EXPECT_TRUE(graph_rows.ok()) << graph_rows.status().ToString();
     if (graph.ok() && graph_rows.ok()) {
       EXPECT_EQ(graph->columns, graph_rows->columns) << query;
       EXPECT_EQ(graph->rows, graph_rows->rows)
           << "column-batch vs row-binding row order diverged: " << query;
+      EXPECT_EQ(GraphCounters(batch_stats, batch_metrics.graph),
+                GraphCounters(row_stats, row_metrics.graph))
+          << "column-batch vs row-binding work counters diverged: " << query;
     }
 
     // Datalog engine, unoptimized and aggressively optimized; the
@@ -204,6 +232,13 @@ TEST_P(CrossEngineTest, UnboundedReachability) {
   ExpectAllAgree(
       "MATCH (a:Person {id: 2})-[:KNOWS*]->(b:Person) "
       "RETURN DISTINCT b.id AS id");
+}
+
+TEST_P(CrossEngineTest, ZeroOrMoreHops) {
+  // `*0..` also pairs every person with itself, reachable or not.
+  ExpectAllAgree(
+      "MATCH (a:Person)-[:KNOWS*0..]->(b:Person) "
+      "RETURN DISTINCT a.id AS a, b.id AS b");
 }
 
 TEST_P(CrossEngineTest, ShortestPathLengths) {

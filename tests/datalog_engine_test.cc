@@ -9,6 +9,7 @@
 #include "dlir/parser.h"
 #include "engine/datalog/engine.h"
 #include "raqlet/compiler.h"
+#include "runtime/query_guard.h"
 #include "storage/database.h"
 
 namespace raqlet {
@@ -354,7 +355,7 @@ TEST(DatalogEngineTest, MissingInputRelationFails) {
 
 TEST(DatalogEngineTest, MaxIterationsGuard) {
   // Unbounded value invention: counter(x+1) :- counter(x). Never converges;
-  // the guard must stop it.
+  // a per-call row budget must stop it.
   constexpr char kDiverge[] = R"(
 .decl seed(x: number)
 .input seed
@@ -369,11 +370,11 @@ counter(x + 1) :- counter(x).
   s.columns = {{"x", ValueType::kNumber}};
   Relation* seed = *db.CreateRelation(s);
   seed->Insert({Value::Number(0)});
-  EvalOptions options;
-  options.max_iterations = 50;
-  DatalogEngine eng(options);
-  Status st = eng.Run(Parse(kDiverge), &db);
-  EXPECT_EQ(st.code(), StatusCode::kUnsupported);
+  runtime::QueryGuard guard;
+  guard.set_max_rows(50);
+  DatalogEngine eng;
+  Status st = eng.Run(Parse(kDiverge), &db, nullptr, nullptr, &guard);
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
 }
 
 TEST(DatalogEngineTest, OverwriteIdbOnRerun) {

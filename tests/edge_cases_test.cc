@@ -127,8 +127,12 @@ mean(k, avg(v)) :- m(k, v).
   const Relation* mean = *db.GetRelation("mean");
   ASSERT_EQ(mean->size(), 2u);
   for (const Tuple& row : mean->MaterializeRows()) {
-    if (row[0].AsNumber() == 1) EXPECT_DOUBLE_EQ(row[1].AsFloat(), 2.0);
-    if (row[0].AsNumber() == 2) EXPECT_DOUBLE_EQ(row[1].AsFloat(), 4.0);
+    if (row[0].AsNumber() == 1) {
+      EXPECT_DOUBLE_EQ(row[1].AsFloat(), 2.0);
+    }
+    if (row[0].AsNumber() == 2) {
+      EXPECT_DOUBLE_EQ(row[1].AsFloat(), 4.0);
+    }
   }
 }
 

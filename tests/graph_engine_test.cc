@@ -91,6 +91,31 @@ CREATE GRAPH {
   }
 }
 
+TEST(GraphDistinctTest, ReturnDistinctComparesReturnedColumnsOnly) {
+  // Two KNOWS edges share the id value 60. RETURN DISTINCT of the edge
+  // returns its id once, as Datalog does: the edge's hidden row column
+  // is not part of what RETURN compares.
+  Fixture f;
+  Relation* knows = *f.db.GetRelation("Person_KNOWS_Person");
+  ASSERT_TRUE(knows->Insert({Value::Number(2), Value::Number(4),
+                             Value::Number(60), Value::Number(2018)})
+                  .ok());
+  auto store = GraphStore::Build(f.dl, f.db);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto query =
+      Lower("MATCH (a:Person)-[r:KNOWS]->(b:Person) RETURN DISTINCT r AS e");
+  for (GraphMode mode : {GraphMode::kColumnBatch, GraphMode::kRowBinding}) {
+    GraphOptions options;
+    options.mode = mode;
+    GraphEngine engine(&*store, &f.dl, &f.db, options);
+    auto result = engine.Run(query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->columns, std::vector<std::string>{"e"});
+    EXPECT_EQ(result->rows.size(), 4u)
+        << (mode == GraphMode::kRowBinding ? "row binding" : "column batch");
+  }
+}
+
 TEST(GraphStoreTest, BuildsAdjacency) {
   Fixture f;
   auto store = GraphStore::Build(f.dl, f.db);

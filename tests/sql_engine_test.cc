@@ -176,28 +176,6 @@ nodes(y) :- edge(_, y).
   EXPECT_EQ(result->rows.size(), 4u);
 }
 
-TEST_P(SqlEngineModeTest, IterationCapStopsRunawayRecursion) {
-  // tc over a big cycle with a tiny cap.
-  std::vector<std::pair<int, int>> edges;
-  for (int i = 0; i < 50; ++i) edges.emplace_back(i, (i + 1) % 50);
-  Database db = MakeGraphDb(edges);
-  auto sqir = Translate(R"(
-.decl edge(x: number, y: number)
-.input edge
-.decl tc(x: number, y: number)
-.output tc
-tc(x, y) :- edge(x, y).
-tc(x, y) :- tc(x, z), edge(z, y).
-)");
-  SqlOptions options;
-  options.mode = GetParam();
-  options.max_recursive_iterations = 3;
-  SqlEngine engine(options);
-  auto result = engine.Run(sqir, &db);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kUnsupported);
-}
-
 TEST_P(SqlEngineModeTest, StringKeyedRecursiveCte) {
   Database db;
   RelationSchema s;
