@@ -5,7 +5,9 @@
 // Usage: ./build/examples/ldbc_snb [scale_factor]   (default 0.5)
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -28,7 +30,16 @@ double MeasureMs(const std::function<raqlet::Status()>& fn, bool* ok) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double sf = argc > 1 ? std::stod(argv[1]) : 0.5;
+  double sf = 0.5;
+  if (argc > 1) {
+    char* end = nullptr;
+    sf = std::strtod(argv[1], &end);
+    if (end == argv[1] || *end != '\0' || !std::isfinite(sf) || sf <= 0) {
+      std::cerr << "usage: ldbc_snb [scale_factor]   "
+                   "(a positive number, default 0.5)\n";
+      return 2;
+    }
+  }
 
   raqlet::Compiler compiler;
   if (!compiler.LoadPgSchema(raqlet::ldbc::SnbSchema()).ok()) return 1;

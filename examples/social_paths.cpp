@@ -7,6 +7,8 @@
 // Usage: ./build/examples/social_paths [scale_factor]   (default 0.3)
 
 #include <chrono>
+#include <cmath>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -28,7 +30,16 @@ double Ms(Clock::time_point a, Clock::time_point b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double sf = argc > 1 ? std::stod(argv[1]) : 0.3;
+  double sf = 0.3;
+  if (argc > 1) {
+    char* end = nullptr;
+    sf = std::strtod(argv[1], &end);
+    if (end == argv[1] || *end != '\0' || !std::isfinite(sf) || sf <= 0) {
+      std::cerr << "usage: social_paths [scale_factor]   "
+                   "(a positive number, default 0.3)\n";
+      return 2;
+    }
+  }
 
   raqlet::Compiler compiler;
   if (!compiler.LoadPgSchema(raqlet::ldbc::SnbSchema()).ok()) return 1;

@@ -1049,11 +1049,14 @@ class Execution {
         }
         return Emit(i, v);
       };
-      // Walks the edges of `from`, bound as the source, to `to` if given.
-      auto walk = [&](int64_t from, std::optional<int64_t> to) -> Status {
+      // Walks the edges of `from`, bound as the source (or, `reverse`, as
+      // the destination: walking backwards binds the source), to `to` if
+      // given.
+      auto walk = [&](int64_t from, std::optional<int64_t> to,
+                      bool reverse) -> Status {
         loops.clear();
         for (const auto* list :
-             trav_.Adjacent(upper, from, edge.direction, /*reverse=*/false)) {
+             trav_.Adjacent(upper, from, edge.direction, reverse)) {
           for (const GraphStore::Neighbor& nb : *list) {
             if (to.has_value() && nb.node != *to) continue;
             if (self && !dst_known && nb.node != from) continue;
@@ -1061,7 +1064,9 @@ class Execution {
                 !loops.insert(nb.edge_row).second) {
               continue;
             }
-            RAQLET_RETURN_IF_ERROR(emit(from, nb.node, nb.edge_row));
+            RAQLET_RETURN_IF_ERROR(reverse
+                                       ? emit(nb.node, from, nb.edge_row)
+                                       : emit(from, nb.node, nb.edge_row));
           }
         }
         return Status::OK();
@@ -1071,19 +1076,16 @@ class Execution {
         std::optional<int64_t> to;
         if (dst_known) to = table_.NumberAt(static_cast<size_t>(dst_col), i);
         RAQLET_RETURN_IF_ERROR(
-            walk(table_.NumberAt(static_cast<size_t>(src_col), i), to));
+            walk(table_.NumberAt(static_cast<size_t>(src_col), i), to,
+                 /*reverse=*/false));
       } else if (dst_known) {
-        // Walk backwards from the bound destination, binding the source.
-        const int64_t to = table_.NumberAt(static_cast<size_t>(dst_col), i);
-        for (const auto* list :
-             trav_.Adjacent(upper, to, edge.direction, /*reverse=*/true)) {
-          for (const GraphStore::Neighbor& nb : *list) {
-            RAQLET_RETURN_IF_ERROR(emit(nb.node, to, nb.edge_row));
-          }
-        }
+        RAQLET_RETURN_IF_ERROR(
+            walk(table_.NumberAt(static_cast<size_t>(dst_col), i),
+                 std::nullopt, /*reverse=*/true));
       } else {
         for (int64_t from : ScanNodes(edge.src, info->src_label)) {
-          RAQLET_RETURN_IF_ERROR(walk(from, std::nullopt));
+          RAQLET_RETURN_IF_ERROR(
+              walk(from, std::nullopt, /*reverse=*/false));
         }
       }
     }

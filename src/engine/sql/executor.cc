@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -33,77 +31,108 @@ using sqir::TableRef;
 using TableResolver =
     std::function<Result<const Relation*>(const std::string&)>;
 
-void CollectAliases(const Expr& e, std::set<std::string>* aliases) {
-  if (e.kind == Expr::kColumn) aliases->insert(e.table);
-  for (const Expr& child : e.children) CollectAliases(child, aliases);
+// True when every table alias `e` reads is in `bound`.
+bool ReadsOnly(const Expr& e, const std::set<std::string>& bound) {
+  if (e.kind == Expr::kColumn && bound.count(e.table) == 0) return false;
+  for (const Expr& child : e.children) {
+    if (!ReadsOnly(child, bound)) return false;
+  }
+  return true;
 }
 
-// One join step of the (shared) plan: scan or probe `table_index`, then
-// apply `filters`.
-struct ProbeSpec {
-  int column = 0;
-  const Expr* key_expr = nullptr;  // evaluated against earlier tables
+bool ReadsOnly(const Predicate& pred, const std::set<std::string>& bound) {
+  return ReadsOnly(pred.lhs, bound) && ReadsOnly(pred.rhs, bound);
+}
+
+// Whether `col_side = key_side` can probe table `alias`: a bare column of
+// `alias` keyed by an expression over the `bound` tables only.
+bool CanProbe(const Expr& col_side, const Expr& key_side,
+              const std::string& alias, const std::set<std::string>& bound) {
+  return col_side.kind == Expr::kColumn && col_side.table == alias &&
+         ReadsOnly(key_side, bound);
+}
+
+// A unit of n bindings of the FROM tables: rows[t][i] is the row table t
+// is bound to in binding i; only the first n entries of each array count.
+// The tuple pipeline carries one binding (n = 1) and rebinds it in place;
+// the vectorized pipeline carries a batch.
+struct Bindings {
+  std::vector<std::vector<uint32_t>> rows;  // [table][binding]
+  size_t n = 0;
 };
 
+// Keeps the bindings of `b` whose keep flag is set, in order.
+void Compact(const std::vector<char>& keep, Bindings* b) {
+  size_t kept = 0;
+  for (size_t i = 0; i < b->n; ++i) {
+    if (keep[i] == 0) continue;
+    for (std::vector<uint32_t>& rows : b->rows) {
+      if (!rows.empty()) rows[kept] = rows[i];
+    }
+    ++kept;
+  }
+  b->n = kept;
+}
+
+// An expression compiled at plan time: a column reference is resolved to
+// its table's position in the binding and a view of the column borrowed
+// for the whole evaluation. The views stay valid because the evaluation
+// reads everything before its output merges into a relation.
+struct Operand {
+  Expr::Kind kind = Expr::kConst;  // never kAgg
+  size_t table = 0;                // kColumn
+  Relation::ColumnView column;     // kColumn
+  Value value;                     // kConst, interned at plan time
+  dlir::ArithOp op = dlir::ArithOp::kAdd;  // kArith
+  std::vector<Operand> children;           // kArith
+};
+
+struct Comparison {
+  dlir::CmpOp op = dlir::CmpOp::kEq;
+  Operand lhs;
+  Operand rhs;
+};
+
+// One join step of the plan: scan or probe `table_index`, then apply
+// `filters`.
 struct StepPlan {
   size_t table_index = 0;
   const Relation* rel = nullptr;
-  std::vector<ProbeSpec> probes;
-  std::vector<int> probe_cols;  // probe columns, prebuilt for the index
-  const Relation::KeyIndex* index = nullptr;  // prebuilt when probes exist
-  std::vector<const Predicate*> filters;
-  // Vectorized metadata: batch slots filled by earlier steps (gathered
-  // through the match selection on extension) and the (relation column,
-  // slot) pairs this step's table materializes.
-  std::vector<size_t> prior_slots;
-  std::vector<std::pair<int, size_t>> new_cols;
-  // Zero-copy views of every column of `rel`, borrowed at plan time.
-  // Valid for the whole evaluation: the only relation mutated during it is
-  // the output, and merges happen after the pipeline's reads complete.
-  std::vector<Relation::ColumnView> rel_cols;
+  std::vector<Operand> probe_keys;  // keys of the probed columns
+  const Relation::KeyIndex* index = nullptr;  // over the probed columns
+  std::vector<Comparison> filters;
+  std::vector<size_t> prior;  // tables bound by earlier steps
 };
 
-// Prebuilt NOT EXISTS anti-join: resolved relation, key columns, index.
+// Prebuilt NOT EXISTS anti-join: the resolved relation, the keys of its
+// equality columns and the index over those columns.
 struct NePlan {
-  const NotExists* ne = nullptr;
   const Relation* rel = nullptr;
-  std::vector<int> cols;
-  const Relation::KeyIndex* index = nullptr;  // null when cols is empty
+  std::vector<Operand> keys;
+  const Relation::KeyIndex* index = nullptr;  // null without equalities
 };
 
-// One column of intermediate join bindings: either values the pipeline
-// owns (gathered through a match selection or computed) or a zero-copy
-// view borrowed straight from a Relation's column storage (the leading
-// full-table scan). The flag is explicit — an empty owned vector is a
-// legal filled column of zero rows, not a view marker.
-struct BatchColumn {
-  std::vector<Value> owned;
-  Relation::ColumnView view;
-  bool is_view = false;
-  size_t size() const { return is_view ? view.size() : owned.size(); }
-  Value at(size_t i) const { return is_view ? view.at(i) : owned[i]; }
-  void clear() {
-    owned.clear();
-    view = Relation::ColumnView();
-    is_view = false;
-  }
+struct AggState {
+  int64_t count = 0;
+  double sum = 0.0;
+  bool any_float = false;
+  std::optional<Value> min;
+  std::optional<Value> max;
 };
 
-// Columnar batch of intermediate join bindings: one column per referenced
-// table column (assigned a dense "slot"), rows are implicit. Slots of
-// tables not yet joined hold unfilled (zero-size, non-view) columns.
-struct Batch {
-  std::vector<BatchColumn> cols;  // indexed by slot
-  size_t rows = 0;
-};
-
-// An expression evaluated over a Batch: either a borrowed batch column
-// (one value per batch row) or a broadcast scalar. `at` re-boxes by value
-// — the underlying column may be an unboxed storage view.
-struct BatchCol {
-  const BatchColumn* col = nullptr;
-  Value scalar;
-  Value at(size_t i) const { return col != nullptr ? col->at(i) : scalar; }
+// One traversal's state: the serial pipeline's or one parallel chunk's.
+// Its counters fold into SqlStats and the CTE sink afterwards.
+struct Worker {
+  size_t rows_scanned = 0;
+  std::vector<obs::SqlStepMetrics> steps;  // per plan step; metrics only
+  size_t since_poll = 0;                   // emitted rows since a guard poll
+  std::vector<std::vector<Value>> cols;    // evaluated operands (scratch)
+  std::vector<char> keep;                  // compaction flags (scratch)
+  Tuple key;                               // probe key (scratch)
+  std::vector<std::vector<Value>> out;     // staged output columns
+  // Group key (the non-aggregate items, in item order) -> one state per
+  // aggregate item, in key order for determinism.
+  std::map<Tuple, std::vector<AggState>> groups;
 };
 
 // Minimum step-0 scan rows per parallel chunk; below this the pipeline
@@ -138,85 +167,38 @@ class SelectEvaluator {
     RAQLET_RETURN_IF_ERROR(Bind());
     RAQLET_RETURN_IF_ERROR(Plan());
     if (trivially_false_) return Status::OK();
-    // Per-step accumulators exist only when a sink is attached, so the
-    // hot loops' null checks keep the metrics-off path counter-free.
-    if (cte_metrics_ != nullptr) {
-      step_totals_.assign(plan_.size(), obs::SqlStepMetrics{});
-      for (size_t s = 0; s < plan_.size(); ++s) {
-        step_totals_[s].relation = plan_[s].rel->schema().name;
-      }
-    }
-    Status status = EvaluateDispatch(out);
-    if (status.ok()) MergeStepMetrics();
-    return status;
+    return Traverse(out);
   }
 
  private:
-  Status EvaluateDispatch(Relation* out) {
-    if (!select_.group_by.empty() || !agg_item_pos_.empty()) {
-      return EvaluateWithAggregation(out);
+  // The two modes differ only in traversal order. kVectorized goes
+  // breadth-first (a FROM-less select has no steps and takes the
+  // depth-first path in both modes); its non-aggregate selects may split
+  // the leading scan across the pool.
+  Status Traverse(Relation* out) {
+    const bool breadth_first = mode_ == SqlMode::kVectorized && !plan_.empty();
+    if (breadth_first && !aggregate_) return TraverseChunks(out);
+    Worker w = NewWorker();
+    if (breadth_first) {
+      // Single chunk: chunked accumulation would re-associate float sums
+      // and break the bit-identical-to-serial contract.
+      RAQLET_RETURN_IF_ERROR(
+          BreadthFirst(LeadScanBegin(), LeadScanEnd(), &w));
+    } else {
+      Bindings b;
+      b.rows.assign(tables_.size(), std::vector<uint32_t>(1));
+      b.n = 1;
+      RAQLET_RETURN_IF_ERROR(DepthFirst(0, &b, &w));
     }
-    if (mode_ == SqlMode::kVectorized && !plan_.empty()) {
-      return EvaluateVectorized(out);
-    }
-    // Tuple pipeline (also the trivial no-FROM path of both modes).
-    // The guard poll amortizes to one relaxed load per emitted row batch
-    // (kChunkRows), matching the vectorized path's per-chunk cadence.
-    size_t rows_since_check = 0;
-    RowBinding binding(tables_.size(), kUnbound);
-    return Descend(0, &binding, [&](const RowBinding& row) -> Status {
-      if (guard_ != nullptr && ++rows_since_check >= kChunkRows) {
-        rows_since_check = 0;
-        RAQLET_RETURN_IF_ERROR(guard_->Check());
-      }
-      RAQLET_ASSIGN_OR_RETURN(Tuple tuple, Project(row));
-      RAQLET_ASSIGN_OR_RETURN(bool fresh, out->Insert(tuple));
-      RecordDedup(1, fresh ? 1 : 0);
-      return Status::OK();
-    });
+    Fold(w, /*first_chunk=*/true);
+    if (aggregate_) StageGroups(&w);
+    return Merge(&w.out, out);
   }
 
-  // Folds this evaluation's per-step counters into the CTE sink, keyed by
-  // relation name in first-seen order (branches of one CTE plan different
-  // join orders, so position alone is not a stable key).
-  void MergeStepMetrics() {
-    if (cte_metrics_ == nullptr) return;
-    for (const obs::SqlStepMetrics& step : step_totals_) {
-      obs::SqlStepMetrics* dst = nullptr;
-      for (obs::SqlStepMetrics& existing : cte_metrics_->steps) {
-        if (existing.relation == step.relation) {
-          dst = &existing;
-          break;
-        }
-      }
-      if (dst == nullptr) {
-        cte_metrics_->steps.emplace_back();
-        dst = &cte_metrics_->steps.back();
-        dst->relation = step.relation;
-      }
-      dst->batches += step.batches;
-      dst->rows_in += step.rows_in;
-      dst->probes += step.probes;
-      dst->rows_matched += step.rows_matched;
-      dst->rows_out += step.rows_out;
-    }
-  }
-
-  void RecordDedup(size_t attempts, size_t inserted) {
-    if (cte_metrics_ == nullptr) return;
-    cte_metrics_->dedup_attempts += attempts;
-    cte_metrics_->dedup_inserted += inserted;
-  }
-
- private:
   struct BoundTable {
     std::string alias;
     const Relation* relation = nullptr;
   };
-  // The tuple pipeline's join state: the row index each table is bound
-  // to, kUnbound for tables not yet joined.
-  using RowBinding = std::vector<uint32_t>;
-  static constexpr uint32_t kUnbound = static_cast<uint32_t>(-1);
 
   Status Bind() {
     for (const TableRef& ref : select_.from) {
@@ -224,16 +206,60 @@ class SelectEvaluator {
       tables_.push_back(BoundTable{ref.alias, rel});
       alias_index_[ref.alias] = tables_.size() - 1;
     }
-    for (size_t i = 0; i < select_.items.size(); ++i) {
-      if (select_.items[i].expr.kind == Expr::kAgg) {
-        agg_item_pos_.push_back(i);
-      }
+    bool any_agg = false;
+    for (const SelectItem& item : select_.items) {
+      any_agg |= item.expr.kind == Expr::kAgg;
     }
+    if (!select_.group_by.empty() && !any_agg) {
+      return Status::Internal("aggregation context without aggregate item");
+    }
+    aggregate_ = any_agg;
     return Status::OK();
   }
 
-  int ColumnIndex(size_t table_index, const std::string& column) const {
-    return tables_[table_index].relation->schema().ColumnIndex(column);
+  // Resolves `e` against the bound tables and interns its constants, so
+  // evaluation never looks a column up by name or mutates the symbol
+  // table (worker threads evaluate concurrently).
+  Result<Operand> Compile(const Expr& e) const {
+    Operand op;
+    op.kind = e.kind;
+    switch (e.kind) {
+      case Expr::kColumn: {
+        auto it = alias_index_.find(e.table);
+        if (it == alias_index_.end()) {
+          return Status::Internal("unbound alias " + e.table);
+        }
+        const Relation* rel = tables_[it->second].relation;
+        int col = rel->schema().ColumnIndex(e.column);
+        if (col < 0) {
+          return Status::NotFound("no column " + e.column + " in " + e.table);
+        }
+        op.table = it->second;
+        op.column = rel->Column(static_cast<size_t>(col));
+        return op;
+      }
+      case Expr::kConst:
+        op.value = ConstantToValue(e.constant, &db_->symbols());
+        return op;
+      case Expr::kArith:
+        op.op = e.op;
+        for (const Expr& child : e.children) {
+          RAQLET_ASSIGN_OR_RETURN(Operand c, Compile(child));
+          op.children.push_back(std::move(c));
+        }
+        return op;
+      case Expr::kAgg:
+        break;
+    }
+    return Status::Internal("aggregate outside aggregation context");
+  }
+
+  Result<Comparison> Compile(const Predicate& pred) const {
+    Comparison c;
+    c.op = pred.op;
+    RAQLET_ASSIGN_OR_RETURN(c.lhs, Compile(pred.lhs));
+    RAQLET_ASSIGN_OR_RETURN(c.rhs, Compile(pred.rhs));
+    return c;
   }
 
   // Builds the per-step probe/filter plan. Join order is chosen greedily:
@@ -249,18 +275,15 @@ class SelectEvaluator {
     // Alias-free (constant-only) predicates can't be attached to a join
     // step — with an empty FROM list there are no steps at all — so they
     // are evaluated exactly once up front.
-    RowBinding no_rows(tables_.size(), kUnbound);
     for (size_t p = 0; p < select_.where.size(); ++p) {
       const Predicate& pred = select_.where[p];
-      std::set<std::string> aliases;
-      CollectAliases(pred.lhs, &aliases);
-      CollectAliases(pred.rhs, &aliases);
-      if (!aliases.empty()) continue;
-      RAQLET_ASSIGN_OR_RETURN(Value lhs, EvalExpr(pred.lhs, no_rows));
-      RAQLET_ASSIGN_OR_RETURN(Value rhs, EvalExpr(pred.rhs, no_rows));
-      if (!CheckCmp(pred.op, lhs, rhs, db_->symbols())) {
-        trivially_false_ = true;
-      }
+      if (!ReadsOnly(pred, bound)) continue;
+      RAQLET_ASSIGN_OR_RETURN(Comparison f, Compile(pred));
+      Bindings unit;  // one binding of no table
+      unit.n = 1;
+      Worker w;
+      RAQLET_RETURN_IF_ERROR(Test(f, unit, &w));
+      if (w.keep[0] == 0) trivially_false_ = true;
       used[p] = true;
     }
 
@@ -271,23 +294,16 @@ class SelectEvaluator {
         if (used[p]) continue;
         const Predicate& pred = select_.where[p];
         if (pred.op != dlir::CmpOp::kEq) continue;
-        auto counts = [&](const Expr& col_side, const Expr& key_side) {
-          if (col_side.kind != Expr::kColumn || col_side.table != alias) {
-            return false;
-          }
-          std::set<std::string> key_aliases;
-          CollectAliases(key_side, &key_aliases);
-          for (const std::string& a : key_aliases) {
-            if (bound.count(a) == 0) return false;
-          }
-          return true;
-        };
-        if (counts(pred.lhs, pred.rhs) || counts(pred.rhs, pred.lhs)) ++score;
+        if (CanProbe(pred.lhs, pred.rhs, alias, bound) ||
+            CanProbe(pred.rhs, pred.lhs, alias, bound)) {
+          ++score;
+        }
       }
       return score;
     };
 
     const bool forced_lead = delta_end_ != kNoDelta;
+    std::vector<size_t> prior;
     for (size_t n = 0; n < tables_.size(); ++n) {
       size_t i = 0;
       bool chosen = false;
@@ -323,49 +339,46 @@ class SelectEvaluator {
       StepPlan step;
       step.table_index = i;
       step.rel = tables_[i].relation;
+      step.prior = prior;
       const std::string& alias = tables_[i].alias;
       // Probes: eq predicates with a bare column of this table on one side
       // and the other side computable from earlier tables/constants. The
       // forced delta step takes none (a probe would bypass the scan-range
       // restriction); its eq predicates become step-0 filters instead.
+      std::vector<int> probe_cols;
+      std::vector<const Expr*> key_exprs;
       for (size_t p = 0;
            !(forced_lead && n == 0) && p < select_.where.size(); ++p) {
         if (used[p]) continue;
         const Predicate& pred = select_.where[p];
         if (pred.op != dlir::CmpOp::kEq) continue;
         auto try_probe = [&](const Expr& col_side, const Expr& key_side) {
-          if (col_side.kind != Expr::kColumn || col_side.table != alias) {
-            return false;
-          }
-          std::set<std::string> key_aliases;
-          CollectAliases(key_side, &key_aliases);
-          for (const std::string& a : key_aliases) {
-            if (bound.count(a) == 0) return false;
-          }
-          int col = ColumnIndex(i, col_side.column);
+          if (!CanProbe(col_side, key_side, alias, bound)) return false;
+          int col = step.rel->schema().ColumnIndex(col_side.column);
           if (col < 0) return false;
-          step.probes.push_back(ProbeSpec{col, &key_side});
+          probe_cols.push_back(col);
+          key_exprs.push_back(&key_side);
           return true;
         };
         if (try_probe(pred.lhs, pred.rhs) || try_probe(pred.rhs, pred.lhs)) {
           used[p] = true;
         }
       }
+      for (const Expr* key : key_exprs) {
+        RAQLET_ASSIGN_OR_RETURN(Operand op, Compile(*key));
+        step.probe_keys.push_back(std::move(op));
+      }
+      // Prebuilt (thread-safe EnsureIndex, before any worker runs) so the
+      // join loops only ever probe.
+      if (!probe_cols.empty()) step.index = step.rel->EnsureIndex(probe_cols);
       bound.insert(alias);
+      prior.push_back(i);
       // Filters: everything now fully bound.
       for (size_t p = 0; p < select_.where.size(); ++p) {
-        if (used[p]) continue;
-        std::set<std::string> aliases;
-        CollectAliases(select_.where[p].lhs, &aliases);
-        CollectAliases(select_.where[p].rhs, &aliases);
-        bool ready = true;
-        for (const std::string& a : aliases) {
-          if (bound.count(a) == 0) ready = false;
-        }
-        if (ready) {
-          step.filters.push_back(&select_.where[p]);
-          used[p] = true;
-        }
+        if (used[p] || !ReadsOnly(select_.where[p], bound)) continue;
+        RAQLET_ASSIGN_OR_RETURN(Comparison f, Compile(select_.where[p]));
+        step.filters.push_back(std::move(f));
+        used[p] = true;
       }
       plan_.push_back(std::move(step));
     }
@@ -376,676 +389,405 @@ class SelectEvaluator {
       }
     }
 
-    // Prebuild the probe indexes (thread-safe EnsureIndex, called before
-    // any worker runs) so the join loops only ever probe.
-    for (StepPlan& step : plan_) {
-      if (step.probes.empty()) continue;
-      for (const ProbeSpec& probe : step.probes) {
-        step.probe_cols.push_back(probe.column);
-      }
-      step.index = step.rel->EnsureIndex(step.probe_cols);
-    }
-
     // Resolve NOT EXISTS anti-joins once, up front.
     for (const NotExists& ne : select_.not_exists) {
       NePlan plan;
-      plan.ne = &ne;
       RAQLET_ASSIGN_OR_RETURN(plan.rel, resolver_(ne.table));
+      std::vector<int> cols;
       for (const auto& [column, expr] : ne.equalities) {
-        (void)expr;
         int col = plan.rel->schema().ColumnIndex(column);
         if (col < 0) {
           return Status::NotFound("no column " + column + " in " + ne.table);
         }
-        plan.cols.push_back(col);
+        cols.push_back(col);
+        RAQLET_ASSIGN_OR_RETURN(Operand key, Compile(expr));
+        plan.keys.push_back(std::move(key));
       }
-      if (!plan.cols.empty()) {
-        plan.index = plan.rel->EnsureIndex(plan.cols);
-      }
+      if (!cols.empty()) plan.index = plan.rel->EnsureIndex(cols);
       ne_plans_.push_back(std::move(plan));
     }
 
-    PreinternConstants();
-
-    if (mode_ == SqlMode::kVectorized && !plan_.empty()) {
-      // Borrow every table's column storage once, up front (cheap view
-      // handles; see the Relation borrowing contract). The pipeline reads
-      // finish before results merge into the output relation, so the
-      // views stay valid even when a recursive CTE scans itself.
-      for (StepPlan& step : plan_) {
-        step.rel_cols.reserve(step.rel->arity());
-        for (size_t c = 0; c < step.rel->arity(); ++c) {
-          step.rel_cols.push_back(step.rel->Column(c));
-        }
-      }
-      return BuildBatchSlots();
-    }
-    return Status::OK();
-  }
-
-  // Interns every constant of the SELECT once, so expression evaluation
-  // never mutates the symbol table afterwards (worker threads evaluate
-  // expressions concurrently during the parallel batch pipeline).
-  void PreinternConstants() {
-    auto walk = [&](auto&& self, const Expr& e) -> void {
-      if (e.kind == Expr::kConst) {
-        const_values_.emplace(&e, ConstantToValue(e.constant, &db_->symbols()));
-      }
-      for (const Expr& child : e.children) self(self, child);
-    };
-    for (const SelectItem& item : select_.items) walk(walk, item.expr);
-    for (const Predicate& pred : select_.where) {
-      walk(walk, pred.lhs);
-      walk(walk, pred.rhs);
-    }
-    for (const NotExists& ne : select_.not_exists) {
-      for (const auto& [column, expr] : ne.equalities) {
-        (void)column;
-        walk(walk, expr);
-      }
-    }
-    for (const Expr& e : select_.group_by) walk(walk, e);
-  }
-
-  // Assigns a dense batch slot to every (table, column) pair referenced by
-  // the plan's probe keys and filters, the select items, the NOT EXISTS
-  // keys and GROUP BY — the columns the batch pipeline materializes.
-  Status BuildBatchSlots() {
-    slot_of_.assign(tables_.size(), std::map<int, size_t>());
-    for (const StepPlan& step : plan_) {
-      for (const ProbeSpec& probe : step.probes) {
-        RAQLET_RETURN_IF_ERROR(CollectSlots(*probe.key_expr));
-      }
-      for (const Predicate* pred : step.filters) {
-        RAQLET_RETURN_IF_ERROR(CollectSlots(pred->lhs));
-        RAQLET_RETURN_IF_ERROR(CollectSlots(pred->rhs));
-      }
-    }
+    // Select items: the projected (or grouping) expressions and, under
+    // aggregation, each aggregate's argument (none for count(*)).
     for (const SelectItem& item : select_.items) {
-      RAQLET_RETURN_IF_ERROR(CollectSlots(item.expr));
-    }
-    for (const NotExists& ne : select_.not_exists) {
-      for (const auto& [column, expr] : ne.equalities) {
-        (void)column;
-        RAQLET_RETURN_IF_ERROR(CollectSlots(expr));
-      }
-    }
-    for (const Expr& e : select_.group_by) {
-      RAQLET_RETURN_IF_ERROR(CollectSlots(e));
-    }
-    // Per-step materialization lists: which slots exist before the step
-    // (to gather through the match selection) and which it fills.
-    std::vector<size_t> live;
-    for (StepPlan& step : plan_) {
-      step.prior_slots = live;
-      for (const auto& [col, slot] : slot_of_[step.table_index]) {
-        step.new_cols.emplace_back(col, slot);
-        live.push_back(slot);
+      if (item.expr.kind != Expr::kAgg) {
+        RAQLET_ASSIGN_OR_RETURN(Operand op, Compile(item.expr));
+        keys_.push_back(std::move(op));
+      } else if (item.expr.children.empty()) {
+        agg_args_.emplace_back(std::nullopt);
+      } else {
+        RAQLET_ASSIGN_OR_RETURN(Operand op, Compile(item.expr.children[0]));
+        agg_args_.emplace_back(std::move(op));
       }
     }
     return Status::OK();
   }
 
-  Status CollectSlots(const Expr& e) {
-    if (e.kind == Expr::kColumn) {
-      auto it = alias_index_.find(e.table);
-      if (it == alias_index_.end()) {
-        return Status::Internal("unbound alias " + e.table);
-      }
-      int col = ColumnIndex(it->second, e.column);
-      if (col < 0) {
-        return Status::NotFound("no column " + e.column + " in " + e.table);
-      }
-      std::map<int, size_t>& slots = slot_of_[it->second];
-      if (slots.find(col) == slots.end()) {
-        slots.emplace(col, slot_count_++);
-      }
-    }
-    for (const Expr& child : e.children) {
-      RAQLET_RETURN_IF_ERROR(CollectSlots(child));
-    }
-    return Status::OK();
-  }
+  // ---------------------------------------------------------------------
+  // The pipeline's operators, each over a unit of n bindings
+  // ---------------------------------------------------------------------
 
-  Result<Value> EvalExpr(const Expr& e, const RowBinding& row) const {
+  // Appends the value of `e` in each binding of `b` to `out`.
+  static Status Eval(const Operand& e, const Bindings& b,
+                     std::vector<Value>* out) {
     switch (e.kind) {
       case Expr::kColumn: {
-        auto it = alias_index_.find(e.table);
-        if (it == alias_index_.end() || row[it->second] == kUnbound) {
-          return Status::Internal("unbound alias " + e.table);
-        }
-        int col = ColumnIndex(it->second, e.column);
-        if (col < 0) {
-          return Status::NotFound("no column " + e.column + " in " + e.table);
-        }
-        return tables_[it->second].relation->ValueAt(
-            row[it->second], static_cast<size_t>(col));
-      }
-      case Expr::kConst: {
-        auto it = const_values_.find(&e);
-        if (it != const_values_.end()) return it->second;
-        return ConstantToValue(e.constant, &db_->symbols());
+        const uint32_t* rows = b.rows[e.table].data();
+        for (size_t i = 0; i < b.n; ++i) out->push_back(e.column.at(rows[i]));
+        return Status::OK();
       }
       case Expr::kArith: {
-        RAQLET_ASSIGN_OR_RETURN(Value lhs, EvalExpr(e.children[0], row));
-        RAQLET_ASSIGN_OR_RETURN(Value rhs, EvalExpr(e.children[1], row));
-        return EvalArith(e.op, lhs, rhs);
+        std::vector<Value> lhs;
+        std::vector<Value> rhs;
+        RAQLET_RETURN_IF_ERROR(Eval(e.children[0], b, &lhs));
+        RAQLET_RETURN_IF_ERROR(Eval(e.children[1], b, &rhs));
+        for (size_t i = 0; i < b.n; ++i) {
+          RAQLET_ASSIGN_OR_RETURN(Value v, EvalArith(e.op, lhs[i], rhs[i]));
+          out->push_back(v);
+        }
+        return Status::OK();
       }
-      case Expr::kAgg:
-        return Status::Internal("aggregate outside aggregation context");
+      default:
+        out->insert(out->end(), b.n, e.value);
+        return Status::OK();
     }
-    return Status::Internal("unhandled expr kind");
   }
 
-  // ---------------------------------------------------------------------
-  // Tuple pipeline (depth-first, row at a time)
-  // ---------------------------------------------------------------------
+  // Scratch column k of `w`, emptied.
+  static std::vector<Value>* Scratch(size_t k, Worker* w) {
+    if (w->cols.size() <= k) w->cols.resize(k + 1);
+    w->cols[k].clear();
+    return &w->cols[k];
+  }
 
-  // Extends `row` with every matching row of one step, invoking `sink`.
-  // (The binding slot is restored afterwards.)
-  template <typename Sink>
-  Status ExtendOne(const StepPlan& step, RowBinding* row, Sink sink) {
-    // Tuple mode works in unit batches: one binding row per invocation.
-    obs::SqlStepMetrics* sm =
-        step_totals_.empty() ? nullptr : &step_totals_[&step - plan_.data()];
-    if (sm != nullptr) {
-      ++sm->batches;
-      ++sm->rows_in;
-      if (!step.probes.empty()) ++sm->probes;
+  // Evaluates `ops` over `b` into the scratch columns [0, ops.size()).
+  static Status EvalAll(const std::vector<Operand>& ops, const Bindings& b,
+                        Worker* w) {
+    for (size_t k = 0; k < ops.size(); ++k) {
+      RAQLET_RETURN_IF_ERROR(Eval(ops[k], b, Scratch(k, w)));
     }
+    return Status::OK();
+  }
 
-    auto try_row = [&](uint32_t candidate) -> Status {
-      if (stats_ != nullptr) ++stats_->rows_scanned;
-      if (sm != nullptr) ++sm->rows_matched;
-      (*row)[step.table_index] = candidate;
-      for (const Predicate* pred : step.filters) {
-        RAQLET_ASSIGN_OR_RETURN(Value lhs, EvalExpr(pred->lhs, *row));
-        RAQLET_ASSIGN_OR_RETURN(Value rhs, EvalExpr(pred->rhs, *row));
-        if (!CheckCmp(pred->op, lhs, rhs, db_->symbols())) {
-          (*row)[step.table_index] = kUnbound;
-          return Status::OK();
+  // Binding i's key from the scratch columns w->cols[0, width).
+  static const Tuple& KeyAt(size_t i, size_t width, Worker* w) {
+    w->key.resize(width);
+    for (size_t k = 0; k < width; ++k) w->key[k] = w->cols[k][i];
+    return w->key;
+  }
+
+  // Sets w->keep[i] to whether `c` holds in binding i of `b`.
+  Status Test(const Comparison& c, const Bindings& b, Worker* w) const {
+    RAQLET_RETURN_IF_ERROR(Eval(c.lhs, b, Scratch(0, w)));
+    RAQLET_RETURN_IF_ERROR(Eval(c.rhs, b, Scratch(1, w)));
+    w->keep.resize(b.n);
+    for (size_t i = 0; i < b.n; ++i) {
+      w->keep[i] = CheckCmp(c.op, w->cols[0][i], w->cols[1][i],
+                            db_->symbols());
+    }
+    return Status::OK();
+  }
+
+  // One join step over the unit `b`: calls `visit(i, row)` for every row
+  // of step s's table that binding i joins with — the index matches of its
+  // probe key, or else each row of the scan range [begin, end).
+  template <typename Visit>
+  Status Join(size_t s, const Bindings& b, size_t begin, size_t end,
+              Worker* w, Visit visit) const {
+    const StepPlan& step = plan_[s];
+    const size_t n = b.n;  // a depth-first visit rebinds `b`
+    if (!w->steps.empty()) {
+      obs::SqlStepMetrics& sm = w->steps[s];
+      ++sm.batches;
+      sm.rows_in += n;
+      if (step.index != nullptr) sm.probes += n;
+    }
+    if (step.index == nullptr) {
+      end = std::min(end, step.rel->size());
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t row = begin; row < end; ++row) {
+          RAQLET_RETURN_IF_ERROR(visit(i, static_cast<uint32_t>(row)));
         }
-      }
-      if (sm != nullptr) ++sm->rows_out;
-      Status s = sink(*row);
-      (*row)[step.table_index] = kUnbound;
-      return s;
-    };
-
-    if (!step.probes.empty()) {
-      probe_key_.clear();
-      for (const ProbeSpec& probe : step.probes) {
-        RAQLET_ASSIGN_OR_RETURN(Value v, EvalExpr(*probe.key_expr, *row));
-        probe_key_.push_back(v);
-      }
-      auto it = step.index->find(probe_key_);
-      if (it == step.index->end()) return Status::OK();
-      for (uint32_t row_idx : it->second) {
-        RAQLET_RETURN_IF_ERROR(try_row(row_idx));
       }
       return Status::OK();
     }
-    // The leading step scans its range (the delta suffix when
-    // semi-naive); later steps scan the whole table.
-    const bool lead = &step == &plan_.front();
-    const size_t end = lead ? LeadScanEnd() : step.rel->size();
-    for (size_t r = lead ? LeadScanBegin() : 0; r < end; ++r) {
-      RAQLET_RETURN_IF_ERROR(try_row(static_cast<uint32_t>(r)));
+    RAQLET_RETURN_IF_ERROR(EvalAll(step.probe_keys, b, w));
+    for (size_t i = 0; i < n; ++i) {
+      auto it = step.index->find(KeyAt(i, step.probe_keys.size(), w));
+      if (it == step.index->end()) continue;
+      for (uint32_t row : it->second) RAQLET_RETURN_IF_ERROR(visit(i, row));
     }
     return Status::OK();
   }
 
-  template <typename Sink>
-  Status Descend(size_t step_index, RowBinding* row, Sink sink) {
-    if (step_index == plan_.size()) {
-      RAQLET_ASSIGN_OR_RETURN(bool keep, PassesNotExists(*row));
-      if (!keep) return Status::OK();
-      return sink(*row);
+  // The filter step: counts step s's matches, bound in `b`, and keeps the
+  // bindings that pass each of the step's filters in turn.
+  Status Filter(size_t s, Bindings* b, Worker* w) const {
+    obs::SqlStepMetrics* sm = w->steps.empty() ? nullptr : &w->steps[s];
+    w->rows_scanned += b->n;
+    if (sm != nullptr) sm->rows_matched += b->n;
+    for (const Comparison& c : plan_[s].filters) {
+      if (b->n == 0) break;
+      RAQLET_RETURN_IF_ERROR(Test(c, *b, w));
+      Compact(w->keep, b);
     }
-    return ExtendOne(plan_[step_index], row, [&](const RowBinding& r) {
-      RowBinding copy = r;
-      return Descend(step_index + 1, &copy, sink);
-    });
+    if (sm != nullptr) sm->rows_out += b->n;
+    return Status::OK();
   }
 
-  Result<bool> PassesNotExists(const RowBinding& row) const {
-    for (const NePlan& plan : ne_plans_) {
-      bool exists;
-      if (plan.cols.empty()) {
-        exists = !plan.rel->empty();
-      } else {
-        Tuple key;
-        key.reserve(plan.cols.size());
-        for (const auto& [column, expr] : plan.ne->equalities) {
-          (void)column;
-          RAQLET_ASSIGN_OR_RETURN(Value v, EvalExpr(expr, row));
-          key.push_back(v);
-        }
-        exists = plan.index->find(key) != plan.index->end();
+  // The end of the pipeline: the NOT EXISTS probe drops every binding
+  // whose key a NOT EXISTS table holds, then the survivors are projected
+  // into the staged output columns or accumulated into the groups.
+  Status Finish(Bindings* b, Worker* w) const {
+    for (const NePlan& ne : ne_plans_) {
+      if (b->n == 0) return Status::OK();
+      if (ne.index == nullptr) {
+        if (!ne.rel->empty()) b->n = 0;
+        continue;
       }
-      if (exists) return false;
+      RAQLET_RETURN_IF_ERROR(EvalAll(ne.keys, *b, w));
+      w->keep.resize(b->n);
+      for (size_t i = 0; i < b->n; ++i) {
+        w->keep[i] =
+            ne.index->find(KeyAt(i, ne.keys.size(), w)) == ne.index->end();
+      }
+      Compact(w->keep, b);
     }
-    return true;
-  }
-
-  Result<Tuple> Project(const RowBinding& row) const {
-    Tuple out;
-    out.reserve(select_.items.size());
-    for (const SelectItem& item : select_.items) {
-      RAQLET_ASSIGN_OR_RETURN(Value v, EvalExpr(item.expr, row));
-      out.push_back(v);
+    if (!aggregate_) {
+      for (size_t j = 0; j < keys_.size(); ++j) {
+        RAQLET_RETURN_IF_ERROR(Eval(keys_[j], *b, &w->out[j]));
+      }
+      return Status::OK();
     }
-    return out;
+    // Accumulate: group keys in w->cols[0, nk), aggregate arguments after.
+    const size_t nk = keys_.size();
+    RAQLET_RETURN_IF_ERROR(EvalAll(keys_, *b, w));
+    for (size_t a = 0; a < agg_args_.size(); ++a) {
+      std::vector<Value>* arg = Scratch(nk + a, w);
+      if (agg_args_[a].has_value()) {
+        RAQLET_RETURN_IF_ERROR(Eval(*agg_args_[a], *b, arg));
+      }
+    }
+    for (size_t i = 0; i < b->n; ++i) {
+      std::vector<AggState>& states = w->groups[KeyAt(i, nk, w)];
+      states.resize(agg_args_.size());
+      for (size_t a = 0; a < agg_args_.size(); ++a) {
+        AggState& state = states[a];
+        state.count += 1;
+        if (!agg_args_[a].has_value()) continue;
+        const Value& v = w->cols[nk + a][i];
+        state.any_float |= v.kind() == ValueType::kFloat;
+        state.sum += v.NumericValue();
+        if (!state.min.has_value() ||
+            CompareValues(v, *state.min, db_->symbols()) < 0) {
+          state.min = v;
+        }
+        if (!state.max.has_value() ||
+            CompareValues(v, *state.max, db_->symbols()) > 0) {
+          state.max = v;
+        }
+      }
+    }
+    return Status::OK();
   }
 
   // ---------------------------------------------------------------------
-  // Vectorized pipeline (column batches, breadth-first)
+  // Traversal orders
   // ---------------------------------------------------------------------
 
-  Result<BatchCol> EvalExprBatch(const Expr& e, const Batch& b,
-                                 std::deque<BatchColumn>* scratch) const {
-    switch (e.kind) {
-      case Expr::kColumn: {
-        auto it = alias_index_.find(e.table);
-        if (it == alias_index_.end()) {
-          return Status::Internal("unbound alias " + e.table);
-        }
-        int col = ColumnIndex(it->second, e.column);
-        auto slot_it = slot_of_[it->second].find(col);
-        if (col < 0 || slot_it == slot_of_[it->second].end()) {
-          return Status::NotFound("no column " + e.column + " in " + e.table);
-        }
-        BatchCol out;
-        out.col = &b.cols[slot_it->second];
-        return out;
+  // Tuple pipeline: depth-first from step s over a unit of one binding,
+  // rebinding step s's table in place for each of its matches.
+  Status DepthFirst(size_t s, Bindings* b, Worker* w) const {
+    if (s == plan_.size()) {
+      RAQLET_RETURN_IF_ERROR(Finish(b, w));
+      // The guard poll amortizes to one relaxed load per kChunkRows
+      // emitted rows, the vectorized pipeline's per-chunk cadence.
+      if (guard_ != nullptr && !aggregate_ &&
+          (w->since_poll += b->n) >= kChunkRows) {
+        w->since_poll = 0;
+        return guard_->Check();
       }
-      case Expr::kConst: {
-        auto it = const_values_.find(&e);
-        if (it == const_values_.end()) {
-          // Every constant is interned by PreinternConstants before the
-          // batch pipeline runs; falling back to ConstantToValue here
-          // would mutate the SymbolTable from worker threads. Fail loudly
-          // if a new Expr source is ever missed.
-          return Status::Internal("constant not pre-interned: " +
-                                  e.ToString());
-        }
-        BatchCol out;
-        out.scalar = it->second;
-        return out;
-      }
-      case Expr::kArith: {
-        RAQLET_ASSIGN_OR_RETURN(BatchCol lhs,
-                                EvalExprBatch(e.children[0], b, scratch));
-        RAQLET_ASSIGN_OR_RETURN(BatchCol rhs,
-                                EvalExprBatch(e.children[1], b, scratch));
-        if (lhs.col == nullptr && rhs.col == nullptr) {
-          RAQLET_ASSIGN_OR_RETURN(Value v,
-                                  EvalArith(e.op, lhs.scalar, rhs.scalar));
-          BatchCol out;
-          out.scalar = v;
-          return out;
-        }
-        scratch->emplace_back();
-        BatchColumn& dst = scratch->back();
-        dst.owned.resize(b.rows);
-        for (size_t i = 0; i < b.rows; ++i) {
-          RAQLET_ASSIGN_OR_RETURN(dst.owned[i],
-                                  EvalArith(e.op, lhs.at(i), rhs.at(i)));
-        }
-        BatchCol out;
-        out.col = &dst;
-        return out;
-      }
-      case Expr::kAgg:
-        return Status::Internal("aggregate outside aggregation context");
+      return Status::OK();
     }
-    return Status::Internal("unhandled expr kind");
+    const bool lead = s == 0;
+    const size_t table = plan_[s].table_index;
+    return Join(s, *b, lead ? LeadScanBegin() : 0,
+                lead ? LeadScanEnd() : plan_[s].rel->size(), w,
+                [&](size_t, uint32_t row) -> Status {
+                  b->rows[table][0] = row;
+                  Status status = Filter(s, b, w);
+                  if (status.ok() && b->n == 1) {
+                    status = DepthFirst(s + 1, b, w);
+                  }
+                  b->n = 1;  // a filter or NOT EXISTS may have dropped it
+                  return status;
+                });
   }
 
-  // Drops batch rows whose keep flag is 0, compacting every live column
-  // (stable). Owned columns compact in place; borrowed storage views
-  // materialize their survivors into owned values (first copy those rows
-  // ever see).
-  void CompactBatch(Batch* b, const std::vector<char>& keep) const {
-    size_t kept = 0;
-    for (size_t i = 0; i < b->rows; ++i) kept += keep[i] != 0;
-    if (kept == b->rows) return;
-    for (BatchColumn& col : b->cols) {
-      if (col.size() == 0) continue;  // unfilled slot
-      if (col.is_view) {
-        col.owned.clear();
-        col.owned.reserve(kept);
-        for (size_t i = 0; i < b->rows; ++i) {
-          if (keep[i]) col.owned.push_back(col.view.at(i));
-        }
-        col.view = Relation::ColumnView();
-        col.is_view = false;
-        continue;
-      }
-      size_t w = 0;
-      for (size_t i = 0; i < b->rows; ++i) {
-        if (keep[i]) col.owned[w++] = col.owned[i];
-      }
-      col.owned.resize(w);
-    }
-    b->rows = kept;
-  }
-
-  // One batch join step: evaluate the probe keys column-at-a-time, probe
-  // the prebuilt hash index once per batch of keys (or scan `[begin,end)`
-  // of the table when there are no probes), gather the surviving prior
-  // columns through the match selection, materialize this table's
-  // columns, and apply the step's filters as selection masks. A leading
-  // scan does not gather at all: it borrows the table's column storage as
-  // zero-copy views — values are first copied only when a filter compacts
-  // or a later step gathers through its match selection.
-  Status ExtendBatch(const StepPlan& step, size_t begin, size_t end,
-                     Batch* batch, size_t* scanned,
-                     obs::SqlStepMetrics* sm) const {
-    Batch in = std::move(*batch);
-    Batch out;
-    out.cols.resize(slot_count_);
-    std::deque<BatchColumn> scratch;
-    if (sm != nullptr) {
-      ++sm->batches;
-      sm->rows_in += in.rows;
-      if (!step.probes.empty()) sm->probes += in.rows;
-    }
-    if (!step.probes.empty()) {
-      std::vector<uint32_t> src;    // batch row of each match
-      std::vector<uint32_t> match;  // table row of each match
-      std::vector<BatchCol> keys;
-      keys.reserve(step.probes.size());
-      for (const ProbeSpec& probe : step.probes) {
-        RAQLET_ASSIGN_OR_RETURN(BatchCol key,
-                                EvalExprBatch(*probe.key_expr, in, &scratch));
-        keys.push_back(key);
-      }
-      Tuple key(step.probes.size());
-      for (size_t i = 0; i < in.rows; ++i) {
-        for (size_t k = 0; k < keys.size(); ++k) key[k] = keys[k].at(i);
-        auto it = step.index->find(key);
-        if (it == step.index->end()) continue;
-        *scanned += it->second.size();
-        for (uint32_t row_idx : it->second) {
-          src.push_back(static_cast<uint32_t>(i));
-          match.push_back(row_idx);
-        }
-      }
-      out.rows = src.size();
-      for (size_t slot : step.prior_slots) {
-        const BatchColumn& sv = in.cols[slot];
-        std::vector<Value>& dst = out.cols[slot].owned;
-        dst.resize(src.size());
-        for (size_t k = 0; k < src.size(); ++k) dst[k] = sv.at(src[k]);
-      }
-      for (const auto& [col, slot] : step.new_cols) {
-        const Relation::ColumnView& cv =
-            step.rel_cols[static_cast<size_t>(col)];
-        std::vector<Value>& dst = out.cols[slot].owned;
-        dst.resize(match.size());
-        for (size_t k = 0; k < match.size(); ++k) dst[k] = cv.at(match[k]);
-      }
-    } else {
-      const size_t limit = std::min(end, step.rel->size());
-      const size_t count = limit > begin ? limit - begin : 0;
-      *scanned += in.rows * count;
-      if (in.rows == 1 && step.prior_slots.empty()) {
-        // Leading scan over the unit batch: zero-copy column borrow.
-        out.rows = count;
-        for (const auto& [col, slot] : step.new_cols) {
-          out.cols[slot].view =
-              step.rel->ColumnSlice(static_cast<size_t>(col), begin, limit);
-          out.cols[slot].is_view = true;
-        }
-      } else {
-        // Cross-join step: every batch row pairs with every table row.
-        out.rows = in.rows * count;
-        for (size_t slot : step.prior_slots) {
-          const BatchColumn& sv = in.cols[slot];
-          std::vector<Value>& dst = out.cols[slot].owned;
-          dst.reserve(out.rows);
-          for (size_t i = 0; i < in.rows; ++i) {
-            for (size_t r = 0; r < count; ++r) dst.push_back(sv.at(i));
-          }
-        }
-        for (const auto& [col, slot] : step.new_cols) {
-          const Relation::ColumnView& cv =
-              step.rel_cols[static_cast<size_t>(col)];
-          std::vector<Value>& dst = out.cols[slot].owned;
-          dst.reserve(out.rows);
-          for (size_t i = 0; i < in.rows; ++i) {
-            for (size_t r = begin; r < limit; ++r) dst.push_back(cv.at(r));
-          }
-        }
-      }
-    }
-
-    if (sm != nullptr) sm->rows_matched += out.rows;
-
-    // Filters compact after each predicate, so later predicates (and their
-    // arithmetic) never see rows an earlier predicate already excluded —
-    // same short-circuit the tuple pipeline gets per row.
-    for (const Predicate* pred : step.filters) {
-      if (out.rows == 0) break;
-      std::deque<BatchColumn> fscratch;
-      RAQLET_ASSIGN_OR_RETURN(BatchCol lhs,
-                              EvalExprBatch(pred->lhs, out, &fscratch));
-      RAQLET_ASSIGN_OR_RETURN(BatchCol rhs,
-                              EvalExprBatch(pred->rhs, out, &fscratch));
-      std::vector<char> keep(out.rows);
-      for (size_t i = 0; i < out.rows; ++i) {
-        keep[i] = CheckCmp(pred->op, lhs.at(i), rhs.at(i), db_->symbols());
-      }
-      CompactBatch(&out, keep);
-    }
-    if (sm != nullptr) sm->rows_out += out.rows;
-    *batch = std::move(out);
-    return Status::OK();
-  }
-
-  // Anti-joins the batch against every NOT EXISTS table (batched key
-  // evaluation, one index probe per row, selection-mask compaction).
-  Status FilterNotExistsBatch(Batch* batch) const {
-    for (const NePlan& plan : ne_plans_) {
-      if (batch->rows == 0) return Status::OK();
-      if (plan.cols.empty()) {
-        if (!plan.rel->empty()) {
-          for (BatchColumn& col : batch->cols) col.clear();
-          batch->rows = 0;
-        }
-        continue;
-      }
-      std::deque<BatchColumn> scratch;
-      std::vector<BatchCol> keys;
-      keys.reserve(plan.cols.size());
-      for (const auto& [column, expr] : plan.ne->equalities) {
-        (void)column;
-        RAQLET_ASSIGN_OR_RETURN(BatchCol key,
-                                EvalExprBatch(expr, *batch, &scratch));
-        keys.push_back(key);
-      }
-      Tuple key(plan.cols.size());
-      std::vector<char> keep(batch->rows);
-      for (size_t i = 0; i < batch->rows; ++i) {
-        for (size_t k = 0; k < keys.size(); ++k) key[k] = keys[k].at(i);
-        keep[i] = plan.index->find(key) == plan.index->end();
-      }
-      CompactBatch(batch, keep);
-    }
-    return Status::OK();
-  }
-
-  // Runs the batch pipeline over `[begin, end)` of the leading step's scan
-  // (the range is ignored by a probing first step) through every join step
-  // and the NOT EXISTS filters.
-  Status RunPipeline(size_t begin, size_t end, Batch* batch,
-                     size_t* scanned,
-                     std::vector<obs::SqlStepMetrics>* steps) const {
-    batch->cols.resize(slot_count_);
-    batch->rows = 1;  // unit batch: no table bound yet
+  // Vectorized pipeline: breadth-first over rows [begin, end) of the
+  // leading scan (ignored by a probing first step). The whole batch of
+  // bindings advances one step at a time: each match extends a copy of
+  // its binding's row indexes, gathered once per step.
+  Status BreadthFirst(size_t begin, size_t end, Worker* w) const {
+    Bindings b;
+    b.rows.resize(tables_.size());
+    b.n = 1;  // one binding of no table yet
     for (size_t s = 0; s < plan_.size(); ++s) {
-      RAQLET_RETURN_IF_ERROR(ExtendBatch(
-          plan_[s], s == 0 ? begin : 0,
-          s == 0 ? end : plan_[s].rel->size(), batch, scanned,
-          steps != nullptr ? &(*steps)[s] : nullptr));
-      if (batch->rows == 0) return Status::OK();
+      const StepPlan& step = plan_[s];
+      Bindings next;
+      next.rows.resize(tables_.size());
+      std::vector<uint32_t>& rows = next.rows[step.table_index];
+      std::vector<uint32_t> src;  // the binding each match extends
+      RAQLET_RETURN_IF_ERROR(Join(
+          s, b, s == 0 ? begin : 0, s == 0 ? end : step.rel->size(), w,
+          [&](size_t i, uint32_t row) {
+            src.push_back(static_cast<uint32_t>(i));
+            rows.push_back(row);
+            return Status::OK();
+          }));
+      next.n = rows.size();
+      for (size_t t : step.prior) {
+        next.rows[t].resize(next.n);
+        for (size_t k = 0; k < next.n; ++k) {
+          next.rows[t][k] = b.rows[t][src[k]];
+        }
+      }
+      RAQLET_RETURN_IF_ERROR(Filter(s, &next, w));
+      b = std::move(next);
+      if (b.n == 0) return Status::OK();
     }
-    return FilterNotExistsBatch(batch);
+    return Finish(&b, w);
   }
 
-  // Projects the final batch column-wise: one staged output column per
-  // select item, appended to `out_cols` — the columnar merge shape
-  // Relation::InsertColumns consumes without ever boxing a row tuple.
-  Status ProjectBatch(const Batch& batch,
-                      std::vector<std::vector<Value>>* out_cols) const {
-    std::deque<BatchColumn> scratch;
-    std::vector<BatchCol> cols;
-    cols.reserve(select_.items.size());
-    for (const SelectItem& item : select_.items) {
-      RAQLET_ASSIGN_OR_RETURN(BatchCol c,
-                              EvalExprBatch(item.expr, batch, &scratch));
-      cols.push_back(c);
-    }
-    out_cols->resize(cols.size());
-    for (size_t j = 0; j < cols.size(); ++j) {
-      std::vector<Value>& dst = (*out_cols)[j];
-      dst.reserve(dst.size() + batch.rows);
-      for (size_t i = 0; i < batch.rows; ++i) dst.push_back(cols[j].at(i));
-    }
-    return Status::OK();
-  }
-
-  Status RunChunk(size_t begin, size_t end,
-                  std::vector<std::vector<Value>>* out_cols,
-                  size_t* scanned,
-                  std::vector<obs::SqlStepMetrics>* steps) const {
-    Batch batch;
-    RAQLET_RETURN_IF_ERROR(RunPipeline(begin, end, &batch, scanned, steps));
-    if (batch.rows == 0) return Status::OK();
-    return ProjectBatch(batch, out_cols);
-  }
-
-  // Vectorized driver: single batch when serial, otherwise the leading
-  // scan is partitioned across the pool and per-chunk outputs merge in
-  // chunk order — identical rows and row order to the serial run.
-  // Leading-scan range: the delta suffix when semi-naive, else the whole
-  // table.
-  size_t LeadScanBegin() const {
-    return delta_end_ != kNoDelta ? delta_begin_ : 0;
-  }
-  size_t LeadScanEnd() const {
-    return delta_end_ != kNoDelta ? delta_end_ : plan_.front().rel->size();
-  }
-
-  Status EvaluateVectorized(Relation* out) {
-    const StepPlan& first = plan_.front();
+  // Non-aggregate vectorized driver: one chunk when serial, otherwise the
+  // leading scan is partitioned across the pool and per-chunk outputs
+  // merge in chunk order — identical rows and row order to the serial
+  // run.
+  Status TraverseChunks(Relation* out) {
     const size_t scan_begin = LeadScanBegin();
     const size_t scan_end = LeadScanEnd();
     const size_t scan_rows = scan_end - scan_begin;
     size_t nchunks = 1;
-    if (pool_ != nullptr && first.probes.empty()) {
+    if (pool_ != nullptr && plan_.front().index == nullptr) {
       const size_t max_chunks = static_cast<size_t>(pool_->num_threads()) * 4;
       nchunks = std::clamp<size_t>(scan_rows / kChunkRows, 1, max_chunks);
     }
-    if (nchunks <= 1) {
-      if (guard_ != nullptr) RAQLET_RETURN_IF_ERROR(guard_->Check());
-      std::vector<std::vector<Value>> cols;
-      size_t scanned = 0;
-      RAQLET_RETURN_IF_ERROR(RunChunk(
-          scan_begin, scan_end, &cols, &scanned,
-          step_totals_.empty() ? nullptr : &step_totals_));
-      if (stats_ != nullptr) stats_->rows_scanned += scanned;
-      const size_t staged = cols.empty() ? 0 : cols.front().size();
-      RAQLET_ASSIGN_OR_RETURN(size_t inserted, out->InsertColumns(&cols));
-      RecordDedup(staged, inserted);
-      return Status::OK();
-    }
-    const bool want_steps = !step_totals_.empty();
-    std::vector<std::vector<std::vector<Value>>> chunk_cols(nchunks);
-    std::vector<size_t> chunk_scanned(nchunks, 0);
-    std::vector<std::vector<obs::SqlStepMetrics>> chunk_steps(
-        nchunks, std::vector<obs::SqlStepMetrics>(
-                     want_steps ? plan_.size() : 0));
-    std::vector<Status> chunk_status(nchunks);
     const size_t per_chunk = (scan_rows + nchunks - 1) / nchunks;
-    pool_->ParallelFor(
-        nchunks,
-        [&](size_t c) {
-          if (guard_ != nullptr) {
-            Status g = guard_->Check();
-            if (!g.ok()) {
-              chunk_status[c] = std::move(g);
-              return;
-            }
-          }
-          const size_t begin = scan_begin + c * per_chunk;
-          const size_t end = std::min(scan_end, begin + per_chunk);
-          if (begin >= end) return;
-          chunk_status[c] = RunChunk(begin, end, &chunk_cols[c],
-                                     &chunk_scanned[c],
-                                     want_steps ? &chunk_steps[c] : nullptr);
-        },
-        guard_);
+    std::vector<Worker> workers;
+    for (size_t c = 0; c < nchunks; ++c) workers.push_back(NewWorker());
+    std::vector<Status> chunk_status(nchunks);
+    auto run_chunk = [&](size_t c) {
+      if (guard_ != nullptr) {
+        chunk_status[c] = guard_->Check();
+        if (!chunk_status[c].ok()) return;
+      }
+      const size_t begin = scan_begin + c * per_chunk;
+      const size_t end = std::min(scan_end, begin + per_chunk);
+      // The first chunk always runs: it carries the leading step's entry.
+      if (c > 0 && begin >= end) return;
+      chunk_status[c] = BreadthFirst(begin, end, &workers[c]);
+    };
+    if (nchunks == 1) {
+      run_chunk(0);
+    } else {
+      pool_->ParallelFor(nchunks, run_chunk, guard_);
+    }
     for (const Status& status : chunk_status) {
       RAQLET_RETURN_IF_ERROR(status);
     }
     // Chunks skipped by a tripped guard left OK statuses and empty
     // outputs; report the trip rather than merging a partial result.
-    if (guard_ != nullptr && guard_->tripped()) return guard_->TripStatus();
+    if (nchunks > 1 && guard_ != nullptr && guard_->tripped()) {
+      return guard_->TripStatus();
+    }
     for (size_t c = 0; c < nchunks; ++c) {
-      if (stats_ != nullptr) stats_->rows_scanned += chunk_scanned[c];
-      for (size_t s = 0; want_steps && s < plan_.size(); ++s) {
-        step_totals_[s].batches += chunk_steps[c][s].batches;
-        // Every chunk's leading step reads the same unit seed row: count
-        // it once per evaluation, as the serial pipeline does.
-        if (s > 0 || c == 0) {
-          step_totals_[s].rows_in += chunk_steps[c][s].rows_in;
-        }
-        step_totals_[s].probes += chunk_steps[c][s].probes;
-        step_totals_[s].rows_matched += chunk_steps[c][s].rows_matched;
-        step_totals_[s].rows_out += chunk_steps[c][s].rows_out;
-      }
-      const size_t staged =
-          chunk_cols[c].empty() ? 0 : chunk_cols[c].front().size();
-      RAQLET_ASSIGN_OR_RETURN(size_t inserted,
-                              out->InsertColumns(&chunk_cols[c]));
-      RecordDedup(staged, inserted);
+      Fold(workers[c], c == 0);
+      RAQLET_RETURN_IF_ERROR(Merge(&workers[c].out, out));
     }
     return Status::OK();
   }
 
   // ---------------------------------------------------------------------
-  // Aggregation (both modes; the vectorized path accumulates column-wise)
+  // Worker state and output
   // ---------------------------------------------------------------------
 
-  struct AggState {
-    int64_t count = 0;
-    double sum = 0.0;
-    bool any_float = false;
-    std::optional<Value> min;
-    std::optional<Value> max;
-  };
+  Worker NewWorker() const {
+    Worker w;
+    if (cte_metrics_ != nullptr) w.steps.resize(plan_.size());
+    w.out.resize(select_.items.size());
+    return w;
+  }
 
-  void UpdateAggState(AggState* state, const std::optional<Value>& v) const {
-    state->count += 1;
-    if (!v.has_value()) return;
-    state->any_float |= v->kind() == ValueType::kFloat;
-    state->sum += v->NumericValue();
-    if (!state->min.has_value() ||
-        CompareValues(*v, *state->min, db_->symbols()) < 0) {
-      state->min = *v;
+  // Folds a finished traversal's counters into SqlStats and the CTE sink.
+  // Step counters are keyed by relation name in first-seen order
+  // (branches of one CTE plan different join orders, so position alone is
+  // not a stable key). Every parallel chunk's leading step reads the same
+  // unit seed binding: count it once per evaluation, as the serial
+  // pipeline does.
+  void Fold(const Worker& w, bool first_chunk) {
+    if (stats_ != nullptr) stats_->rows_scanned += w.rows_scanned;
+    for (size_t s = 0; s < w.steps.size(); ++s) {
+      const std::string& relation = plan_[s].rel->schema().name;
+      auto it = std::find_if(cte_metrics_->steps.begin(),
+                             cte_metrics_->steps.end(),
+                             [&](const obs::SqlStepMetrics& m) {
+                               return m.relation == relation;
+                             });
+      if (it == cte_metrics_->steps.end()) {
+        cte_metrics_->steps.emplace_back();
+        cte_metrics_->steps.back().relation = relation;
+        it = cte_metrics_->steps.end() - 1;
+      }
+      obs::SqlStepMetrics& dst = *it;
+      const obs::SqlStepMetrics& src = w.steps[s];
+      dst.batches += src.batches;
+      if (s > 0 || first_chunk) dst.rows_in += src.rows_in;
+      dst.probes += src.probes;
+      dst.rows_matched += src.rows_matched;
+      dst.rows_out += src.rows_out;
     }
-    if (!state->max.has_value() ||
-        CompareValues(*v, *state->max, db_->symbols()) > 0) {
-      state->max = *v;
+  }
+
+  // Merges staged output columns into `out` after the traversal's reads
+  // finished, through the relation's columnar dedup.
+  Status Merge(std::vector<std::vector<Value>>* cols, Relation* out) {
+    const size_t staged = cols->empty() ? 0 : cols->front().size();
+    RAQLET_ASSIGN_OR_RETURN(size_t inserted, out->InsertColumns(cols));
+    if (cte_metrics_ != nullptr) {
+      cte_metrics_->dedup_attempts += staged;
+      cte_metrics_->dedup_inserted += inserted;
+    }
+    return Status::OK();
+  }
+
+  // Stages one output row per group, in group-key order: the grouping
+  // items and the final aggregate values in item order. A group whose
+  // min/max never saw an argument is skipped.
+  void StageGroups(Worker* w) const {
+    Tuple row(select_.items.size());
+    for (const auto& [key, states] : w->groups) {
+      size_t ki = 0;
+      size_t ai = 0;
+      bool skip = false;
+      for (size_t j = 0; j < select_.items.size() && !skip; ++j) {
+        const Expr& e = select_.items[j].expr;
+        if (e.kind != Expr::kAgg) {
+          row[j] = key[ki++];
+          continue;
+        }
+        std::optional<Value> v = FinalizeAgg(e, states[ai++]);
+        skip = !v.has_value();
+        if (!skip) row[j] = *v;
+      }
+      if (skip) continue;
+      for (size_t j = 0; j < row.size(); ++j) w->out[j].push_back(row[j]);
     }
   }
 
   // Final value of one aggregate; nullopt means "skip this group" (min/max
   // of an aggregate that never saw an argument).
-  std::optional<Value> FinalizeAgg(const Expr& agg_expr,
-                                   const AggState& state) const {
+  static std::optional<Value> FinalizeAgg(const Expr& agg_expr,
+                                          const AggState& state) {
     switch (agg_expr.agg) {
       case dlir::AggFunc::kCount:
         return Value::Number(state.count);
@@ -1066,113 +808,13 @@ class SelectEvaluator {
     return std::nullopt;
   }
 
-  Status EvaluateWithAggregation(Relation* out) {
-    if (agg_item_pos_.empty()) {
-      return Status::Internal("aggregation context without aggregate item");
-    }
-    // Group key (the non-aggregate items, in item order) -> one state per
-    // aggregate item, in first-seen order for determinism.
-    std::map<Tuple, std::vector<AggState>> groups;
-
-    std::vector<bool> is_agg(select_.items.size(), false);
-    for (size_t pos : agg_item_pos_) is_agg[pos] = true;
-
-    if (mode_ == SqlMode::kVectorized && !plan_.empty()) {
-      // Batched accumulate over the final batch. Single chunk: chunked
-      // accumulation would re-associate float sums and break the
-      // bit-identical-to-serial contract.
-      Batch batch;
-      size_t scanned = 0;
-      RAQLET_RETURN_IF_ERROR(
-          RunPipeline(LeadScanBegin(), LeadScanEnd(), &batch, &scanned,
-                      step_totals_.empty() ? nullptr : &step_totals_));
-      if (stats_ != nullptr) stats_->rows_scanned += scanned;
-      if (batch.rows > 0) {
-        std::deque<BatchColumn> scratch;
-        std::vector<BatchCol> key_cols;
-        std::vector<std::optional<BatchCol>> arg_cols;
-        for (size_t i = 0; i < select_.items.size(); ++i) {
-          const Expr& e = select_.items[i].expr;
-          if (is_agg[i]) {
-            if (e.children.empty()) {
-              arg_cols.emplace_back(std::nullopt);
-            } else {
-              RAQLET_ASSIGN_OR_RETURN(
-                  BatchCol c, EvalExprBatch(e.children[0], batch, &scratch));
-              arg_cols.emplace_back(c);
-            }
-          } else {
-            RAQLET_ASSIGN_OR_RETURN(BatchCol c,
-                                    EvalExprBatch(e, batch, &scratch));
-            key_cols.push_back(c);
-          }
-        }
-        Tuple key(key_cols.size());
-        for (size_t i = 0; i < batch.rows; ++i) {
-          for (size_t k = 0; k < key_cols.size(); ++k) {
-            key[k] = key_cols[k].at(i);
-          }
-          std::vector<AggState>& states = groups[key];
-          states.resize(agg_item_pos_.size());
-          for (size_t a = 0; a < arg_cols.size(); ++a) {
-            std::optional<Value> v;
-            if (arg_cols[a].has_value()) v = arg_cols[a]->at(i);
-            UpdateAggState(&states[a], v);
-          }
-        }
-      }
-    } else {
-      auto accumulate = [&](const RowBinding& row) -> Status {
-        Tuple key;
-        key.reserve(select_.items.size() - agg_item_pos_.size());
-        for (size_t i = 0; i < select_.items.size(); ++i) {
-          if (is_agg[i]) continue;
-          RAQLET_ASSIGN_OR_RETURN(Value v,
-                                  EvalExpr(select_.items[i].expr, row));
-          key.push_back(v);
-        }
-        std::vector<AggState>& states = groups[key];
-        states.resize(agg_item_pos_.size());
-        for (size_t a = 0; a < agg_item_pos_.size(); ++a) {
-          const Expr& e = select_.items[agg_item_pos_[a]].expr;
-          std::optional<Value> v;
-          if (!e.children.empty()) {
-            RAQLET_ASSIGN_OR_RETURN(Value val, EvalExpr(e.children[0], row));
-            v = val;
-          }
-          UpdateAggState(&states[a], v);
-        }
-        return Status::OK();
-      };
-      RowBinding binding(tables_.size(), kUnbound);
-      RAQLET_RETURN_IF_ERROR(Descend(0, &binding, accumulate));
-    }
-
-    for (const auto& [key, states] : groups) {
-      Tuple tuple;
-      tuple.reserve(select_.items.size());
-      size_t ki = 0;
-      size_t ai = 0;
-      bool skip = false;
-      for (size_t i = 0; i < select_.items.size(); ++i) {
-        if (is_agg[i]) {
-          std::optional<Value> result =
-              FinalizeAgg(select_.items[i].expr, states[ai++]);
-          if (!result.has_value()) {
-            skip = true;
-            break;
-          }
-          tuple.push_back(*result);
-        } else {
-          tuple.push_back(key[ki++]);
-        }
-      }
-      if (!skip) {
-        RAQLET_ASSIGN_OR_RETURN(bool fresh, out->Insert(tuple));
-        RecordDedup(1, fresh ? 1 : 0);
-      }
-    }
-    return Status::OK();
+  // Leading-scan range: the delta suffix when semi-naive, else the whole
+  // table.
+  size_t LeadScanBegin() const {
+    return delta_end_ != kNoDelta ? delta_begin_ : 0;
+  }
+  size_t LeadScanEnd() const {
+    return delta_end_ != kNoDelta ? delta_end_ : plan_.front().rel->size();
   }
 
   const Select& select_;
@@ -1186,23 +828,17 @@ class SelectEvaluator {
   size_t delta_end_;  // kNoDelta: no scan-range restriction
   obs::SqlCteMetrics* cte_metrics_;  // per-CTE sink (may be null)
   const runtime::QueryGuard* guard_;  // cooperative guard (may be null)
-  // This evaluation's per-plan-step counters, in plan order. Parallel
-  // chunks accumulate privately and merge here in chunk order.
-  std::vector<obs::SqlStepMetrics> step_totals_;
 
   std::vector<BoundTable> tables_;
   std::map<std::string, size_t> alias_index_;
   std::vector<StepPlan> plan_;
   std::vector<NePlan> ne_plans_;
-  std::vector<size_t> agg_item_pos_;  // item positions that are aggregates
+  bool aggregate_ = false;
   bool trivially_false_ = false;
-  // Pre-interned constants, keyed by Expr node (stable: the SQIR program
-  // outlives the evaluator). Read-only during (possibly parallel)
-  // evaluation.
-  std::unordered_map<const Expr*, Value> const_values_;
-  std::vector<std::map<int, size_t>> slot_of_;  // [table] column -> slot
-  size_t slot_count_ = 0;
-  Tuple probe_key_;  // tuple-mode probe scratch
+  // The non-aggregate select items (the projection, or the group key
+  // under aggregation) and each aggregate item's argument, in item order.
+  std::vector<Operand> keys_;
+  std::vector<std::optional<Operand>> agg_args_;
 };
 
 // Best-effort static type of a select expression, resolving column
@@ -1403,9 +1039,8 @@ Result<ResultTable> SqlEngine::Run(const SqirProgram& program, Database* db,
         // All branches of a round see the same delta; rows a branch
         // appends join in the next round (SQL:1999 working-table
         // semantics). Rows appended during the round land past
-        // `delta_end`, outside the scanned range: the vectorized pipeline
-        // finishes its reads before merging, and the tuple pipeline reads
-        // through row indexes, never through views held across an insert.
+        // `delta_end`, outside the scanned range, and each branch finishes
+        // its reads before its output merges.
         for (const Select* branch : recursive) {
           SelectEvaluator eval(*branch, rec_resolver, db, options_.mode,
                                stats, pool, rel.get(), delta_begin,

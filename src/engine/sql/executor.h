@@ -12,28 +12,30 @@
 // that references the CTE more than once (non-linear recursion) or
 // inside NOT EXISTS (non-monotonic recursion) is rejected.
 //
-// Two execution modes exercise genuinely different join code paths:
-//  * kVectorized (DuckDB stand-in): column-batched execution in the
-//    MonetDB/X100 lineage. Intermediate join state is a BindingBatch —
-//    one Value column per referenced table column — and every plan step
-//    is a batch operator: a leading full-table scan borrows the
-//    relation's column storage as zero-copy views (values are first
-//    copied when a filter compacts or a join gathers), probe keys are
-//    evaluated column-at-a-time, the hash index is probed once per batch
-//    of keys appending match row indexes, filters produce a selection
-//    mask that compacts the whole batch, and projection stages output
-//    columns that merge through Relation::InsertColumns without ever
-//    boxing a row tuple. Aggregation accumulates column-wise over the
-//    final batch. With SqlOptions::num_threads > 1 the leading scan is
+// Both modes share one plan and one pipeline over one binding
+// representation: the row index each FROM table is bound to. Join order
+// is chosen greedily per SELECT, equality predicates become probes of
+// hash indexes prebuilt per plan step (Relation::EnsureIndex, so the
+// inner loops pay neither a lock nor an index-cache lookup), and every
+// column reference is resolved at plan time to a borrowed ColumnView.
+// One expression evaluator, one filter step, one NOT EXISTS probe, one
+// projection and one aggregation accumulator work on binding i of a unit
+// of n bindings. Projection stages output columns that merge through
+// Relation::InsertColumns after the evaluation's reads finish, so a
+// recursive branch never reads rows it is appending. The modes differ
+// only in traversal order:
+//  * kTuplePipeline (HyPer stand-in): depth-first — a unit of one
+//    binding flows through the whole join pipeline, rebound in place at
+//    each step, before the next match is bound.
+//  * kVectorized (DuckDB stand-in): breadth-first — a batch is one
+//    row-index array per joined table, and the whole batch advances one
+//    step at a time. With SqlOptions::num_threads > 1 the leading scan is
 //    partitioned across the runtime's ThreadPool; per-chunk outputs merge
 //    in chunk order, so results are bit-identical to serial execution at
 //    any thread count.
-//  * kTuplePipeline (HyPer stand-in): depth-first — a binding flows
-//    through the whole join pipeline one row at a time before the next
-//    one starts.
-// Both modes probe hash indexes for equality predicates; indexes are
-// prebuilt per plan step (Relation::EnsureIndex), so the inner loops pay
-// neither a lock nor an index-cache lookup.
+// Both modes produce the same rows in the same order and the same
+// SqlStats and SqlMetrics counters (SqlStepMetrics::batches, which
+// counts step invocations, excepted).
 
 #include <cstddef>
 #include <memory>
@@ -53,7 +55,7 @@ enum class SqlMode { kVectorized, kTuplePipeline };
 
 struct SqlOptions {
   SqlMode mode = SqlMode::kVectorized;
-  /// Worker threads for the vectorized batch pipeline (clamped to >= 1).
+  /// Worker threads for the vectorized pipeline (clamped to >= 1).
   /// 1 means strictly serial; results are identical for every value.
   int num_threads = 1;
 
@@ -76,13 +78,14 @@ class SqlEngine {
   /// intern string literals appearing in the query.
   ///
   /// `metrics`, when given, receives per-CTE detail (iterations, dedup
-  /// hit rate, per-step operator counters from the vectorized pipeline)
-  /// plus a final "__result__" entry for the top-level select. Row and
-  /// dedup counters are bit-identical across thread counts; only
-  /// SqlStepMetrics::batches depends on scan chunking.
+  /// hit rate, per-step operator counters) plus a final "__result__"
+  /// entry for the top-level select. Row and dedup counters are
+  /// bit-identical across modes and thread counts; only
+  /// SqlStepMetrics::batches depends on the traversal and scan chunking.
   ///
   /// `guard`, when given, is polled per CTE materialization step, per
-  /// recursive iteration and per scan chunk of this call only; the engine
+  /// recursive iteration and per scan chunk (kVectorized) or every 64
+  /// emitted rows (kTuplePipeline) of this call only; the engine
   /// keeps no guard between calls. A trip aborts execution with the
   /// guard's terminal Status and leaves `db` and this engine reusable:
   /// re-running the same program is bit-identical to a never-tripped run.

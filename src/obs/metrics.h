@@ -14,8 +14,9 @@
 // (the same contract the engines' stats structs obey, asserted by
 // tests/parallel_engine_test.cc), with two documented exceptions: the
 // `*_micros` fields are wall time, and SqlStepMetrics::batches counts
-// pipeline invocations, which depend on how the leading scan was chunked
-// across threads. Consumers that compare metrics must ignore those two;
+// step invocations, which depend on the SQL mode's traversal order and
+// on how the leading scan was chunked across threads. Consumers that
+// compare metrics must ignore those two;
 // ToString() prints timings separately for that reason.
 
 #include <cstddef>
@@ -63,14 +64,14 @@ struct DatalogMetrics {
   bool empty() const { return sccs.empty(); }
 };
 
-/// Per-plan-step operator counters from the SQL kVectorized executor.
-/// Entries are keyed by scanned/probed relation and aggregated over every
-/// branch, batch and recursive iteration of the CTE, in first-seen plan
-/// order (the join order can differ between branches, so position alone
-/// is not a stable key).
+/// Per-plan-step operator counters from the SQL executor, filled alike
+/// by both modes. Entries are keyed by scanned/probed relation and
+/// aggregated over every branch, batch and recursive iteration of the
+/// CTE, in first-seen plan order (the join order can differ between
+/// branches, so position alone is not a stable key).
 struct SqlStepMetrics {
   std::string relation;    // relation scanned or probed at this step
-  size_t batches = 0;      // pipeline invocations (chunking-dependent)
+  size_t batches = 0;      // step invocations (traversal-dependent)
   size_t rows_in = 0;      // binding rows entering the step
   size_t probes = 0;       // index probe operations issued
   size_t rows_matched = 0; // join matches before filters

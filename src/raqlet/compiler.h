@@ -156,7 +156,7 @@ class Compiler {
       const runtime::QueryGuard* guard = nullptr) const;
 
   /// Recursive-SQL evaluation (DuckDB/HyPer stand-ins via `mode`).
-  /// `num_threads > 1` partitions the vectorized mode's column batches
+  /// `num_threads > 1` partitions the vectorized mode's leading scan
   /// across the runtime's thread pool (identical results at any count).
   Result<engine::ResultTable> RunOnSql(
       const dlir::Program& program, Database* db,

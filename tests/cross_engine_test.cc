@@ -323,6 +323,59 @@ TEST_P(CrossEngineTest, TracingEnabledIsResultNeutral) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, CrossEngineTest, ::testing::Range(0, 6));
 
+// An undirected edge pattern meets a self-loop once from each endpoint
+// list; the walk must bind it once whichever end is already bound. With
+// KNOWS 1->1 and 1->2, person 1 has two undirected neighbours (itself and
+// 2) in both graph modes and on Datalog, walking forwards from a bound
+// source or backwards from a bound destination.
+TEST(UndirectedSelfLoopTest, CountsALoopOnceFromEitherBoundEnd) {
+  Compiler compiler;
+  ASSERT_TRUE(compiler.LoadPgSchema(kSchema).ok());
+  Database db;
+  ASSERT_TRUE(compiler.CreateEdbs(&db).ok());
+  Relation* person = *db.GetRelation("Person");
+  for (int i = 1; i <= 2; ++i) {
+    ASSERT_TRUE(person->Insert({Value::Number(i), db.Str("p"),
+                                Value::Number(30)})
+                    .ok());
+  }
+  Relation* knows = *db.GetRelation("Person_KNOWS_Person");
+  ASSERT_TRUE(
+      knows->Insert({Value::Number(1), Value::Number(1), Value::Number(1)})
+          .ok());
+  ASSERT_TRUE(
+      knows->Insert({Value::Number(1), Value::Number(2), Value::Number(2)})
+          .ok());
+  auto store = compiler.BuildGraphStore(db);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+
+  for (const char* pattern : {"(b:Person)-[:KNOWS]-(a)",
+                              "(a)-[:KNOWS]-(b:Person)"}) {
+    const std::string query = std::string("MATCH (a:Person {id: 1}) MATCH ") +
+                              pattern +
+                              " WITH a, count(b) AS n RETURN a.id AS id, n";
+    auto unit = compiler.CompileCypher(query);
+    ASSERT_TRUE(unit.ok()) << unit.status().ToString();
+    auto datalog = compiler.RunOnDatalog(unit->dlir, &db);
+    ASSERT_TRUE(datalog.ok()) << datalog.status().ToString();
+    ASSERT_EQ(datalog->rows.size(), 1u) << query;
+    EXPECT_EQ(datalog->rows[0][1], Value::Number(2)) << query;
+    const std::string want = datalog->ToString(db.symbols());
+    for (engine::GraphMode mode :
+         {engine::GraphMode::kColumnBatch, engine::GraphMode::kRowBinding}) {
+      engine::GraphOptions options;
+      options.mode = mode;
+      auto graph =
+          compiler.RunOnGraph(unit->pgir, *store, &db, nullptr, options);
+      ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+      EXPECT_EQ(graph->ToString(db.symbols()), want)
+          << query << " on "
+          << (mode == engine::GraphMode::kRowBinding ? "row binding"
+                                                     : "column batch");
+    }
+  }
+}
+
 // Runs a Datalog program on the Datalog engine at 1 and 4 threads and on
 // both SQL modes. `inputs` holds each input relation's rows, with the
 // columns the program declares.

@@ -1,9 +1,11 @@
 // Randomized differential test for the SQL executor: kVectorized must be
 // bit-identical (columns, rows, AND row order) to kTuplePipeline over
 // generated join / filter / arithmetic / aggregate / negation / recursive
-// programs, at 1 thread and with batches partitioned across 4 threads.
-// Runs in the asan and tsan CI legs (the tsan leg exercises the parallel
-// batch pipeline under the race detector).
+// programs, at 1 thread and with batches partitioned across 4 threads,
+// and must report the same work: SqlStats and every SqlMetrics counter
+// except SqlStepMetrics::batches. Runs in the asan and tsan CI legs (the
+// tsan leg exercises the parallel batch pipeline under the race
+// detector).
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 
 #include "dlir/parser.h"
 #include "engine/sql/executor.h"
+#include "obs/metrics.h"
 #include "sqir/dlir_to_sqir.h"
 
 namespace raqlet::engine {
@@ -86,7 +89,44 @@ std::vector<std::string> ProgramShapes(std::mt19937& rng, int nodes) {
       ".decl tc(x: number, y: number)\n.output tc\n"
       "tc(x, y) :- edge(x, y), x != y.\n"
       "tc(x, y) :- tc(x, z), edge(z, y), !blocked(y), y < " + k + ".\n",
+      // Cross join (a scan step after the leading scan).
+      ".decl out(x: number, y: number)\n.output out\n"
+      "out(x, y) :- blocked(x), blocked(y).\n",
+      // NOT EXISTS with no key columns.
+      ".decl out(x: number, y: number)\n.output out\n"
+      "out(x, y) :- edge(x, y), !blocked(_).\n",
+      // Facts plus a constant-false rule.
+      ".decl out(x: number)\n.output out\n"
+      "out(1).\nout(2).\nout(x) :- edge(x, y), 1 > 2.\n",
+      // Filtered min, and avg.
+      ".decl out(x: number, m: number)\n.output out\n"
+      "out(x, min(y)) :- edge(x, y), y > " + k + ".\n",
+      ".decl out(x: number, a: float)\n.output out\n"
+      "out(x, avg(y)) :- edge(x, y).\n",
   };
+}
+
+// Every counter of a run that the modes and thread counts must agree on.
+std::string Counters(const SqlStats& stats, const obs::SqlMetrics& metrics) {
+  std::string out =
+      "iterations=" + std::to_string(stats.recursive_iterations) +
+      " materialized=" + std::to_string(stats.rows_materialized) +
+      " scanned=" + std::to_string(stats.rows_scanned);
+  for (const obs::SqlCteMetrics& cte : metrics.ctes) {
+    out += "\n" + cte.name + (cte.recursive ? " recursive" : "") +
+           " iterations=" + std::to_string(cte.iterations) +
+           " rows=" + std::to_string(cte.rows) +
+           " dedup=" + std::to_string(cte.dedup_inserted) + "/" +
+           std::to_string(cte.dedup_attempts);
+    for (const obs::SqlStepMetrics& step : cte.steps) {
+      out += "\n  " + step.relation +
+             " in=" + std::to_string(step.rows_in) +
+             " probes=" + std::to_string(step.probes) +
+             " matched=" + std::to_string(step.rows_matched) +
+             " out=" + std::to_string(step.rows_out);
+    }
+  }
+  return out;
 }
 
 TEST(SqlEquivalenceTest, RandomizedVectorizedMatchesTuplePipeline) {
@@ -112,12 +152,21 @@ TEST(SqlEquivalenceTest, RandomizedVectorizedMatchesTuplePipeline) {
       const std::string text = std::string(kDecls) + shape;
       sqir::SqirProgram program = Translate(text);
 
-      auto reference = tuple_engine.Run(program, &db);
+      SqlStats reference_stats;
+      obs::SqlMetrics reference_metrics;
+      auto reference = tuple_engine.Run(program, &db, &reference_stats,
+                                        &reference_metrics);
       ASSERT_TRUE(reference.ok())
           << reference.status().ToString() << "\n" << text;
-      auto serial = vec_engine.Run(program, &db);
+      SqlStats serial_stats;
+      obs::SqlMetrics serial_metrics;
+      auto serial =
+          vec_engine.Run(program, &db, &serial_stats, &serial_metrics);
       ASSERT_TRUE(serial.ok()) << serial.status().ToString() << "\n" << text;
-      auto parallel = par_engine.Run(program, &db);
+      SqlStats parallel_stats;
+      obs::SqlMetrics parallel_metrics;
+      auto parallel =
+          par_engine.Run(program, &db, &parallel_stats, &parallel_metrics);
       ASSERT_TRUE(parallel.ok())
           << parallel.status().ToString() << "\n" << text;
 
@@ -128,6 +177,14 @@ TEST(SqlEquivalenceTest, RandomizedVectorizedMatchesTuplePipeline) {
       EXPECT_EQ(serial->columns, parallel->columns) << text;
       EXPECT_EQ(serial->rows, parallel->rows)
           << "4-thread kVectorized diverged from serial on trial " << trial
+          << ":\n" << text;
+      const std::string counters =
+          Counters(reference_stats, reference_metrics);
+      EXPECT_EQ(counters, Counters(serial_stats, serial_metrics))
+          << "kVectorized counters diverged on trial " << trial << ":\n"
+          << text;
+      EXPECT_EQ(counters, Counters(parallel_stats, parallel_metrics))
+          << "4-thread kVectorized counters diverged on trial " << trial
           << ":\n" << text;
     }
   }
