@@ -1,15 +1,20 @@
 // LDBC SNB workload demo: generates a scale-factor social network, runs
 // the paper's Table 1 queries (SQ1, CQ2) on all engines, unoptimized and
-// optimized, and prints a Table 1-shaped timing summary.
+// optimized, and prints a Table 1-shaped timing summary. Every run of a
+// query must return the same rows (compared sorted, as a bag); the demo
+// exits 1 when one fails or disagrees.
 //
 // Usage: ./build/examples/ldbc_snb [scale_factor]   (default 0.5)
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "ldbc/ldbc.h"
 #include "raqlet/compiler.h"
@@ -18,13 +23,30 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double MeasureMs(const std::function<raqlet::Status()>& fn, bool* ok) {
+struct Run {
+  double ms = 0;
+  std::vector<std::string> rows;  // rendered and sorted
+};
+
+// Runs `fn` once and times it. On success leaves its rows in run->rows;
+// on failure prints the error and returns false.
+bool Measure(
+    const std::function<raqlet::Result<raqlet::engine::ResultTable>()>& fn,
+    const raqlet::SymbolTable& symbols, Run* run) {
   auto begin = Clock::now();
-  raqlet::Status st = fn();
+  raqlet::Result<raqlet::engine::ResultTable> result = fn();
   auto end = Clock::now();
-  *ok = st.ok();
-  if (!st.ok()) std::cerr << "  error: " << st.ToString() << "\n";
-  return std::chrono::duration<double, std::milli>(end - begin).count();
+  run->ms = std::chrono::duration<double, std::milli>(end - begin).count();
+  if (!result.ok()) {
+    std::cerr << "  error: " << result.status().ToString() << "\n";
+    return false;
+  }
+  run->rows.clear();
+  for (const raqlet::Tuple& row : result->rows) {
+    run->rows.push_back(raqlet::TupleToString(row, &symbols));
+  }
+  std::sort(run->rows.begin(), run->rows.end());
+  return true;
 }
 
 }  // namespace
@@ -71,9 +93,23 @@ int main(int argc, char** argv) {
       {"CQ2", raqlet::ldbc::ComplexQuery2()},
   };
 
-  std::printf("\n%-5s %-4s %12s %12s %12s %12s\n", "Query", "Opt",
-              "Graph(ms)", "Datalog(ms)", "SQL-vec(ms)", "SQL-tup(ms)");
+  std::printf("\n%-5s %-4s %12s %12s %12s %12s %6s\n", "Query", "Opt",
+              "Graph(ms)", "Datalog(ms)", "SQL-vec(ms)", "SQL-tup(ms)",
+              "Rows");
+  bool agree = true;
   for (const QuerySpec& query : queries) {
+    Run graph;  // the first run, and the reference for the others
+    Run datalog;
+    Run sql_vec;
+    Run sql_tup;
+    auto check = [&](const Run& run, const char* engine, bool optimized) {
+      if (run.rows == graph.rows) return;
+      std::cerr << query.name << ": " << engine
+                << (optimized ? " (optimized)" : "") << " returned "
+                << run.rows.size() << " rows that differ from the "
+                << graph.rows.size() << " rows of the graph engine\n";
+      agree = false;
+    };
     for (bool optimized : {false, true}) {
       params.opt_level = optimized ? 1 : 0;
       auto unit = compiler.CompileCypher(query.text, params);
@@ -83,49 +119,54 @@ int main(int argc, char** argv) {
       }
       const raqlet::dlir::Program& program = unit->optimized;
 
-      bool ok = true;
+      const raqlet::SymbolTable& symbols = db.symbols();
       // Graph engine runs the PGIR directly (the "original Cypher" row of
       // Table 1 exists only unoptimized, as in the paper).
-      double graph_ms = -1;
       if (!optimized) {
-        graph_ms = MeasureMs(
-            [&] {
-              return compiler.RunOnGraph(unit->pgir, *store, &db).status();
-            },
-            &ok);
+        if (!Measure(
+                [&] { return compiler.RunOnGraph(unit->pgir, *store, &db); },
+                symbols, &graph)) {
+          return 1;
+        }
       }
-      double datalog_ms = MeasureMs(
-          [&] { return compiler.RunOnDatalog(program, &db).status(); }, &ok);
-      double sql_vec_ms = MeasureMs(
-          [&] {
-            return compiler
-                .RunOnSql(program, &db, raqlet::engine::SqlMode::kVectorized)
-                .status();
-          },
-          &ok);
-      double sql_tup_ms = MeasureMs(
-          [&] {
-            return compiler
-                .RunOnSql(program, &db,
-                          raqlet::engine::SqlMode::kTuplePipeline)
-                .status();
-          },
-          &ok);
-      if (!ok) return 1;
+      if (!Measure([&] { return compiler.RunOnDatalog(program, &db); },
+                   symbols, &datalog)) {
+        return 1;
+      }
+      check(datalog, "Datalog", optimized);
+      if (!Measure(
+              [&] {
+                return compiler.RunOnSql(program, &db,
+                                         raqlet::engine::SqlMode::kVectorized);
+              },
+              symbols, &sql_vec)) {
+        return 1;
+      }
+      check(sql_vec, "SQL-vec", optimized);
+      if (!Measure(
+              [&] {
+                return compiler.RunOnSql(
+                    program, &db, raqlet::engine::SqlMode::kTuplePipeline);
+              },
+              symbols, &sql_tup)) {
+        return 1;
+      }
+      check(sql_tup, "SQL-tup", optimized);
 
       char graph_buf[32];
-      if (graph_ms < 0) {
+      if (optimized) {
         std::snprintf(graph_buf, sizeof(graph_buf), "%12s", "-");
       } else {
-        std::snprintf(graph_buf, sizeof(graph_buf), "%12.2f", graph_ms);
+        std::snprintf(graph_buf, sizeof(graph_buf), "%12.2f", graph.ms);
       }
-      std::printf("%-5s %-4s %s %12.2f %12.2f %12.2f\n", query.name,
-                  optimized ? "yes" : "no", graph_buf, datalog_ms, sql_vec_ms,
-                  sql_tup_ms);
+      std::printf("%-5s %-4s %s %12.2f %12.2f %12.2f %6zu\n", query.name,
+                  optimized ? "yes" : "no", graph_buf, datalog.ms, sql_vec.ms,
+                  sql_tup.ms, graph.rows.size());
     }
   }
 
-  std::cout << "\n(absolute numbers are substrate-specific; compare shapes "
+  std::cout << "\nsame rows on every engine: " << (agree ? "yes" : "NO")
+            << "\n(absolute numbers are substrate-specific; compare shapes "
                "with Table 1 of the paper — see EXPERIMENTS.md)\n";
-  return 0;
+  return agree ? 0 : 1;
 }

@@ -12,6 +12,7 @@
 
 #include "analysis/dependency_graph.h"
 #include "engine/datalog/evaluator.h"
+#include "obs/trace.h"
 #include "runtime/execution_context.h"
 
 namespace raqlet::engine {
@@ -53,6 +54,20 @@ struct PredDelta {
 
 std::unique_ptr<Relation> EmptyLike(const Relation& rel) {
   return std::make_unique<Relation>(rel.schema());
+}
+
+// Boxed copies of `rel`'s rows at `rows`, in that order.
+std::vector<Tuple> RowsAt(const Relation& rel,
+                          const std::vector<uint32_t>& rows) {
+  std::vector<Tuple> out;
+  out.reserve(rows.size());
+  for (uint32_t r : rows) {
+    Tuple t;
+    t.reserve(rel.arity());
+    for (size_t c = 0; c < rel.arity(); ++c) t.push_back(rel.ValueAt(r, c));
+    out.push_back(std::move(t));
+  }
+  return out;
 }
 
 // Derives d->added and d->removed from the live rows, d->keep and
@@ -573,58 +588,62 @@ Status IncrementalView::Impl::ApplyDred(SccPlan* scc, Pass* pass,
   // ---- Overdeletion: every head derivable in OLD from a removed lower
   // row or a ¬∃ that stopped holding, then semi-naive rounds over the
   // overdeleted rows with every other atom reading OLD. ----
-  std::vector<Variant> variants;
-  for (const CompiledRule& rule : work.rules) {
-    for (size_t a = 0; a < rule.atoms.size(); ++a) {
-      const CompiledAtom& atom = rule.atoms[a];
-      if (atom.recursive || atom.negated) continue;
-      RAQLET_ASSIGN_OR_RETURN(const Relation* minus,
-                              pass->DeltaRows(atom.predicate, true));
-      if (minus == nullptr) continue;
-      variants.push_back(Vary(rule, static_cast<int>(a), WholeRelation(minus),
-                              old_state, over_of(rule)));
-    }
-  }
-  for (size_t f = 0; f < flips.size(); ++f) {
-    if (flips[f].off == nullptr || flips[f].off->empty()) continue;
-    const RewrittenRule& flip = scc->flips[f];
-    variants.push_back(Vary(flip.rule, flip.atom,
-                            WholeRelation(flips[f].off.get()), old_state,
-                            over_of(flip.rule)));
-  }
-  RAQLET_RETURN_IF_ERROR(pass->EvaluateInto(variants));
-
-  std::vector<size_t> propagated(n, 0);  // over rows already joined
-  while (true) {
-    size_t total = 0;
-    size_t frontier = 0;
-    for (size_t i = 0; i < n; ++i) {
-      total += over[i]->size();
-      frontier += over[i]->size() - propagated[i];
-    }
-    // The cascade only grows, so checking after each merged round makes
-    // the same decision as checking after every head.
-    if (total > bail_at) {
-      *bailed = true;
-      pass->local.dred_bailouts += 1;
-      return Status::OK();
-    }
-    if (frontier == 0) break;
-    pass->local.rounds += 1;
-    RAQLET_RETURN_IF_ERROR(pass->Guard(frontier));
-    variants.clear();
+  {
+    obs::TraceScope span("incremental.overdelete");
+    std::vector<Variant> variants;
     for (const CompiledRule& rule : work.rules) {
-      for (int a : rule.recursive_atoms) {
-        const size_t i = pos.at(rule.atoms[static_cast<size_t>(a)].relation);
-        if (over[i]->size() == propagated[i]) continue;
-        variants.push_back(Vary(rule, a,
-                                {{over[i].get(), propagated[i],
-                                  over[i]->size()}},
+      for (size_t a = 0; a < rule.atoms.size(); ++a) {
+        const CompiledAtom& atom = rule.atoms[a];
+        if (atom.recursive || atom.negated) continue;
+        RAQLET_ASSIGN_OR_RETURN(const Relation* minus,
+                                pass->DeltaRows(atom.predicate, true));
+        if (minus == nullptr) continue;
+        variants.push_back(Vary(rule, static_cast<int>(a), WholeRelation(minus),
                                 old_state, over_of(rule)));
       }
     }
-    for (size_t i = 0; i < n; ++i) propagated[i] = over[i]->size();
+    for (size_t f = 0; f < flips.size(); ++f) {
+      if (flips[f].off == nullptr || flips[f].off->empty()) continue;
+      const RewrittenRule& flip = scc->flips[f];
+      variants.push_back(Vary(flip.rule, flip.atom,
+                              WholeRelation(flips[f].off.get()), old_state,
+                              over_of(flip.rule)));
+    }
     RAQLET_RETURN_IF_ERROR(pass->EvaluateInto(variants));
+
+    std::vector<size_t> propagated(n, 0);  // over rows already joined
+    while (true) {
+      size_t total = 0;
+      size_t frontier = 0;
+      for (size_t i = 0; i < n; ++i) {
+        total += over[i]->size();
+        frontier += over[i]->size() - propagated[i];
+      }
+      // The cascade only grows, so checking after each merged round makes
+      // the same decision as checking after every head.
+      if (total > bail_at) {
+        *bailed = true;
+        pass->local.dred_bailouts += 1;
+        pass->local.abandoned_overdeleted += total;
+        return Status::OK();
+      }
+      if (frontier == 0) break;
+      pass->local.rounds += 1;
+      RAQLET_RETURN_IF_ERROR(pass->Guard(frontier));
+      variants.clear();
+      for (const CompiledRule& rule : work.rules) {
+        for (int a : rule.recursive_atoms) {
+          const size_t i = pos.at(rule.atoms[static_cast<size_t>(a)].relation);
+          if (over[i]->size() == propagated[i]) continue;
+          variants.push_back(Vary(rule, a,
+                                  {{over[i].get(), propagated[i],
+                                    over[i]->size()}},
+                                  old_state, over_of(rule)));
+        }
+      }
+      for (size_t i = 0; i < n; ++i) propagated[i] = over[i]->size();
+      RAQLET_RETURN_IF_ERROR(pass->EvaluateInto(variants));
+    }
   }
 
   // ---- Erase the overdeleted rows. ----
@@ -647,7 +666,7 @@ Status IncrementalView::Impl::ApplyDred(SccPlan* scc, Pass* pass,
   // still derivable (each rule joined with its head's overdeleted rows),
   // and seed the insertions from lower-strata additions and ¬∃ that
   // started holding. ----
-  variants.clear();
+  std::vector<Variant> variants;
   for (const RewrittenRule& rederive : scc->rederive) {
     const Relation* rows = over_of(rederive.rule);
     if (rows->empty()) continue;
@@ -716,33 +735,37 @@ Status IncrementalView::Impl::ApplyRecompute(SccPlan* scc, Pass* pass) {
     return head != heads.end() ? head->second : Live(name);
   };
   const std::set<std::string> scc_set(fresh.preds.begin(), fresh.preds.end());
-  for (const Rule* rule : scc->rules) {
-    RAQLET_ASSIGN_OR_RETURN(CompiledRule compiled,
-                            pass->eval.Compile(*rule, resolve, scc_set));
-    fresh.rules.push_back(std::move(compiled));
+  {
+    obs::TraceScope span("incremental.recompute");
+    for (const Rule* rule : scc->rules) {
+      RAQLET_ASSIGN_OR_RETURN(CompiledRule compiled,
+                              pass->eval.Compile(*rule, resolve, scc_set));
+      fresh.rules.push_back(std::move(compiled));
+    }
+    EvalStats recompute;
+    RAQLET_RETURN_IF_ERROR(
+        pass->eval.RunScc(&fresh, nullptr, &recompute, nullptr));
   }
-  EvalStats recompute;
-  RAQLET_RETURN_IF_ERROR(
-      pass->eval.RunScc(&fresh, nullptr, &recompute, nullptr));
   pass->local.rounds += 1;
   pass->local.recomputed_sccs += 1;
 
-  // Write the result back as a diff: erase what it lost, append what it
-  // gained.
+  // Write the result back as a diff: erase the rows it lost, append the
+  // rows it gained. The diff is one unboxed pass over the result against
+  // the live dedup table; only the changed rows are boxed.
   for (size_t i = 0; i < fresh.preds.size(); ++i) {
     Relation* live = scc->work.relations[i];
     const Relation& result = *fresh.relations[i];
-    std::vector<Tuple> gone;
-    for (Tuple& t : live->MaterializeRows()) {
-      if (!result.Contains(t)) gone.push_back(std::move(t));
+    Relation::RowDiff diff;
+    {
+      obs::TraceScope span("incremental.diff");
+      diff = live->Diff(result);
     }
-    std::vector<Tuple> born;
-    for (Tuple& t : result.MaterializeRows()) {
-      if (!live->Contains(t)) born.push_back(std::move(t));
-    }
-    RAQLET_RETURN_IF_ERROR(pass->Guard(gone.size() + born.size()));
-    RAQLET_RETURN_IF_ERROR(Replace(fresh.preds[i], live, std::move(gone),
-                                   std::move(born), pass));
+    RAQLET_RETURN_IF_ERROR(
+        pass->Guard(diff.only_here.size() + diff.only_there.size()));
+    obs::TraceScope span("incremental.write");
+    RAQLET_RETURN_IF_ERROR(Replace(fresh.preds[i], live,
+                                   RowsAt(*live, diff.only_here),
+                                   RowsAt(result, diff.only_there), pass));
   }
   return Status::OK();
 }

@@ -99,6 +99,7 @@ std::string QueryMetrics::ToString() const {
     os << "  derived: inserted=" << incremental.tuples_inserted
        << " deleted=" << incremental.tuples_deleted
        << " overdeleted=" << incremental.overdeleted
+       << " abandoned_overdeleted=" << incremental.abandoned_overdeleted
        << " rederived=" << incremental.rederived
        << " support_updates=" << incremental.support_updates << "\n";
   }

@@ -161,6 +161,9 @@ struct IncrementalMetrics {
   size_t support_updates = 0;  // counting: per-tuple support adjustments
   size_t recomputed_sccs = 0;  // recompute-and-diff runs (agg/lattice/bail)
   size_t dred_bailouts = 0;    // DRed cascades handed to recompute-and-diff
+  /// Rows the bailed-out cascades had overdeleted when they gave up: the
+  /// work DRed threw away (not counted in `overdeleted`).
+  size_t abandoned_overdeleted = 0;
 
   IncrementalMetrics& operator+=(const IncrementalMetrics& o) {
     base_added += o.base_added;
@@ -175,6 +178,7 @@ struct IncrementalMetrics {
     support_updates += o.support_updates;
     recomputed_sccs += o.recomputed_sccs;
     dred_bailouts += o.dred_bailouts;
+    abandoned_overdeleted += o.abandoned_overdeleted;
     return *this;
   }
   bool operator==(const IncrementalMetrics&) const = default;

@@ -201,12 +201,11 @@ Result<size_t> Relation::InsertColumns(std::vector<std::vector<Value>>* cols) {
   }
   if (n == 0) return static_cast<size_t>(0);
   RAQLET_FAILPOINT("storage.insert_columns");
-  const bool pair_numeric =
-      arity() == 2 && columns_[0].uniform() && columns_[1].uniform() &&
-      (row_count_ == 0 ||
-       (columns_[0].uniform_kind() == ValueType::kNumber &&
-        columns_[1].uniform_kind() == ValueType::kNumber)) &&
-      AllNumbers((*cols)[0]) && AllNumbers((*cols)[1]);
+  // An empty column never has a kind sidecar, so an empty relation takes
+  // any all-number batch.
+  const bool pair_numeric = arity() == 2 &&
+                            (row_count_ == 0 || PairNumeric()) &&
+                            AllNumbers((*cols)[0]) && AllNumbers((*cols)[1]);
   Result<size_t> inserted =
       pair_numeric
           ? InsertPairNumeric((*cols)[0], (*cols)[1])
@@ -217,34 +216,37 @@ Result<size_t> Relation::InsertColumns(std::vector<std::vector<Value>>* cols) {
   return inserted;
 }
 
+// Inline: InsertPairNumeric and Diff call it once per row.
+inline uint32_t Relation::PairProbe(int64_t a, int64_t b, uint32_t h32,
+                                    size_t* slot_out) const {
+  const int64_t* s0 = columns_[0].word_data();
+  const int64_t* s1 = columns_[1].word_data();
+  const size_t mask = dedup_slots_.size() - 1;
+  for (size_t pos = h32 & mask;; pos = (pos + 1) & mask) {
+    const DedupSlot& slot = dedup_slots_[pos];
+    if (slot.row == kEmptySlot) {
+      if (slot_out != nullptr) *slot_out = pos;
+      return kEmptySlot;
+    }
+    if (slot.hash == h32 && s0[slot.row] == a && s1[slot.row] == b) {
+      return slot.row;
+    }
+  }
+}
+
 Result<size_t> Relation::InsertPairNumeric(const std::vector<Value>& c0,
                                            const std::vector<Value>& c1) {
   const size_t n = c0.size();
   RAQLET_RETURN_IF_ERROR(ReserveRows(n));
   ValueColumn& col0 = columns_[0];
   ValueColumn& col1 = columns_[1];
-  // ReserveRows reserved the whole batch, so these stay valid across
-  // appends.
-  const int64_t* s0 = col0.word_data();
-  const int64_t* s1 = col1.word_data();
-  const size_t mask = dedup_slots_.size() - 1;
   size_t inserted = 0;
   for (size_t i = 0; i < n; ++i) {
     const int64_t a = c0[i].RawBits();
     const int64_t b = c1[i].RawBits();
     const uint32_t h32 = PairNumericHash(a, b);
-    size_t pos = h32 & mask;
-    bool duplicate = false;
-    while (true) {
-      const DedupSlot& slot = dedup_slots_[pos];
-      if (slot.row == kEmptySlot) break;
-      if (slot.hash == h32 && s0[slot.row] == a && s1[slot.row] == b) {
-        duplicate = true;
-        break;
-      }
-      pos = (pos + 1) & mask;
-    }
-    if (duplicate) continue;
+    size_t pos;
+    if (PairProbe(a, b, h32, &pos) != kEmptySlot) continue;
     col0.AppendUniform(ValueType::kNumber, a);
     col1.AppendUniform(ValueType::kNumber, b);
     dedup_slots_[pos] = DedupSlot{h32, static_cast<uint32_t>(row_count_)};
@@ -302,6 +304,42 @@ Result<size_t> Relation::EraseBatch(const std::vector<Tuple>& batch) {
   return dead_rows.size();
 }
 
+bool Relation::PairNumeric() const {
+  return arity() == 2 && columns_[0].uniform() && columns_[1].uniform() &&
+         columns_[0].uniform_kind() == ValueType::kNumber &&
+         columns_[1].uniform_kind() == ValueType::kNumber;
+}
+
+Relation::RowDiff Relation::Diff(const Relation& other) const {
+  RowDiff out;
+  std::vector<uint8_t> matched(row_count_, 0);
+  // A relation that never stored a row has no dedup table to probe.
+  const bool probe = !dedup_slots_.empty();
+  // Both sides raw-word pairs: hash and compare the words, as
+  // InsertPairNumeric does.
+  const bool pair = probe && PairNumeric() && other.PairNumeric();
+  const int64_t* o0 = pair ? other.columns_[0].word_data() : nullptr;
+  const int64_t* o1 = pair ? other.columns_[1].word_data() : nullptr;
+  for (uint32_t i = 0; i < other.row_count_; ++i) {
+    uint32_t match = kEmptySlot;
+    if (pair) {
+      match = PairProbe(o0[i], o1[i], PairNumericHash(o0[i], o1[i]), nullptr);
+    } else if (probe) {
+      const StoredRow row{other.columns_.data(), arity(), i};
+      match = DedupProbe(row, RowHash(row), nullptr);
+    }
+    if (match == kEmptySlot) {
+      out.only_there.push_back(i);
+    } else {
+      matched[match] = 1;
+    }
+  }
+  for (uint32_t r = 0; r < row_count_; ++r) {
+    if (matched[r] == 0) out.only_here.push_back(r);
+  }
+  return out;
+}
+
 std::vector<Tuple> Relation::MaterializeRows(size_t begin) const {
   std::vector<Tuple> out;
   if (begin >= row_count_) return out;
@@ -315,16 +353,14 @@ std::vector<Tuple> Relation::MaterializeRows(size_t begin) const {
   return out;
 }
 
-Relation::ColumnView Relation::ColumnSlice(size_t col, size_t begin,
-                                           size_t end) const {
+Relation::ColumnView Relation::Column(size_t col) const {
   ColumnView v;
-  if (col >= columns_.size() || begin >= end) return v;
+  if (col >= columns_.size() || row_count_ == 0) return v;
   const ValueColumn& c = columns_[col];
-  v.words_ = c.word_data() + begin;
-  const uint8_t* kinds = c.kind_data();
-  v.kinds_ = kinds == nullptr ? nullptr : kinds + begin;
+  v.words_ = c.word_data();
+  v.kinds_ = c.kind_data();
   v.kind_ = c.uniform_kind();
-  v.size_ = end - begin;
+  v.size_ = row_count_;
   return v;
 }
 

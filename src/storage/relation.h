@@ -43,9 +43,9 @@ struct RelationSchema {
 /// ## API
 ///
 /// Writes: Insert (one row), InsertBatch (rows), InsertColumns (staged
-/// columns), EraseBatch and Clear. Reads: the Column / ColumnSlice /
-/// ValueAt views, MaterializeRows (boxed copies), Contains, and
-/// EnsureIndex, the one hash-index entry point.
+/// columns), EraseBatch and Clear. Reads: the Column and ValueAt views,
+/// MaterializeRows (boxed copies), Contains, Diff (against another
+/// relation), and EnsureIndex, the one hash-index entry point.
 ///
 /// ## Layout
 ///
@@ -71,15 +71,14 @@ struct RelationSchema {
 ///
 /// ## Borrowing contract
 ///
-/// Column(c) / ColumnSlice(c, begin, end) return zero-copy ColumnView
-/// handles into the live column arrays. A view is valid only until the
-/// next mutation of the relation (Insert / InsertBatch / InsertColumns /
-/// EraseBatch / Clear / ResetSchema), which may reallocate the arrays or
-/// materialize a kind sidecar; executors therefore re-borrow at
-/// plan/batch-build time each round. The KeyIndex pointer EnsureIndex
-/// returns survives inserts (they fold their rows into every cached
-/// index) but not EraseBatch / Clear / ResetSchema, which drop the
-/// indexes.
+/// Column(c) returns a zero-copy ColumnView handle into the live column
+/// arrays. A view is valid only until the next mutation of the relation
+/// (Insert / InsertBatch / InsertColumns / EraseBatch / Clear /
+/// ResetSchema), which may reallocate the arrays or materialize a kind
+/// sidecar; executors therefore re-borrow at plan/batch-build time each
+/// round. The KeyIndex pointer EnsureIndex returns survives inserts (they
+/// fold their rows into every cached index) but not EraseBatch / Clear /
+/// ResetSchema, which drop the indexes.
 ///
 /// ## Threading contract (single writer / multiple readers)
 ///
@@ -93,9 +92,9 @@ struct RelationSchema {
 /// included (it serializes index construction internally).
 class Relation {
  public:
-  /// Zero-copy read-only view of a contiguous slice of one stored column.
-  /// `at(i)` re-boxes the i-th value of the slice. Invalidated by the next
-  /// mutation of the owning relation (see the borrowing contract above).
+  /// Zero-copy read-only view of one stored column. `at(i)` re-boxes the
+  /// i-th value. Invalidated by the next mutation of the owning relation
+  /// (see the borrowing contract above).
   class ColumnView {
    public:
     ColumnView() = default;
@@ -108,14 +107,14 @@ class Relation {
           words_[i]);
     }
 
-    /// Raw unboxed payload words of the slice (64-bit, floats bit-cast).
+    /// Raw unboxed payload words (64-bit, floats bit-cast).
     const int64_t* words() const { return words_; }
     /// Per-row kind tags, or nullptr when the column is uniformly `kind()`.
     const uint8_t* kinds() const { return kinds_; }
     /// The shared ValueType when kinds() == nullptr.
     ValueType kind() const { return kind_; }
-    /// True when every value in the slice is a kNumber with no kind
-    /// sidecar — the unboxed fast-path shape.
+    /// True when every value is a kNumber with no kind sidecar — the
+    /// unboxed fast-path shape.
     bool uniform_number() const {
       return kinds_ == nullptr && kind_ == ValueType::kNumber;
     }
@@ -186,15 +185,26 @@ class Relation {
 
   bool Contains(const Tuple& t) const;
 
+  /// The rows each side of a diff holds that the other lacks, as
+  /// ascending row indexes.
+  struct RowDiff {
+    std::vector<uint32_t> only_here;   // rows of this relation
+    std::vector<uint32_t> only_there;  // rows of the other relation
+  };
+
+  /// Diffs this relation against `other`, which must have the same arity,
+  /// in one pass without boxing: each row of `other` probes this
+  /// relation's dedup table from its raw column words. Rows match by the
+  /// dedup's bit equality, exactly as Contains decides: a NaN matches a
+  /// NaN with the same bits, and 0.0 and -0.0 differ.
+  RowDiff Diff(const Relation& other) const;
+
   /// Fresh boxed copies of rows [begin, size()), in insertion order.
   std::vector<Tuple> MaterializeRows(size_t begin = 0) const;
 
   /// Zero-copy view of column `col` (all rows). Returns an empty view for
   /// out-of-range columns. See the borrowing contract above.
-  ColumnView Column(size_t col) const { return ColumnSlice(col, 0, row_count_); }
-
-  /// Zero-copy view of rows [begin, end) of column `col`.
-  ColumnView ColumnSlice(size_t col, size_t begin, size_t end) const;
+  ColumnView Column(size_t col) const;
 
   /// Boxes the single value at (row, col).
   Value ValueAt(size_t row, size_t col) const {
@@ -344,8 +354,18 @@ class Relation {
   // reserves column and dedup-table room for them.
   Status ReserveRows(size_t extra);
 
-  // A stored row read in place, for rehashing after a compaction.
+  // A stored row read in place, for rehashing after a compaction and for
+  // probing another relation's dedup table.
   struct StoredRow;
+
+  // True when the stored rows have the 2-column all-kNumber shape with no
+  // kind sidecar, so raw words alone decide equality.
+  bool PairNumeric() const;
+
+  // DedupProbe for the PairNumeric shape, from raw words: the row holding
+  // (a, b), whose hash is h32, or kEmptySlot.
+  uint32_t PairProbe(int64_t a, int64_t b, uint32_t h32,
+                     size_t* slot_out) const;
 
   // Unboxed arity-2 all-kNumber batch insert; returns tuples admitted.
   Result<size_t> InsertPairNumeric(const std::vector<Value>& c0,

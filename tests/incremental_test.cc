@@ -9,13 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "dlir/parser.h"
@@ -477,6 +480,105 @@ TEST(IncrementalViewTest, MassiveCascadeBailsOutToRecompute) {
   // rederivation was recorded.
   EXPECT_EQ(view.stats().overdeleted, 0u);
   EXPECT_EQ(view.stats().rederived, 0u);
+  // What it threw away: the seed round overdeletes tc(x, 76) for x in
+  // 0..75, and each round after it the 76 pairs one hop further right.
+  // The 54th such batch, 76·54 = 4104 rows, is the first past 4096.
+  EXPECT_EQ(view.stats().abandoned_overdeleted, 4104u);
+}
+
+bool SameRows(const std::vector<Tuple>& a, const std::vector<Tuple>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), TupleBitEq());
+}
+
+// A bail-out batch that removes and adds closure rows, over a float graph
+// with a NaN node and a 0.0 leaf that turns into -0.0: the recompute's
+// write-back must equal the boxed diff by bit equality — Δ− the live rows
+// the recompute lost (live order), Δ+ the rows it gained (its order),
+// survivors kept in place and Δ+ appended — at 1 and 4 threads.
+TEST(IncrementalViewTest, BailOutDiffMatchesBoxedDiff) {
+  constexpr char kFloatTc[] = R"(
+.decl edge(x: float, y: float)
+.input edge
+.decl tc(x: float, y: float)
+.output tc
+tc(x, y) :- edge(x, y).
+tc(x, y) :- tc(x, z), edge(z, y).
+)";
+  const dlir::Program program = Parse(kFloatTc);
+  const Value nan = Value::Float(std::numeric_limits<double>::quiet_NaN());
+  auto f = [](double v) { return Value::Float(v); };
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    Database db;
+    RelationSchema s;
+    s.name = "edge";
+    s.columns = {{"x", ValueType::kFloat}, {"y", ValueType::kFloat}};
+    Relation* edge = *db.CreateRelation(s);
+    for (int i = 1; i <= 150; ++i) {
+      ASSERT_TRUE(edge->Insert({f(i), f(i + 1)}).ok());
+    }
+    // NaN joins nothing, so these add tc(x, NaN) for x in 1..20 and
+    // tc(NaN, y) for y in 7..151; the cut keeps tc(NaN, y) for y <= 75.
+    ASSERT_TRUE(edge->Insert({f(20), nan}).ok());
+    ASSERT_TRUE(edge->Insert({nan, f(7)}).ok());
+    ASSERT_TRUE(edge->Insert({f(5), f(0.0)}).ok());
+    IncrementalOptions options;
+    options.num_threads = threads;
+    IncrementalView view(options);
+    ASSERT_TRUE(view.Initialize(program, &db).ok());
+    const Relation& tc = **db.GetRelation("tc");
+    const std::vector<Tuple> before = tc.MaterializeRows();
+
+    DeltaBatch batch;
+    batch.relations.push_back({"edge",
+                               {{f(5), f(-0.0)}, {f(151), f(152)}},
+                               {{f(75), f(76)}, {f(5), f(0.0)}}});
+    auto applied = view.ApplyDelta(batch);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    ASSERT_EQ(view.stats().dred_bailouts, 1u);
+    ASSERT_EQ(view.stats().recomputed_sccs, 1u);
+
+    // The boxed diff against a from-scratch run over the same edge rows.
+    Database fresh;
+    Relation* fresh_edge = *fresh.CreateRelation(s);
+    ASSERT_TRUE(fresh_edge->InsertBatch(edge->MaterializeRows()).ok());
+    DatalogEngine eng;
+    ASSERT_TRUE(eng.Run(program, &fresh).ok());
+    const std::vector<Tuple> after =
+        (*fresh.GetRelation("tc"))->MaterializeRows();
+    const std::unordered_set<Tuple, TupleHash, TupleBitEq> old_rows(
+        before.begin(), before.end());
+    const std::unordered_set<Tuple, TupleHash, TupleBitEq> new_rows(
+        after.begin(), after.end());
+    std::vector<Tuple> removed;
+    std::vector<Tuple> maintained;
+    for (const Tuple& t : before) {
+      (new_rows.count(t) == 0 ? removed : maintained).push_back(t);
+    }
+    std::vector<Tuple> added;
+    for (const Tuple& t : after) {
+      if (old_rows.count(t) == 0) added.push_back(t);
+    }
+    maintained.insert(maintained.end(), added.begin(), added.end());
+    // Both signs of the leaf, and NaN rows that survive on both sides.
+    ASSERT_FALSE(added.empty());
+    ASSERT_FALSE(removed.empty());
+    EXPECT_TRUE(new_rows.count({f(1), f(-0.0)}) == 1 &&
+                old_rows.count({f(1), f(0.0)}) == 1 &&
+                new_rows.count({f(1), f(0.0)}) == 0);
+    EXPECT_TRUE(old_rows.count({nan, f(7)}) == 1 &&
+                new_rows.count({nan, f(7)}) == 1);
+
+    ASSERT_EQ(applied->relations.size(), 2u);
+    const AppliedRelationDelta& tc_delta = applied->relations[1];
+    EXPECT_EQ(tc_delta.relation, "tc");
+    EXPECT_EQ(tc_delta.added.size(), added.size());
+    EXPECT_EQ(tc_delta.removed.size(), removed.size());
+    EXPECT_TRUE(SameRows(tc_delta.added, added));
+    EXPECT_TRUE(SameRows(tc_delta.removed, removed));
+    EXPECT_EQ(tc.size(), maintained.size());
+    EXPECT_TRUE(SameRows(tc.MaterializeRows(), maintained));
+  }
 }
 
 // A cascade under the bail-out floor stays on DRed: cutting 140→141 on

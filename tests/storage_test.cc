@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <random>
 #include <thread>
 
@@ -105,7 +106,7 @@ TEST(RelationTest, EnsureIndexIsSafeUnderConcurrentReaders) {
         const bool ok =
             r.size() == rows.size() && r.Contains(rows[row]) &&
             r.Column(1).at(row) == rows[row][1] &&
-            r.ColumnSlice(0, row, rows.size()).at(0) == rows[row][0] &&
+            r.Column(0).at(row) == rows[row][0] &&
             r.ValueAt(row, 1) == rows[row][1] &&
             r.MaterializeRows(row).front() == rows[row] &&
             r.MemoryBytes() == bytes;
@@ -435,14 +436,13 @@ TEST(RelationColumnTest, ColumnViewReadsStoredValuesZeroCopy) {
   ASSERT_NE(src.words(), nullptr);
   EXPECT_EQ(src.kinds(), nullptr);
   EXPECT_EQ(src.words()[1], 11);
-  // Slices share the same storage, offset.
-  Relation::ColumnView slice = r.ColumnSlice(0, 1, 3);
-  ASSERT_EQ(slice.size(), 2u);
-  EXPECT_EQ(slice.at(0).AsNumber(), 11);
-  EXPECT_EQ(slice.words(), src.words() + 1);
-  // Out-of-range column / empty range: empty view.
+  // Views of one column share its storage, and agree with ValueAt.
+  EXPECT_EQ(r.Column(0).words(), src.words());
+  EXPECT_EQ(src.at(1), r.ValueAt(1, 0));
+  EXPECT_EQ(dst.at(2), r.ValueAt(2, 1));
+  // Out-of-range column / empty relation: empty view.
   EXPECT_EQ(r.Column(7).size(), 0u);
-  EXPECT_EQ(r.ColumnSlice(0, 2, 2).size(), 0u);
+  EXPECT_EQ(Relation(EdgeSchema()).Column(0).size(), 0u);
 }
 
 TEST(RelationColumnTest, MixedKindColumnDegradesToTaggedStorage) {
@@ -674,6 +674,136 @@ TEST_F(StorageDifferentialTest, TinyChunksMatchWholeBatch) {
   }
   RunDifferential(stream, 2, 1);
   RunDifferential(stream, 2, 200);
+}
+
+// Relation::Diff against a boxed model: the rows of one side with no
+// bit-equal row on the other, as ascending indexes. Value::operator== would
+// pair 0.0 with -0.0 and leave NaN rows unmatched; the dedup's bit
+// equality does neither.
+Relation::RowDiff DiffModel(const Relation& a, const Relation& b) {
+  const std::vector<Tuple> rows_a = a.MaterializeRows();
+  const std::vector<Tuple> rows_b = b.MaterializeRows();
+  auto unmatched = [](const std::vector<Tuple>& from,
+                      const std::vector<Tuple>& in) {
+    std::vector<uint32_t> out;
+    for (size_t i = 0; i < from.size(); ++i) {
+      bool found = false;
+      for (const Tuple& t : in) found = found || BitEqual(from[i], t);
+      if (!found) out.push_back(static_cast<uint32_t>(i));
+    }
+    return out;
+  };
+  return {unmatched(rows_a, rows_b), unmatched(rows_b, rows_a)};
+}
+
+std::unique_ptr<Relation> RelationOf(size_t arity,
+                                     const std::vector<Tuple>& rows) {
+  RelationSchema s;
+  s.name = "r";
+  for (size_t c = 0; c < arity; ++c) {
+    s.columns.push_back(Column{"c" + std::to_string(c), ValueType::kNumber});
+  }
+  auto rel = std::make_unique<Relation>(s);
+  EXPECT_TRUE(rel->InsertBatch(rows).ok());
+  return rel;
+}
+
+void ExpectDiffMatchesModel(const Relation& a, const Relation& b) {
+  for (const auto& [x, y] : {std::make_pair(&a, &b), std::make_pair(&b, &a)}) {
+    const Relation::RowDiff got = x->Diff(*y);
+    const Relation::RowDiff want = DiffModel(*x, *y);
+    EXPECT_EQ(got.only_here, want.only_here);
+    EXPECT_EQ(got.only_there, want.only_there);
+  }
+}
+
+TEST_F(StorageDifferentialTest, DiffMatchesBoxedModelOnEdgeCases) {
+  const Value nan = Value::Float(std::numeric_limits<double>::quiet_NaN());
+  const Value zero = Value::Float(0.0);
+  const Value neg_zero = Value::Float(-0.0);
+  auto n = [](int64_t v) { return Value::Number(v); };
+  struct Case {
+    const char* name;
+    size_t arity;
+    std::vector<Tuple> a;
+    std::vector<Tuple> b;
+    size_t matched;  // rows the two sides share
+  };
+  const std::vector<Case> cases = {
+      {"NaN matches NaN", 1, {{nan}, {Value::Float(1.5)}}, {{nan}}, 1},
+      {"0.0 differs from -0.0", 2, {{n(1), zero}, {n(2), zero}},
+       {{n(1), neg_zero}, {n(2), zero}}, 1},
+      {"kind sidecar", 2, {{n(1), n(2)}, {n(1), Value::Bool(true)}},
+       {{n(3), n(4)}, {n(1), Value::Bool(true)}, {n(1), n(2)}}, 2},
+      {"pair vs float pair", 2, {{n(1), n(2)}, {n(3), n(4)}},
+       {{n(1), Value::Float(2.0)}, {n(3), n(4)}}, 1},
+      {"arity 0, both hold the empty row", 0, {{}}, {{}}, 1},
+      {"arity 0, one side empty", 0, {{}}, {}, 0},
+      {"empty side", 2, {}, {{n(1), n(2)}}, 0},
+      {"both empty", 3, {}, {}, 0},
+      {"identical, other order", 3,
+       {{n(1), nan, zero}, {n(2), neg_zero, n(3)}, {n(4), n(5), n(6)}},
+       {{n(4), n(5), n(6)}, {n(1), nan, zero}, {n(2), neg_zero, n(3)}}, 3},
+      {"disjoint pairs", 2, {{n(1), n(2)}, {n(3), n(4)}},
+       {{n(2), n(1)}, {n(4), n(3)}}, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto a = RelationOf(c.arity, c.a);
+    auto b = RelationOf(c.arity, c.b);
+    ExpectDiffMatchesModel(*a, *b);
+    const Relation::RowDiff d = a->Diff(*b);
+    EXPECT_EQ(a->size() - d.only_here.size(), c.matched);
+    EXPECT_EQ(b->size() - d.only_there.size(), c.matched);
+  }
+  // A cleared relation (no dedup table) or one erased down to nothing
+  // matches nothing.
+  auto pair = RelationOf(2, {{n(1), n(2)}});
+  auto cleared = RelationOf(2, {{n(1), n(2)}});
+  cleared->Clear();
+  ExpectDiffMatchesModel(*cleared, *pair);
+  auto erased = RelationOf(2, {{n(1), n(2)}});
+  ASSERT_EQ(erased->EraseBatch({{n(1), n(2)}}).value(), 1u);
+  ExpectDiffMatchesModel(*erased, *pair);
+}
+
+TEST_F(StorageDifferentialTest, DiffMatchesBoxedModelOnRandomRelations) {
+  std::mt19937 rng(2024);
+  std::uniform_int_distribution<int> pick(0, 3);
+  std::uniform_int_distribution<int> kind(0, 5);
+  auto mixed = [&]() -> Value {
+    switch (kind(rng)) {
+      case 0: return Value::Float(std::numeric_limits<double>::quiet_NaN());
+      case 1: return Value::Float(0.0);
+      case 2: return Value::Float(-0.0);
+      case 3: return Value::Bool(pick(rng) % 2 == 0);
+      default: return Value::Number(pick(rng));
+    }
+  };
+  auto number = [&]() -> Value { return Value::Number(pick(rng)); };
+  for (size_t arity = 0; arity <= 3; ++arity) {
+    for (bool numbers_only : {true, false}) {
+      for (int round = 0; round < 20; ++round) {
+        SCOPED_TRACE("arity " + std::to_string(arity) + " round " +
+                     std::to_string(round) +
+                     (numbers_only ? " numbers" : " mixed"));
+        std::vector<Tuple> rows[2];
+        for (std::vector<Tuple>& side : rows) {
+          const int n = std::uniform_int_distribution<int>(0, 30)(rng);
+          for (int i = 0; i < n; ++i) {
+            Tuple t;
+            for (size_t c = 0; c < arity; ++c) {
+              t.push_back(numbers_only ? number() : mixed());
+            }
+            side.push_back(std::move(t));
+          }
+        }
+        auto a = RelationOf(arity, rows[0]);
+        auto b = RelationOf(arity, rows[1]);
+        ExpectDiffMatchesModel(*a, *b);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
