@@ -10,7 +10,7 @@
 //              --apply-delta deltas.txt    # incremental view maintenance
 //   raqlet_cli --demo                      # built-in schema + query
 //
-// Options: --frontend cypher|gql|datalog, --opt 0|1|2,
+// Options: --frontend cypher|gql|sqlpgq|datalog, --opt 0|1|2,
 //          --threads N (parallel Datalog / vectorized-SQL evaluation,
 //          default 1),
 //          --param name=value (repeatable),
@@ -31,6 +31,7 @@
 #include "analysis/diagnostics.h"
 #include "analysis/lints.h"
 #include "analysis/typecheck.h"
+#include "common/str_util.h"
 #include "dlir/explain.h"
 #include "ldbc/ldbc.h"
 #include "obs/metrics.h"
@@ -106,13 +107,16 @@ raqlet::Result<std::string> ReadFile(const std::string& path) {
   return buffer.str();
 }
 
-raqlet::dlir::Constant ParseConstant(const std::string& text) {
-  char* end = nullptr;
-  long long num = std::strtoll(text.c_str(), &end, 10);
-  if (end != text.c_str() && *end == '\0') {
-    return raqlet::dlir::Constant::Number(num);
+// A --param value of the form [+-]digits binds a number, which must fit
+// an int64; any other value binds a string.
+raqlet::Result<raqlet::dlir::Constant> ParseConstant(const std::string& text) {
+  size_t digits = !text.empty() && (text[0] == '+' || text[0] == '-') ? 1 : 0;
+  if (text.size() == digits ||
+      text.find_first_not_of("0123456789", digits) != std::string::npos) {
+    return raqlet::dlir::Constant::String(text);
   }
-  return raqlet::dlir::Constant::String(text);
+  RAQLET_ASSIGN_OR_RETURN(int64_t num, raqlet::ParseInt(text));
+  return raqlet::dlir::Constant::Number(num);
 }
 
 // One distinct exit code per failure kind, so scripts (and the CI smoke
@@ -214,19 +218,13 @@ raqlet::Result<std::vector<raqlet::DeltaBatch>> ParseDeltaFile(
         if (token == "true" || token == "false") {
           tuple.push_back(Value::Bool(token == "true"));
         } else if (token.find('.') != std::string::npos) {
-          char* end = nullptr;
-          double d = std::strtod(token.c_str(), &end);
-          if (end != token.c_str() + token.size()) {
-            return fail("bad float '" + token + "'");
-          }
-          tuple.push_back(Value::Float(d));
+          raqlet::Result<double> d = raqlet::ParseFloat(token);
+          if (!d.ok()) return fail(d.status().message());
+          tuple.push_back(Value::Float(*d));
         } else {
-          char* end = nullptr;
-          long long n = std::strtoll(token.c_str(), &end, 10);
-          if (end != token.c_str() + token.size()) {
-            return fail("bad value '" + token + "'");
-          }
-          tuple.push_back(Value::Number(n));
+          raqlet::Result<int64_t> n = raqlet::ParseInt(token);
+          if (!n.ok()) return fail(n.status().message());
+          tuple.push_back(Value::Number(*n));
         }
       }
       while (pos < args.size() && (args[pos] == ' ' || args[pos] == '\t')) {
@@ -324,8 +322,9 @@ int main(int argc, char** argv) {
       std::string pair = v;
       size_t eq = pair.find('=');
       if (eq == std::string::npos) return Usage();
-      options.parameters[pair.substr(0, eq)] =
-          ParseConstant(pair.substr(eq + 1));
+      auto value = ParseConstant(pair.substr(eq + 1));
+      if (!value.ok()) return Fail(value.status());
+      options.parameters[pair.substr(0, eq)] = *value;
     } else if (arg == "--demo") {
       options.demo = true;
     } else if (arg == "--check") {

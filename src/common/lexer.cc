@@ -1,10 +1,19 @@
 #include "common/lexer.h"
 
+#include <algorithm>
 #include <cctype>
+
+#include "common/str_util.h"
 
 namespace raqlet {
 
 namespace {
+
+bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
+bool IsIdentStart(char c) {
+  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+}
+bool IsIdentChar(char c) { return IsIdentStart(c) || IsDigit(c); }
 
 class LexerImpl {
  public:
@@ -22,50 +31,42 @@ class LexerImpl {
       int line = line_;
       int col = col_;
       char c = src_[pos_];
-      if (std::isalpha(static_cast<unsigned char>(c)) || c == '_' ||
-          config_.extra_ident_chars.find(c) != std::string::npos) {
+      if (IsIdentStart(c)) {
         std::string ident;
         while (pos_ < src_.size() && IsIdentChar(src_[pos_])) {
           ident.push_back(Take());
         }
-        out.push_back(Token{Token::kIdent, ident, line, col});
+        out.push_back(Token{Token::kIdent, std::move(ident), line, col});
         continue;
       }
-      if (std::isdigit(static_cast<unsigned char>(c))) {
+      if (IsDigit(c)) {
         std::string num;
         bool is_float = false;
         while (pos_ < src_.size() &&
-               (std::isdigit(static_cast<unsigned char>(src_[pos_])) ||
-                src_[pos_] == '.')) {
+               (IsDigit(src_[pos_]) || src_[pos_] == '.')) {
           if (src_[pos_] == '.') {
-            // ".." (range punctuation) and trailing dots end the number.
-            if (pos_ + 1 >= src_.size() ||
-                !std::isdigit(static_cast<unsigned char>(src_[pos_ + 1]))) {
+            // ".." (range punctuation), a trailing '.' (a rule terminator)
+            // and a second '.' all end the number.
+            if (is_float || pos_ + 1 >= src_.size() ||
+                !IsDigit(src_[pos_ + 1])) {
               break;
             }
-            if (is_float) break;
             is_float = true;
           }
           num.push_back(Take());
         }
-        out.push_back(Token{is_float ? Token::kFloat : Token::kNumber, num,
-                            line, col});
+        out.push_back(Token{is_float ? Token::kFloat : Token::kNumber,
+                            std::move(num), line, col});
         continue;
       }
-      if (c == '"' || (c == '\'' && config_.single_quote_strings)) {
-        char quote = Take();
+      if (c == '"') {
+        Take();
         std::string text;
-        while (pos_ < src_.size() && src_[pos_] != quote) {
+        while (pos_ < src_.size() && src_[pos_] != '"') {
           if (src_[pos_] == '\\' && pos_ + 1 < src_.size()) {
             Take();
             char esc = Take();
-            if (esc == 'n') {
-              text.push_back('\n');
-            } else if (esc == 't') {
-              text.push_back('\t');
-            } else {
-              text.push_back(esc);
-            }
+            text.push_back(esc == 'n' ? '\n' : esc == 't' ? '\t' : esc);
             continue;
           }
           text.push_back(Take());
@@ -75,22 +76,13 @@ class LexerImpl {
                                     std::to_string(line));
         }
         Take();
-        out.push_back(Token{Token::kString, text, line, col});
+        out.push_back(Token{Token::kString, std::move(text), line, col});
         continue;
       }
-      bool matched = false;
-      for (const std::string& punct : config_.multi_char_puncts) {
-        if (src_.compare(pos_, punct.size(), punct) == 0) {
-          for (size_t i = 0; i < punct.size(); ++i) Take();
-          out.push_back(Token{Token::kPunct, punct, line, col});
-          matched = true;
-          break;
-        }
-      }
-      if (matched) continue;
-      if (config_.single_puncts.find(c) != std::string::npos) {
-        Take();
-        out.push_back(Token{Token::kPunct, std::string(1, c), line, col});
+      std::string punct = MatchPunct();
+      if (!punct.empty()) {
+        for (size_t i = 0; i < punct.size(); ++i) Take();
+        out.push_back(Token{Token::kPunct, std::move(punct), line, col});
         continue;
       }
       return Status::ParseError("unexpected character '" + std::string(1, c) +
@@ -100,9 +92,14 @@ class LexerImpl {
   }
 
  private:
-  bool IsIdentChar(char c) const {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-           config_.extra_ident_chars.find(c) != std::string::npos;
+  std::string MatchPunct() const {
+    for (const std::string& punct : config_.multi_char_puncts) {
+      if (src_.compare(pos_, punct.size(), punct) == 0) return punct;
+    }
+    if (config_.single_puncts.find(src_[pos_]) != std::string::npos) {
+      return std::string(1, src_[pos_]);
+    }
+    return "";
   }
 
   char Take() {
@@ -116,29 +113,24 @@ class LexerImpl {
     return c;
   }
 
+  bool LookingAt(const char* two) const {
+    return src_.compare(pos_, 2, two) == 0;
+  }
+
   void SkipWhitespaceAndComments() {
     while (pos_ < src_.size()) {
-      char c = src_[pos_];
-      if (std::isspace(static_cast<unsigned char>(c))) {
+      if (std::isspace(static_cast<unsigned char>(src_[pos_]))) {
         Take();
-      } else if (config_.cpp_comments && c == '/' && pos_ + 1 < src_.size() &&
-                 src_[pos_ + 1] == '/') {
+      } else if (LookingAt("//")) {
         while (pos_ < src_.size() && src_[pos_] != '\n') Take();
-      } else if (config_.cpp_comments && c == '/' && pos_ + 1 < src_.size() &&
-                 src_[pos_ + 1] == '*') {
+      } else if (LookingAt("/*")) {
         Take();
         Take();
-        while (pos_ + 1 < src_.size() &&
-               !(src_[pos_] == '*' && src_[pos_ + 1] == '/')) {
-          Take();
-        }
+        while (pos_ + 1 < src_.size() && !LookingAt("*/")) Take();
         if (pos_ + 1 < src_.size()) {
           Take();
           Take();
         }
-      } else if (config_.dash_comments && c == '-' && pos_ + 1 < src_.size() &&
-                 src_[pos_ + 1] == '-') {
-        while (pos_ < src_.size() && src_[pos_] != '\n') Take();
       } else {
         break;
       }
@@ -158,6 +150,65 @@ Result<std::vector<Token>> Tokenize(const std::string& source,
                                     const LexerConfig& config) {
   LexerImpl impl(source, config);
   return impl.Run();
+}
+
+bool TokenCursor::MatchPunct(const std::string& text) {
+  if (!PeekPunct(text)) return false;
+  Advance();
+  return true;
+}
+
+Status TokenCursor::ExpectPunct(const std::string& text) {
+  if (MatchPunct(text)) return Status::OK();
+  return Errorf("expected '" + text + "'");
+}
+
+bool TokenCursor::PeekKeyword(const std::string& upper, int ahead) const {
+  const Token& t = Peek(ahead);
+  return t.kind == Token::kIdent &&
+         std::equal(t.text.begin(), t.text.end(), upper.begin(), upper.end(),
+                    [](char a, char b) {
+                      return std::toupper(static_cast<unsigned char>(a)) == b;
+                    });
+}
+
+bool TokenCursor::MatchKeyword(const std::string& upper) {
+  if (!PeekKeyword(upper)) return false;
+  Advance();
+  return true;
+}
+
+Status TokenCursor::ExpectKeyword(const std::string& upper) {
+  if (MatchKeyword(upper)) return Status::OK();
+  return Errorf("expected " + upper);
+}
+
+Result<std::string> TokenCursor::ExpectIdent() {
+  if (Peek().kind != Token::kIdent) return Errorf("expected identifier");
+  return Advance().text;
+}
+
+Result<int64_t> TokenCursor::ExpectNumber(int64_t max) {
+  if (Peek().kind != Token::kNumber) return Errorf("expected number");
+  Result<int64_t> value = ParseInt(Peek().text);
+  if (!value.ok() || *value > max) return Errorf("number out of range");
+  Advance();
+  return value;
+}
+
+Result<double> TokenCursor::ExpectFloat() {
+  if (Peek().kind != Token::kFloat) return Errorf("expected float");
+  Result<double> value = ParseFloat(Peek().text);
+  if (!value.ok()) return Errorf("float out of range");
+  Advance();
+  return value;
+}
+
+Status TokenCursor::Errorf(const std::string& what) const {
+  const Token& t = Peek();
+  return Status::ParseError(what + " at line " + std::to_string(t.line) +
+                            ", col " + std::to_string(t.col) + " (got '" +
+                            (t.kind == Token::kEof ? "<eof>" : t.text) + "')");
 }
 
 }  // namespace raqlet

@@ -1,6 +1,9 @@
 #include "common/str_util.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <sstream>
 
 namespace raqlet {
@@ -76,6 +79,32 @@ std::string Indent(const std::string& text, int spaces) {
     out += pad + line;
   }
   return out;
+}
+
+Result<int64_t> ParseInt(const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  long long value = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || end != text.c_str() + text.size()) {
+    return Status::ParseError("not a number: '" + text + "'");
+  }
+  if (errno == ERANGE) {
+    return Status::ParseError("number out of range: '" + text + "'");
+  }
+  return static_cast<int64_t>(value);
+}
+
+Result<double> ParseFloat(const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || end != text.c_str() + text.size()) {
+    return Status::ParseError("not a float: '" + text + "'");
+  }
+  if (errno == ERANGE && std::isinf(value)) {
+    return Status::ParseError("float out of range: '" + text + "'");
+  }
+  return value;
 }
 
 }  // namespace raqlet

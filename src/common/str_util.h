@@ -3,8 +3,11 @@
 
 // Small string helpers shared by the parsers and unparsers.
 
+#include <cstdint>
 #include <string>
 #include <vector>
+
+#include "common/status.h"
 
 namespace raqlet {
 
@@ -27,6 +30,14 @@ std::string Trim(const std::string& text);
 
 /// Indents every line of `text` by `spaces` spaces.
 std::string Indent(const std::string& text, int spaces);
+
+/// The one checked conversion of number text, for every parser and
+/// loader: all of `text` must read as a base-10 integer (ParseInt) or as
+/// a float as strtod reads it (ParseFloat), and the value must fit. A
+/// malformed text or an integer outside int64 or a float overflowing to
+/// infinity is a ParseError; a float underflowing towards zero is not.
+Result<int64_t> ParseInt(const std::string& text);
+Result<double> ParseFloat(const std::string& text);
 
 }  // namespace raqlet
 

@@ -1,41 +1,175 @@
 #include "cypher/parser.h"
 
+#include <climits>
 #include <optional>
-
-#include "common/lexer.h"
-#include "common/str_util.h"
 
 namespace raqlet::cypher {
 
 namespace {
 
-bool IsKeyword(const Token& t, const std::string& upper) {
-  return t.kind == Token::kIdent && ToUpper(t.text) == upper;
+// ---- expressions (precedence climbing, tightest binding first) ----
+
+Result<Expr> ParsePrimary(TokenCursor* c) {
+  const Token& t = c->Peek();
+  switch (t.kind) {
+    case Token::kNumber: {
+      RAQLET_ASSIGN_OR_RETURN(int64_t value, c->ExpectNumber());
+      return Expr::Number(value);
+    }
+    case Token::kFloat: {
+      RAQLET_ASSIGN_OR_RETURN(double value, c->ExpectFloat());
+      return Expr::Literal(dlir::Constant::Float(value));
+    }
+    case Token::kString:
+      return Expr::Str(c->Advance().text);
+    case Token::kPunct:
+      if (c->MatchPunct("$")) {
+        RAQLET_ASSIGN_OR_RETURN(std::string name, c->ExpectIdent());
+        return Expr::Parameter(std::move(name));
+      }
+      if (c->MatchPunct("(")) {
+        RAQLET_ASSIGN_OR_RETURN(Expr inner, ParseExpr(c));
+        RAQLET_RETURN_IF_ERROR(c->ExpectPunct(")"));
+        return inner;
+      }
+      break;
+    case Token::kIdent: {
+      if (c->MatchKeyword("TRUE")) {
+        return Expr::Literal(dlir::Constant::Bool(true));
+      }
+      if (c->MatchKeyword("FALSE")) {
+        return Expr::Literal(dlir::Constant::Bool(false));
+      }
+      if (c->MatchKeyword("NULL")) return Expr::Literal(dlir::Constant::Null());
+      std::string name = c->Advance().text;
+      if (c->MatchPunct("(")) {  // function call
+        Expr call = Expr::Call(name, {});
+        if (c->MatchPunct("*")) {
+          call.star_arg = true;
+        } else if (!c->PeekPunct(")")) {
+          call.distinct_arg = c->MatchKeyword("DISTINCT");
+          while (true) {
+            RAQLET_ASSIGN_OR_RETURN(Expr arg, ParseExpr(c));
+            call.children.push_back(std::move(arg));
+            if (!c->MatchPunct(",")) break;
+          }
+        }
+        RAQLET_RETURN_IF_ERROR(c->ExpectPunct(")"));
+        return call;
+      }
+      if (c->MatchPunct(".")) {
+        RAQLET_ASSIGN_OR_RETURN(std::string prop, c->ExpectIdent());
+        return Expr::Property(std::move(name), std::move(prop));
+      }
+      return Expr::Variable(std::move(name));
+    }
+    case Token::kEof:
+      break;
+  }
+  return c->Errorf("expected expression");
 }
 
-class Parser {
+Result<Expr> ParseUnary(TokenCursor* c) {
+  if (c->MatchPunct("-")) {
+    RAQLET_ASSIGN_OR_RETURN(Expr inner, ParseUnary(c));
+    return Expr::Unary(UnOp::kNeg, std::move(inner));
+  }
+  return ParsePrimary(c);
+}
+
+Result<Expr> ParseMultiplicative(TokenCursor* c) {
+  RAQLET_ASSIGN_OR_RETURN(Expr lhs, ParseUnary(c));
+  while (c->PeekPunct("*") || c->PeekPunct("/") || c->PeekPunct("%")) {
+    const std::string& text = c->Advance().text;
+    BinOp op = text == "*"   ? BinOp::kMul
+               : text == "/" ? BinOp::kDiv
+                             : BinOp::kMod;
+    RAQLET_ASSIGN_OR_RETURN(Expr rhs, ParseUnary(c));
+    lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
+  }
+  return lhs;
+}
+
+Result<Expr> ParseAdditive(TokenCursor* c) {
+  RAQLET_ASSIGN_OR_RETURN(Expr lhs, ParseMultiplicative(c));
+  while (c->PeekPunct("+") || c->PeekPunct("-")) {
+    BinOp op = c->Advance().text == "+" ? BinOp::kAdd : BinOp::kSub;
+    RAQLET_ASSIGN_OR_RETURN(Expr rhs, ParseMultiplicative(c));
+    lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
+  }
+  return lhs;
+}
+
+Result<Expr> ParseComparison(TokenCursor* c) {
+  RAQLET_ASSIGN_OR_RETURN(Expr lhs, ParseAdditive(c));
+  std::optional<BinOp> op;
+  if (c->MatchPunct("=")) {
+    op = BinOp::kEq;
+  } else if (c->MatchPunct("<>")) {
+    op = BinOp::kNe;
+  } else if (c->MatchPunct("<=")) {
+    op = BinOp::kLe;
+  } else if (c->MatchPunct(">=")) {
+    op = BinOp::kGe;
+  } else if (c->MatchPunct("<")) {
+    op = BinOp::kLt;
+  } else if (c->MatchPunct(">")) {
+    op = BinOp::kGt;
+  }
+  if (!op.has_value()) return lhs;
+  RAQLET_ASSIGN_OR_RETURN(Expr rhs, ParseAdditive(c));
+  return Expr::Binary(*op, std::move(lhs), std::move(rhs));
+}
+
+Result<Expr> ParseNot(TokenCursor* c) {
+  if (c->MatchKeyword("NOT")) {
+    RAQLET_ASSIGN_OR_RETURN(Expr inner, ParseNot(c));
+    return Expr::Unary(UnOp::kNot, std::move(inner));
+  }
+  return ParseComparison(c);
+}
+
+Result<Expr> ParseAnd(TokenCursor* c) {
+  RAQLET_ASSIGN_OR_RETURN(Expr lhs, ParseNot(c));
+  while (c->MatchKeyword("AND")) {
+    RAQLET_ASSIGN_OR_RETURN(Expr rhs, ParseNot(c));
+    lhs = Expr::Binary(BinOp::kAnd, std::move(lhs), std::move(rhs));
+  }
+  return lhs;
+}
+
+Result<Expr> ParseOr(TokenCursor* c) {
+  RAQLET_ASSIGN_OR_RETURN(Expr lhs, ParseAnd(c));
+  while (c->MatchKeyword("OR")) {
+    RAQLET_ASSIGN_OR_RETURN(Expr rhs, ParseAnd(c));
+    lhs = Expr::Binary(BinOp::kOr, std::move(lhs), std::move(rhs));
+  }
+  return lhs;
+}
+
+class Parser : public TokenCursor {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  using TokenCursor::TokenCursor;
 
   Result<Query> Parse() {
     Query query;
     bool saw_return = false;
     while (!AtEof()) {
-      if (IsKeyword(Peek(), "MATCH")) {
+      if (PeekKeyword("MATCH")) {
         RAQLET_ASSIGN_OR_RETURN(MatchClause match, ParseMatch());
         query.clauses.push_back(std::move(match));
-      } else if (IsKeyword(Peek(), "WITH")) {
+      } else if (PeekKeyword("WITH")) {
         RAQLET_ASSIGN_OR_RETURN(WithClause with, ParseWith());
         query.clauses.push_back(std::move(with));
-      } else if (IsKeyword(Peek(), "RETURN")) {
+      } else if (PeekKeyword("RETURN")) {
         RAQLET_ASSIGN_OR_RETURN(ReturnClause ret, ParseReturn());
         query.clauses.push_back(std::move(ret));
         saw_return = true;
-      } else if (IsKeyword(Peek(), "FILTER")) {
+      } else if (PeekKeyword("FILTER")) {
         // GQL's standalone FILTER statement (ISO 39075): conjoin with the
         // preceding MATCH/WITH clause's predicate.
         Advance();
-        RAQLET_ASSIGN_OR_RETURN(Expr predicate, ParseExpr());
+        RAQLET_ASSIGN_OR_RETURN(Expr predicate, ParseExpr(this));
         RAQLET_RETURN_IF_ERROR(AttachFilter(&query, std::move(predicate)));
       } else {
         return Errorf("expected MATCH, WITH, FILTER or RETURN");
@@ -51,50 +185,6 @@ class Parser {
   }
 
  private:
-  const Token& Peek(int ahead = 0) const {
-    size_t i = pos_ + static_cast<size_t>(ahead);
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
-  }
-  bool AtEof() const { return Peek().kind == Token::kEof; }
-  const Token& Advance() { return tokens_[pos_++]; }
-
-  bool PeekPunct(const std::string& text, int ahead = 0) const {
-    return Peek(ahead).kind == Token::kPunct && Peek(ahead).text == text;
-  }
-  bool MatchPunct(const std::string& text) {
-    if (PeekPunct(text)) {
-      Advance();
-      return true;
-    }
-    return false;
-  }
-  Status ExpectPunct(const std::string& text) {
-    if (MatchPunct(text)) return Status::OK();
-    return Errorf("expected '" + text + "'");
-  }
-  bool MatchKeyword(const std::string& upper) {
-    if (IsKeyword(Peek(), upper)) {
-      Advance();
-      return true;
-    }
-    return false;
-  }
-  Status ExpectKeyword(const std::string& upper) {
-    if (MatchKeyword(upper)) return Status::OK();
-    return Errorf("expected " + upper);
-  }
-  Result<std::string> ExpectIdent() {
-    if (Peek().kind != Token::kIdent) return Errorf("expected identifier");
-    return Advance().text;
-  }
-  Status Errorf(const std::string& what) const {
-    const Token& t = Peek();
-    return Status::ParseError(what + " at line " + std::to_string(t.line) +
-                              ", col " + std::to_string(t.col) + " (got '" +
-                              (t.kind == Token::kEof ? "<eof>" : t.text) +
-                              "')");
-  }
-
   static Status AttachFilter(Query* query, Expr predicate) {
     if (query->clauses.empty()) {
       return Status::ParseError("FILTER requires a preceding MATCH or WITH");
@@ -130,7 +220,7 @@ class Parser {
       if (!MatchPunct(",")) break;
     }
     if (MatchKeyword("WHERE")) {
-      RAQLET_ASSIGN_OR_RETURN(Expr where, ParseExpr());
+      RAQLET_ASSIGN_OR_RETURN(Expr where, ParseExpr(this));
       match.where = std::move(where);
     }
     return match;
@@ -142,7 +232,7 @@ class Parser {
     with.distinct = MatchKeyword("DISTINCT");
     RAQLET_ASSIGN_OR_RETURN(with.items, ParseItems());
     if (MatchKeyword("WHERE")) {
-      RAQLET_ASSIGN_OR_RETURN(Expr where, ParseExpr());
+      RAQLET_ASSIGN_OR_RETURN(Expr where, ParseExpr(this));
       with.where = std::move(where);
     }
     return with;
@@ -157,7 +247,7 @@ class Parser {
       RAQLET_RETURN_IF_ERROR(ExpectKeyword("BY"));
       while (true) {
         OrderItem item;
-        RAQLET_ASSIGN_OR_RETURN(item.expr, ParseExpr());
+        RAQLET_ASSIGN_OR_RETURN(item.expr, ParseExpr(this));
         if (MatchKeyword("DESC") || MatchKeyword("DESCENDING")) {
           item.ascending = false;
         } else if (MatchKeyword("ASC") || MatchKeyword("ASCENDING")) {
@@ -168,12 +258,10 @@ class Parser {
       }
     }
     if (MatchKeyword("SKIP")) {
-      if (Peek().kind != Token::kNumber) return Errorf("expected number");
-      ret.skip = std::stoll(Advance().text);
+      RAQLET_ASSIGN_OR_RETURN(ret.skip, ExpectNumber());
     }
     if (MatchKeyword("LIMIT")) {
-      if (Peek().kind != Token::kNumber) return Errorf("expected number");
-      ret.limit = std::stoll(Advance().text);
+      RAQLET_ASSIGN_OR_RETURN(ret.limit, ExpectNumber());
     }
     return ret;
   }
@@ -182,7 +270,7 @@ class Parser {
     std::vector<ReturnItem> items;
     while (true) {
       ReturnItem item;
-      RAQLET_ASSIGN_OR_RETURN(item.expr, ParseExpr());
+      RAQLET_ASSIGN_OR_RETURN(item.expr, ParseExpr(this));
       if (MatchKeyword("AS")) {
         RAQLET_ASSIGN_OR_RETURN(item.alias, ExpectIdent());
       }
@@ -198,12 +286,12 @@ class Parser {
     PathPattern path;
     // Optional `p = ` prefix.
     if (Peek().kind == Token::kIdent && PeekPunct("=", 1) &&
-        !IsKeyword(Peek(), "SHORTESTPATH")) {
+        !PeekKeyword("SHORTESTPATH")) {
       path.path_var = Advance().text;
       Advance();  // '='
     }
     bool wrapped = false;
-    if (IsKeyword(Peek(), "SHORTESTPATH")) {
+    if (PeekKeyword("SHORTESTPATH")) {
       Advance();
       RAQLET_RETURN_IF_ERROR(ExpectPunct("("));
       path.shortest = true;
@@ -222,9 +310,7 @@ class Parser {
   Result<NodePattern> ParseNodePattern() {
     RAQLET_RETURN_IF_ERROR(ExpectPunct("("));
     NodePattern node;
-    if (Peek().kind == Token::kIdent && !PeekPunct(":", 1)) {
-      node.var = Advance().text;
-    } else if (Peek().kind == Token::kIdent && PeekPunct(":", 1)) {
+    if (Peek().kind == Token::kIdent) {
       node.var = Advance().text;
     }
     if (MatchPunct(":")) {
@@ -244,7 +330,7 @@ class Parser {
       while (true) {
         RAQLET_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
         RAQLET_RETURN_IF_ERROR(ExpectPunct(":"));
-        RAQLET_ASSIGN_OR_RETURN(Expr value, ParseExpr());
+        RAQLET_ASSIGN_OR_RETURN(Expr value, ParseExpr(this));
         props.emplace_back(std::move(name), std::move(value));
         if (!MatchPunct(",")) break;
       }
@@ -273,17 +359,13 @@ class Parser {
         edge.min_hops = 1;
         edge.max_hops = EdgePattern::kUnboundedHops;
         if (Peek().kind == Token::kNumber) {
-          edge.min_hops = static_cast<int>(std::stoll(Advance().text));
+          RAQLET_ASSIGN_OR_RETURN(edge.min_hops, ExpectNumber(INT_MAX));
           edge.max_hops = edge.min_hops;  // `*n` = exactly n
-          if (MatchPunct("..")) {
-            edge.max_hops = EdgePattern::kUnboundedHops;
-            if (Peek().kind == Token::kNumber) {
-              edge.max_hops = static_cast<int>(std::stoll(Advance().text));
-            }
-          }
-        } else if (MatchPunct("..")) {
+        }
+        if (MatchPunct("..")) {
+          edge.max_hops = EdgePattern::kUnboundedHops;
           if (Peek().kind == Token::kNumber) {
-            edge.max_hops = static_cast<int>(std::stoll(Advance().text));
+            RAQLET_ASSIGN_OR_RETURN(edge.max_hops, ExpectNumber(INT_MAX));
           }
         }
       }
@@ -310,171 +392,16 @@ class Parser {
     }
     return edge;
   }
-
-  // ---- expressions (precedence climbing) ----
-
-  Result<Expr> ParseExpr() { return ParseOr(); }
-
-  Result<Expr> ParseOr() {
-    RAQLET_ASSIGN_OR_RETURN(Expr lhs, ParseAnd());
-    while (MatchKeyword("OR")) {
-      RAQLET_ASSIGN_OR_RETURN(Expr rhs, ParseAnd());
-      lhs = Expr::Binary(BinOp::kOr, std::move(lhs), std::move(rhs));
-    }
-    return lhs;
-  }
-
-  Result<Expr> ParseAnd() {
-    RAQLET_ASSIGN_OR_RETURN(Expr lhs, ParseNot());
-    while (MatchKeyword("AND")) {
-      RAQLET_ASSIGN_OR_RETURN(Expr rhs, ParseNot());
-      lhs = Expr::Binary(BinOp::kAnd, std::move(lhs), std::move(rhs));
-    }
-    return lhs;
-  }
-
-  Result<Expr> ParseNot() {
-    if (MatchKeyword("NOT")) {
-      RAQLET_ASSIGN_OR_RETURN(Expr inner, ParseNot());
-      return Expr::Unary(UnOp::kNot, std::move(inner));
-    }
-    return ParseComparison();
-  }
-
-  Result<Expr> ParseComparison() {
-    RAQLET_ASSIGN_OR_RETURN(Expr lhs, ParseAdditive());
-    std::optional<BinOp> op;
-    if (MatchPunct("=")) {
-      op = BinOp::kEq;
-    } else if (MatchPunct("<>")) {
-      op = BinOp::kNe;
-    } else if (MatchPunct("<=")) {
-      op = BinOp::kLe;
-    } else if (MatchPunct(">=")) {
-      op = BinOp::kGe;
-    } else if (MatchPunct("<")) {
-      op = BinOp::kLt;
-    } else if (MatchPunct(">")) {
-      op = BinOp::kGt;
-    }
-    if (!op.has_value()) return lhs;
-    RAQLET_ASSIGN_OR_RETURN(Expr rhs, ParseAdditive());
-    return Expr::Binary(*op, std::move(lhs), std::move(rhs));
-  }
-
-  Result<Expr> ParseAdditive() {
-    RAQLET_ASSIGN_OR_RETURN(Expr lhs, ParseMultiplicative());
-    while (PeekPunct("+") || PeekPunct("-")) {
-      BinOp op = Peek().text == "+" ? BinOp::kAdd : BinOp::kSub;
-      Advance();
-      RAQLET_ASSIGN_OR_RETURN(Expr rhs, ParseMultiplicative());
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
-    }
-    return lhs;
-  }
-
-  Result<Expr> ParseMultiplicative() {
-    RAQLET_ASSIGN_OR_RETURN(Expr lhs, ParseUnary());
-    while (PeekPunct("*") || PeekPunct("/") || PeekPunct("%")) {
-      BinOp op = Peek().text == "*"   ? BinOp::kMul
-                 : Peek().text == "/" ? BinOp::kDiv
-                                      : BinOp::kMod;
-      Advance();
-      RAQLET_ASSIGN_OR_RETURN(Expr rhs, ParseUnary());
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
-    }
-    return lhs;
-  }
-
-  Result<Expr> ParseUnary() {
-    if (MatchPunct("-")) {
-      RAQLET_ASSIGN_OR_RETURN(Expr inner, ParseUnary());
-      return Expr::Unary(UnOp::kNeg, std::move(inner));
-    }
-    return ParsePrimary();
-  }
-
-  Result<Expr> ParsePrimary() {
-    const Token& t = Peek();
-    switch (t.kind) {
-      case Token::kNumber: {
-        Advance();
-        return Expr::Number(std::stoll(t.text));
-      }
-      case Token::kFloat: {
-        Advance();
-        return Expr::Literal(dlir::Constant::Float(std::stod(t.text)));
-      }
-      case Token::kString: {
-        Advance();
-        return Expr::Str(t.text);
-      }
-      case Token::kPunct:
-        if (t.text == "$") {
-          Advance();
-          RAQLET_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
-          return Expr::Parameter(std::move(name));
-        }
-        if (t.text == "(") {
-          Advance();
-          RAQLET_ASSIGN_OR_RETURN(Expr inner, ParseExpr());
-          RAQLET_RETURN_IF_ERROR(ExpectPunct(")"));
-          return inner;
-        }
-        break;
-      case Token::kIdent: {
-        std::string upper = ToUpper(t.text);
-        if (upper == "TRUE") {
-          Advance();
-          return Expr::Literal(dlir::Constant::Bool(true));
-        }
-        if (upper == "FALSE") {
-          Advance();
-          return Expr::Literal(dlir::Constant::Bool(false));
-        }
-        if (upper == "NULL") {
-          Advance();
-          return Expr::Literal(dlir::Constant::Null());
-        }
-        std::string name = Advance().text;
-        if (MatchPunct("(")) {  // function call
-          Expr call = Expr::Call(name, {});
-          if (MatchPunct("*")) {
-            call.star_arg = true;
-          } else if (!PeekPunct(")")) {
-            call.distinct_arg = MatchKeyword("DISTINCT");
-            while (true) {
-              RAQLET_ASSIGN_OR_RETURN(Expr arg, ParseExpr());
-              call.children.push_back(std::move(arg));
-              if (!MatchPunct(",")) break;
-            }
-          }
-          RAQLET_RETURN_IF_ERROR(ExpectPunct(")"));
-          return call;
-        }
-        if (MatchPunct(".")) {
-          RAQLET_ASSIGN_OR_RETURN(std::string prop, ExpectIdent());
-          return Expr::Property(std::move(name), std::move(prop));
-        }
-        return Expr::Variable(std::move(name));
-      }
-      case Token::kEof:
-        break;
-    }
-    return Errorf("expected expression");
-  }
-
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
 };
 
 }  // namespace
+
+Result<Expr> ParseExpr(TokenCursor* cursor) { return ParseOr(cursor); }
 
 Result<Query> ParseQuery(const std::string& source) {
   LexerConfig config;
   config.multi_char_puncts = {"<-", "->", "<=", ">=", "<>", ".."};
   config.single_puncts = "()[]{},.:*=<>+-/%$";
-  config.dash_comments = false;  // '-' is pattern syntax in Cypher
   RAQLET_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source, config));
   Parser parser(std::move(tokens));
   return parser.Parse();

@@ -1,173 +1,13 @@
 #include "dlir/parser.h"
 
-#include <cctype>
 #include <optional>
 #include <vector>
 
-#include "common/str_util.h"
+#include "common/lexer.h"
 
 namespace raqlet::dlir {
 
 namespace {
-
-enum class TokKind {
-  kIdent,
-  kNumber,
-  kFloat,
-  kString,
-  kPunct,  // one of ( ) , . : ! = < > + - * / % @ { } _ and ":-" "!=" "<=" ">="
-  kEof,
-};
-
-struct Token {
-  TokKind kind = TokKind::kEof;
-  std::string text;
-  int line = 1;
-  int col = 1;
-};
-
-class Lexer {
- public:
-  explicit Lexer(const std::string& source) : src_(source) {}
-
-  Result<std::vector<Token>> Tokenize() {
-    std::vector<Token> out;
-    while (true) {
-      SkipWhitespaceAndComments();
-      if (pos_ >= src_.size()) {
-        out.push_back(Token{TokKind::kEof, "", line_, col_});
-        return out;
-      }
-      int line = line_;
-      int col = col_;
-      char c = src_[pos_];
-      if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        std::string ident;
-        while (pos_ < src_.size() &&
-               (std::isalnum(static_cast<unsigned char>(src_[pos_])) ||
-                src_[pos_] == '_')) {
-          ident.push_back(Take());
-        }
-        if (ident == "_") {
-          out.push_back(Token{TokKind::kPunct, "_", line, col});
-        } else {
-          out.push_back(Token{TokKind::kIdent, ident, line, col});
-        }
-        continue;
-      }
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        std::string num;
-        bool is_float = false;
-        while (pos_ < src_.size() &&
-               (std::isdigit(static_cast<unsigned char>(src_[pos_])) ||
-                src_[pos_] == '.')) {
-          // A '.' only continues the number if a digit follows (else it is
-          // the rule terminator).
-          if (src_[pos_] == '.') {
-            if (pos_ + 1 >= src_.size() ||
-                !std::isdigit(static_cast<unsigned char>(src_[pos_ + 1]))) {
-              break;
-            }
-            is_float = true;
-          }
-          num.push_back(Take());
-        }
-        out.push_back(
-            Token{is_float ? TokKind::kFloat : TokKind::kNumber, num, line, col});
-        continue;
-      }
-      if (c == '"') {
-        Take();
-        std::string text;
-        while (pos_ < src_.size() && src_[pos_] != '"') {
-          if (src_[pos_] == '\\' && pos_ + 1 < src_.size()) {
-            Take();
-            char esc = Take();
-            if (esc == 'n') {
-              text.push_back('\n');
-            } else if (esc == 't') {
-              text.push_back('\t');
-            } else {
-              text.push_back(esc);
-            }
-            continue;
-          }
-          text.push_back(Take());
-        }
-        if (pos_ >= src_.size()) {
-          return Status::ParseError("unterminated string at line " +
-                                    std::to_string(line));
-        }
-        Take();  // closing quote
-        out.push_back(Token{TokKind::kString, text, line, col});
-        continue;
-      }
-      // Multi-char punctuation first.
-      static const char* kTwoChar[] = {":-", "!=", "<=", ">="};
-      bool matched = false;
-      for (const char* two : kTwoChar) {
-        if (src_.compare(pos_, 2, two) == 0) {
-          Take();
-          Take();
-          out.push_back(Token{TokKind::kPunct, two, line, col});
-          matched = true;
-          break;
-        }
-      }
-      if (matched) continue;
-      static const std::string kSingles = "().,:!=<>+-*/%@{}";
-      if (kSingles.find(c) != std::string::npos) {
-        Take();
-        out.push_back(Token{TokKind::kPunct, std::string(1, c), line, col});
-        continue;
-      }
-      return Status::ParseError("unexpected character '" + std::string(1, c) +
-                                "' at line " + std::to_string(line) +
-                                ", col " + std::to_string(col));
-    }
-  }
-
- private:
-  char Take() {
-    char c = src_[pos_++];
-    if (c == '\n') {
-      ++line_;
-      col_ = 1;
-    } else {
-      ++col_;
-    }
-    return c;
-  }
-
-  void SkipWhitespaceAndComments() {
-    while (pos_ < src_.size()) {
-      char c = src_[pos_];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        Take();
-      } else if (c == '/' && pos_ + 1 < src_.size() && src_[pos_ + 1] == '/') {
-        while (pos_ < src_.size() && src_[pos_] != '\n') Take();
-      } else if (c == '/' && pos_ + 1 < src_.size() && src_[pos_ + 1] == '*') {
-        Take();
-        Take();
-        while (pos_ + 1 < src_.size() &&
-               !(src_[pos_] == '*' && src_[pos_ + 1] == '/')) {
-          Take();
-        }
-        if (pos_ + 1 < src_.size()) {
-          Take();
-          Take();
-        }
-      } else {
-        break;
-      }
-    }
-  }
-
-  const std::string& src_;
-  size_t pos_ = 0;
-  int line_ = 1;
-  int col_ = 1;
-};
 
 std::optional<AggFunc> AggFuncFromName(const std::string& name) {
   if (name == "count") return AggFunc::kCount;
@@ -178,9 +18,9 @@ std::optional<AggFunc> AggFuncFromName(const std::string& name) {
   return std::nullopt;
 }
 
-class Parser {
+class Parser : public TokenCursor {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  using TokenCursor::TokenCursor;
 
   Result<Program> Parse() {
     Program program;
@@ -196,43 +36,6 @@ class Parser {
   }
 
  private:
-  const Token& Peek(int ahead = 0) const {
-    size_t i = pos_ + static_cast<size_t>(ahead);
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
-  }
-  bool AtEof() const { return Peek().kind == TokKind::kEof; }
-  const Token& Advance() { return tokens_[pos_++]; }
-
-  bool PeekPunct(const std::string& text, int ahead = 0) const {
-    return Peek(ahead).kind == TokKind::kPunct && Peek(ahead).text == text;
-  }
-
-  bool MatchPunct(const std::string& text) {
-    if (PeekPunct(text)) {
-      Advance();
-      return true;
-    }
-    return false;
-  }
-
-  Status ExpectPunct(const std::string& text) {
-    if (MatchPunct(text)) return Status::OK();
-    return Errorf("expected '" + text + "'");
-  }
-
-  Result<std::string> ExpectIdent() {
-    if (Peek().kind != TokKind::kIdent) return Errorf("expected identifier");
-    return Advance().text;
-  }
-
-  Status Errorf(const std::string& what) const {
-    const Token& t = Peek();
-    return Status::ParseError(what + " at line " + std::to_string(t.line) +
-                              ", col " + std::to_string(t.col) + " (got '" +
-                              (t.kind == TokKind::kEof ? "<eof>" : t.text) +
-                              "')");
-  }
-
   Status ParseDirective(Program* program) {
     RAQLET_RETURN_IF_ERROR(ExpectPunct("."));
     RAQLET_ASSIGN_OR_RETURN(std::string word, ExpectIdent());
@@ -308,7 +111,7 @@ class Parser {
     RAQLET_RETURN_IF_ERROR(ExpectPunct("("));
     while (true) {
       // Aggregate? `func ( term? )` where func is an agg name.
-      if (Peek().kind == TokKind::kIdent && PeekPunct("(", 1)) {
+      if (Peek().kind == Token::kIdent && PeekPunct("(", 1)) {
         std::optional<AggFunc> func = AggFuncFromName(Peek().text);
         if (func.has_value()) {
           if (rule->agg.has_value()) {
@@ -352,7 +155,7 @@ class Parser {
     // An atom starts with IDENT '(' — but so does an arithmetic call; only
     // atoms are supported at literal position, so IDENT '(' is
     // unambiguous. Everything else is a constraint.
-    if (Peek().kind == TokKind::kIdent && PeekPunct("(", 1)) {
+    if (Peek().kind == Token::kIdent && PeekPunct("(", 1)) {
       RAQLET_ASSIGN_OR_RETURN(Atom atom, ParseAtom());
       rule->body.push_back(std::move(atom));
       return Status::OK();
@@ -423,26 +226,26 @@ class Parser {
   Result<Term> ParsePrimary() {
     const Token& t = Peek();
     switch (t.kind) {
-      case TokKind::kNumber: {
-        Advance();
-        return Term::Num(std::stoll(t.text));
+      case Token::kNumber: {
+        RAQLET_ASSIGN_OR_RETURN(int64_t value, ExpectNumber());
+        return Term::Num(value);
       }
-      case TokKind::kFloat: {
-        Advance();
-        return Term::Const(Constant::Float(std::stod(t.text)));
+      case Token::kFloat: {
+        RAQLET_ASSIGN_OR_RETURN(double value, ExpectFloat());
+        return Term::Const(Constant::Float(value));
       }
-      case TokKind::kString: {
+      case Token::kString: {
         Advance();
         return Term::Str(t.text);
       }
-      case TokKind::kIdent: {
+      case Token::kIdent: {
         std::string name = Advance().text;
         if (name == "true") return Term::Const(Constant::Bool(true));
         if (name == "false") return Term::Const(Constant::Bool(false));
         if (name == "nil") return Term::Const(Constant::Null());
         return Term::Var(std::move(name));
       }
-      case TokKind::kPunct:
+      case Token::kPunct:
         if (t.text == "_") {
           Advance();
           return Term::Wildcard();
@@ -459,21 +262,26 @@ class Parser {
           return Term::Binary(ArithOp::kSub, Term::Num(0), std::move(inner));
         }
         break;
-      case TokKind::kEof:
+      case Token::kEof:
         break;
     }
     return Errorf("expected term");
   }
-
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
 };
 
 }  // namespace
 
 Result<Program> ParseProgram(const std::string& source) {
-  Lexer lexer(source);
-  RAQLET_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
+  LexerConfig config;
+  config.multi_char_puncts = {":-", "!=", "<=", ">="};
+  config.single_puncts = "().,:!=<>+-*/%@{}";
+  RAQLET_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source, config));
+  // A lone `_` is the wildcard term, never a name.
+  for (Token& token : tokens) {
+    if (token.kind == Token::kIdent && token.text == "_") {
+      token.kind = Token::kPunct;
+    }
+  }
   Parser parser(std::move(tokens));
   return parser.Parse();
 }

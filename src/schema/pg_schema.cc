@@ -111,15 +111,17 @@ std::string ToUpperSnake(const std::string& name) {
 
 namespace {
 
-class SchemaParser {
+class SchemaParser : public TokenCursor {
  public:
-  explicit SchemaParser(std::vector<Token> tokens)
-      : tokens_(std::move(tokens)) {}
+  using TokenCursor::TokenCursor;
 
   Result<PgSchema> Parse() {
     PgSchema schema;
-    RAQLET_RETURN_IF_ERROR(ExpectKeyword("CREATE"));
-    RAQLET_RETURN_IF_ERROR(ExpectKeyword("GRAPH"));
+    for (const char* word : {"CREATE", "GRAPH"}) {
+      if (!MatchKeyword(word)) {
+        return Errorf(std::string("expected keyword ") + word);
+      }
+    }
     RAQLET_RETURN_IF_ERROR(ExpectPunct("{"));
     while (!PeekPunct("}")) {
       RAQLET_RETURN_IF_ERROR(ParseEntry(&schema));
@@ -150,44 +152,6 @@ class SchemaParser {
   }
 
  private:
-  const Token& Peek(int ahead = 0) const {
-    size_t i = pos_ + static_cast<size_t>(ahead);
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
-  }
-  const Token& Advance() { return tokens_[pos_++]; }
-  bool PeekPunct(const std::string& text) const {
-    return Peek().kind == Token::kPunct && Peek().text == text;
-  }
-  bool MatchPunct(const std::string& text) {
-    if (PeekPunct(text)) {
-      Advance();
-      return true;
-    }
-    return false;
-  }
-  Status ExpectPunct(const std::string& text) {
-    if (MatchPunct(text)) return Status::OK();
-    return Errorf("expected '" + text + "'");
-  }
-  Status ExpectKeyword(const std::string& word) {
-    if (Peek().kind == Token::kIdent && ToUpper(Peek().text) == word) {
-      Advance();
-      return Status::OK();
-    }
-    return Errorf("expected keyword " + word);
-  }
-  Result<std::string> ExpectIdent() {
-    if (Peek().kind != Token::kIdent) return Errorf("expected identifier");
-    return Advance().text;
-  }
-  Status Errorf(const std::string& what) const {
-    const Token& t = Peek();
-    return Status::ParseError(what + " at line " + std::to_string(t.line) +
-                              ", col " + std::to_string(t.col) + " (got '" +
-                              (t.kind == Token::kEof ? "<eof>" : t.text) +
-                              "')");
-  }
-
   Result<ValueType> ParseType() {
     RAQLET_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
     std::string upper = ToUpper(name);
@@ -250,9 +214,6 @@ class SchemaParser {
     schema->nodes.push_back(std::move(node));
     return Status::OK();
   }
-
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
 };
 
 }  // namespace

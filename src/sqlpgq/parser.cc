@@ -1,9 +1,8 @@
 #include "sqlpgq/parser.h"
 
-#include <optional>
+#include <climits>
 
 #include "common/lexer.h"
-#include "common/str_util.h"
 #include "cypher/parser.h"
 
 namespace raqlet::sqlpgq {
@@ -15,17 +14,16 @@ using cypher::EdgePattern;
 using cypher::Expr;
 using cypher::MatchClause;
 using cypher::NodePattern;
+using cypher::ParseExpr;
 using cypher::PathPattern;
 using cypher::ReturnClause;
 using cypher::ReturnItem;
 
-bool IsKeyword(const Token& t, const std::string& upper) {
-  return t.kind == Token::kIdent && ToUpper(t.text) == upper;
-}
-
-class Parser {
+// SQL/PGQ statement, pattern and quantifier syntax over the shared
+// cursor; every scalar expression goes through Cypher's grammar.
+class Parser : public TokenCursor {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  using TokenCursor::TokenCursor;
 
   Result<PgqQuery> Parse() {
     PgqQuery out;
@@ -64,7 +62,7 @@ class Parser {
     }
     // Per-element WHEREs gathered during pattern parsing + the global one.
     if (MatchKeyword("WHERE")) {
-      RAQLET_ASSIGN_OR_RETURN(Expr where, ParseExprText());
+      RAQLET_ASSIGN_OR_RETURN(Expr where, ParseExpr(this));
       element_filters_.push_back(std::move(where));
     }
     if (!element_filters_.empty()) {
@@ -83,7 +81,7 @@ class Parser {
     std::vector<ReturnItem> columns;
     while (true) {
       ReturnItem item;
-      RAQLET_ASSIGN_OR_RETURN(item.expr, ParseExprText());
+      RAQLET_ASSIGN_OR_RETURN(item.expr, ParseExpr(this));
       RAQLET_RETURN_IF_ERROR(ExpectKeyword("AS"));
       RAQLET_ASSIGN_OR_RETURN(item.alias, ExpectIdent());
       columns.push_back(std::move(item));
@@ -119,193 +117,19 @@ class Parser {
   }
 
  private:
-  const Token& Peek(int ahead = 0) const {
-    size_t i = pos_ + static_cast<size_t>(ahead);
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
-  }
-  const Token& Advance() { return tokens_[pos_++]; }
-  bool PeekPunct(const std::string& text, int ahead = 0) const {
-    return Peek(ahead).kind == Token::kPunct && Peek(ahead).text == text;
-  }
-  bool MatchPunct(const std::string& text) {
-    if (PeekPunct(text)) {
-      Advance();
-      return true;
-    }
-    return false;
-  }
-  Status ExpectPunct(const std::string& text) {
-    if (MatchPunct(text)) return Status::OK();
-    return Errorf("expected '" + text + "'");
-  }
-  bool MatchKeyword(const std::string& upper) {
-    if (IsKeyword(Peek(), upper)) {
-      Advance();
-      return true;
-    }
-    return false;
-  }
-  Status ExpectKeyword(const std::string& upper) {
-    if (MatchKeyword(upper)) return Status::OK();
-    return Errorf("expected " + upper);
-  }
-  Result<std::string> ExpectIdent() {
-    if (Peek().kind != Token::kIdent) return Errorf("expected identifier");
-    return Advance().text;
-  }
-  Status Errorf(const std::string& what) const {
-    const Token& t = Peek();
-    return Status::ParseError(what + " at line " + std::to_string(t.line) +
-                              ", col " + std::to_string(t.col) + " (got '" +
-                              (t.kind == Token::kEof ? "<eof>" : t.text) +
-                              "')");
-  }
-
-  // Scalar expressions share Cypher's grammar. We re-lex the token span
-  // through the Cypher expression parser by collecting the raw text of a
-  // balanced expression; to keep this simple and robust we instead parse
-  // with a tiny precedence parser over the same tokens (comparisons,
-  // AND/OR, property access, literals).
-  Result<Expr> ParseExprText() { return ParseOr(); }
-
-  Result<Expr> ParseOr() {
-    RAQLET_ASSIGN_OR_RETURN(Expr lhs, ParseAnd());
-    while (MatchKeyword("OR")) {
-      RAQLET_ASSIGN_OR_RETURN(Expr rhs, ParseAnd());
-      lhs = Expr::Binary(cypher::BinOp::kOr, std::move(lhs), std::move(rhs));
-    }
-    return lhs;
-  }
-
-  Result<Expr> ParseAnd() {
-    RAQLET_ASSIGN_OR_RETURN(Expr lhs, ParseNot());
-    while (MatchKeyword("AND")) {
-      RAQLET_ASSIGN_OR_RETURN(Expr rhs, ParseNot());
-      lhs = Expr::Binary(cypher::BinOp::kAnd, std::move(lhs), std::move(rhs));
-    }
-    return lhs;
-  }
-
-  Result<Expr> ParseNot() {
-    if (MatchKeyword("NOT")) {
-      RAQLET_ASSIGN_OR_RETURN(Expr inner, ParseNot());
-      return Expr::Unary(cypher::UnOp::kNot, std::move(inner));
-    }
-    return ParseComparison();
-  }
-
-  Result<Expr> ParseComparison() {
-    RAQLET_ASSIGN_OR_RETURN(Expr lhs, ParseAdditive());
-    std::optional<cypher::BinOp> op;
-    if (MatchPunct("=")) {
-      op = cypher::BinOp::kEq;
-    } else if (MatchPunct("<>")) {
-      op = cypher::BinOp::kNe;
-    } else if (MatchPunct("<=")) {
-      op = cypher::BinOp::kLe;
-    } else if (MatchPunct(">=")) {
-      op = cypher::BinOp::kGe;
-    } else if (MatchPunct("<")) {
-      op = cypher::BinOp::kLt;
-    } else if (MatchPunct(">")) {
-      op = cypher::BinOp::kGt;
-    }
-    if (!op.has_value()) return lhs;
-    RAQLET_ASSIGN_OR_RETURN(Expr rhs, ParseAdditive());
-    return Expr::Binary(*op, std::move(lhs), std::move(rhs));
-  }
-
-  Result<Expr> ParseAdditive() {
-    RAQLET_ASSIGN_OR_RETURN(Expr lhs, ParseMultiplicative());
-    while (PeekPunct("+") || PeekPunct("-")) {
-      cypher::BinOp op =
-          Peek().text == "+" ? cypher::BinOp::kAdd : cypher::BinOp::kSub;
-      Advance();
-      RAQLET_ASSIGN_OR_RETURN(Expr rhs, ParseMultiplicative());
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
-    }
-    return lhs;
-  }
-
-  Result<Expr> ParseMultiplicative() {
-    RAQLET_ASSIGN_OR_RETURN(Expr lhs, ParsePrimary());
-    while (PeekPunct("*") || PeekPunct("/") || PeekPunct("%")) {
-      cypher::BinOp op = Peek().text == "*"   ? cypher::BinOp::kMul
-                         : Peek().text == "/" ? cypher::BinOp::kDiv
-                                              : cypher::BinOp::kMod;
-      Advance();
-      RAQLET_ASSIGN_OR_RETURN(Expr rhs, ParsePrimary());
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
-    }
-    return lhs;
-  }
-
-  Result<Expr> ParsePrimary() {
-    const Token& t = Peek();
-    if (t.kind == Token::kNumber) {
-      Advance();
-      return Expr::Number(std::stoll(t.text));
-    }
-    if (t.kind == Token::kFloat) {
-      Advance();
-      return Expr::Literal(dlir::Constant::Float(std::stod(t.text)));
-    }
-    if (t.kind == Token::kString) {
-      Advance();
-      return Expr::Str(t.text);
-    }
-    if (t.kind == Token::kPunct && t.text == "(") {
-      Advance();
-      RAQLET_ASSIGN_OR_RETURN(Expr inner, ParseExprText());
-      RAQLET_RETURN_IF_ERROR(ExpectPunct(")"));
-      return inner;
-    }
-    if (t.kind == Token::kPunct && t.text == "$") {
-      Advance();
-      RAQLET_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
-      return Expr::Parameter(std::move(name));
-    }
-    if (t.kind == Token::kIdent) {
-      std::string name = Advance().text;
-      std::string upper = ToUpper(name);
-      if (upper == "TRUE") return Expr::Literal(dlir::Constant::Bool(true));
-      if (upper == "FALSE") return Expr::Literal(dlir::Constant::Bool(false));
-      if (MatchPunct("(")) {
-        Expr call = Expr::Call(name, {});
-        if (MatchPunct("*")) {
-          call.star_arg = true;
-        } else if (!PeekPunct(")")) {
-          while (true) {
-            RAQLET_ASSIGN_OR_RETURN(Expr arg, ParseExprText());
-            call.children.push_back(std::move(arg));
-            if (!MatchPunct(",")) break;
-          }
-        }
-        RAQLET_RETURN_IF_ERROR(ExpectPunct(")"));
-        return call;
-      }
-      if (MatchPunct(".")) {
-        RAQLET_ASSIGN_OR_RETURN(std::string prop, ExpectIdent());
-        return Expr::Property(std::move(name), std::move(prop));
-      }
-      return Expr::Variable(std::move(name));
-    }
-    return Errorf("expected expression");
-  }
-
   // ---- PGQ patterns ----
 
   Result<NodePattern> ParseNodePattern() {
     RAQLET_RETURN_IF_ERROR(ExpectPunct("("));
     NodePattern node;
-    if (Peek().kind == Token::kIdent && !IsKeyword(Peek(), "IS")) {
+    if (Peek().kind == Token::kIdent && !PeekKeyword("IS")) {
       node.var = Advance().text;
     }
     if (MatchKeyword("IS") || MatchPunct(":")) {
       RAQLET_ASSIGN_OR_RETURN(node.label, ExpectIdent());
     }
     if (MatchKeyword("WHERE")) {
-      RAQLET_ASSIGN_OR_RETURN(Expr filter, ParseExprText());
+      RAQLET_ASSIGN_OR_RETURN(Expr filter, ParseExpr(this));
       element_filters_.push_back(std::move(filter));
     }
     RAQLET_RETURN_IF_ERROR(ExpectPunct(")"));
@@ -317,14 +141,14 @@ class Parser {
     bool from_left = MatchPunct("<-");
     if (!from_left) RAQLET_RETURN_IF_ERROR(ExpectPunct("-"));
     if (MatchPunct("[")) {
-      if (Peek().kind == Token::kIdent && !IsKeyword(Peek(), "IS")) {
+      if (Peek().kind == Token::kIdent && !PeekKeyword("IS")) {
         edge.var = Advance().text;
       }
       if (MatchKeyword("IS") || MatchPunct(":")) {
         RAQLET_ASSIGN_OR_RETURN(edge.type, ExpectIdent());
       }
       if (MatchKeyword("WHERE")) {
-        RAQLET_ASSIGN_OR_RETURN(Expr filter, ParseExprText());
+        RAQLET_ASSIGN_OR_RETURN(Expr filter, ParseExpr(this));
         element_filters_.push_back(std::move(filter));
       }
       RAQLET_RETURN_IF_ERROR(ExpectPunct("]"));
@@ -342,15 +166,13 @@ class Parser {
     // Quantifier: {m,n} / {m,} after the arrow.
     if (MatchPunct("{")) {
       edge.variable_length = true;
-      if (Peek().kind != Token::kNumber) return Errorf("expected number");
-      edge.min_hops = static_cast<int>(std::stoll(Advance().text));
-      edge.max_hops = EdgePattern::kUnboundedHops;
+      RAQLET_ASSIGN_OR_RETURN(edge.min_hops, ExpectNumber(INT_MAX));
+      edge.max_hops = edge.min_hops;  // {n} = exactly n
       if (MatchPunct(",")) {
+        edge.max_hops = EdgePattern::kUnboundedHops;
         if (Peek().kind == Token::kNumber) {
-          edge.max_hops = static_cast<int>(std::stoll(Advance().text));
+          RAQLET_ASSIGN_OR_RETURN(edge.max_hops, ExpectNumber(INT_MAX));
         }
-      } else {
-        edge.max_hops = edge.min_hops;  // {n} = exactly n
       }
       RAQLET_RETURN_IF_ERROR(ExpectPunct("}"));
     }
@@ -368,8 +190,6 @@ class Parser {
     return path;
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
   std::vector<Expr> element_filters_;
 };
 
@@ -379,7 +199,6 @@ Result<PgqQuery> ParseQuery(const std::string& source) {
   LexerConfig config;
   config.multi_char_puncts = {"<-", "->", "<=", ">=", "<>"};
   config.single_puncts = "()[]{},.:*=<>+-/%$";
-  config.dash_comments = false;
   RAQLET_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source, config));
   Parser parser(std::move(tokens));
   return parser.Parse();

@@ -13,20 +13,11 @@ Result<Value> ParseField(Database* db, const std::string& field,
                          ValueType type) {
   switch (type) {
     case ValueType::kNumber: {
-      errno = 0;
-      char* end = nullptr;
-      long long v = std::strtoll(field.c_str(), &end, 10);
-      if (end == field.c_str() || *end != '\0') {
-        return Status::ParseError("not a number: '" + field + "'");
-      }
-      return Value::Number(static_cast<int64_t>(v));
+      RAQLET_ASSIGN_OR_RETURN(int64_t v, ParseInt(field));
+      return Value::Number(v);
     }
     case ValueType::kFloat: {
-      char* end = nullptr;
-      double v = std::strtod(field.c_str(), &end);
-      if (end == field.c_str() || *end != '\0') {
-        return Status::ParseError("not a float: '" + field + "'");
-      }
+      RAQLET_ASSIGN_OR_RETURN(double v, ParseFloat(field));
       return Value::Float(v);
     }
     case ValueType::kSymbol:

@@ -154,8 +154,7 @@ TEST(LexerTest, TracksLineNumbers) {
 TEST(LexerTest, CommentsSkipped) {
   LexerConfig config;
   config.single_puncts = "()";
-  config.dash_comments = true;
-  auto tokens = Tokenize("a // c1\nb /* c2 */ c -- c3\nd", config);
+  auto tokens = Tokenize("a // c1\nb /* c2 */ c\nd", config);
   ASSERT_TRUE(tokens.ok());
   ASSERT_EQ(tokens->size(), 5u);
   EXPECT_EQ((*tokens)[3].text, "d");

@@ -168,6 +168,15 @@ TEST(GqlTest, FilterBeforeAnyClauseFails) {
   EXPECT_FALSE(query.ok());
 }
 
+TEST(GqlTest, RejectsOutOfRangeLiteral) {
+  auto query = gql::ParseQuery(
+      "MATCH (n:Person) FILTER n.id = 99999999999999999999 RETURN n.id AS id");
+  ASSERT_FALSE(query.ok());
+  EXPECT_EQ(query.status().code(), StatusCode::kParseError);
+  EXPECT_NE(query.status().message().find("line 1, col 32"), std::string::npos)
+      << query.status().ToString();
+}
+
 TEST(GqlTest, FilterAfterWithAttachesThere) {
   auto query = gql::ParseQuery(
       "MATCH (n:Person)-[:KNOWS]->(m:Person) "

@@ -182,6 +182,47 @@ TEST(CypherParserTest, RejectsGarbage) {
   EXPECT_FALSE(ParseQuery("MATCH (n:A RETURN n").ok());
 }
 
+// A literal past int64, or a float past double, is a ParseError at the
+// literal's position, never an exception out of the parser.
+TEST(CypherParserTest, RejectsOutOfRangeLiterals) {
+  auto query = ParseQuery(
+      "MATCH (n:Person) WHERE n.id = 99999999999999999999 RETURN n.id AS id");
+  ASSERT_FALSE(query.ok());
+  EXPECT_EQ(query.status().code(), StatusCode::kParseError);
+  EXPECT_NE(query.status().message().find("line 1, col 31"), std::string::npos)
+      << query.status().ToString();
+  const std::string huge_float = "1" + std::string(400, '0') + ".5";
+  for (const std::string& q :
+       {"MATCH (n) WHERE n.x > " + huge_float + " RETURN n",
+        std::string("MATCH (n) RETURN n SKIP 99999999999999999999"),
+        std::string("MATCH (n) RETURN n LIMIT 99999999999999999999")}) {
+    EXPECT_EQ(ParseQuery(q).status().code(), StatusCode::kParseError) << q;
+  }
+}
+
+TEST(CypherParserTest, RejectsHopBoundsPastIntMax) {
+  for (const char* hops :
+       {"*3000000000", "*3000000000..", "*1..3000000000", "*..3000000000"}) {
+    std::string q =
+        std::string("MATCH (a)-[:KNOWS") + hops + "]->(b) RETURN b";
+    auto query = ParseQuery(q);
+    ASSERT_FALSE(query.ok()) << q;
+    EXPECT_EQ(query.status().code(), StatusCode::kParseError) << q;
+  }
+  EXPECT_NE(ParseQuery("MATCH (a)-[:KNOWS*3000000000]->(b) RETURN b")
+                .status()
+                .message()
+                .find("line 1, col 19"),
+            std::string::npos);
+  auto query = ParseQuery("MATCH (a)-[:KNOWS*1..2147483647]->(b) RETURN b");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  EXPECT_EQ(std::get<MatchClause>(query->clauses[0])
+                .patterns[0]
+                .steps[0]
+                .first.max_hops,
+            2147483647);
+}
+
 TEST(CypherParserTest, RoundTripsThroughToString) {
   auto query = ParseQuery(kSq1);
   ASSERT_TRUE(query.ok());

@@ -104,6 +104,29 @@ TEST(DlirParserTest, ReportsErrorPosition) {
   EXPECT_NE(program.status().message().find("line 1"), std::string::npos);
 }
 
+TEST(DlirParserTest, RejectsOutOfRangeLiterals) {
+  auto program = ParseProgram("e(99999999999999999999).");
+  ASSERT_FALSE(program.ok());
+  EXPECT_EQ(program.status().code(), StatusCode::kParseError);
+  EXPECT_NE(program.status().message().find("line 1, col 3"),
+            std::string::npos)
+      << program.status().ToString();
+  const std::string huge_float = "1" + std::string(400, '0') + ".5";
+  EXPECT_EQ(ParseProgram("f(" + huge_float + ").").status().code(),
+            StatusCode::kParseError);
+}
+
+// A second '.' ends a float literal, so `1.2.3` is `1.2` then a stray
+// `.3`, not the float 1.2 with `.3` silently dropped.
+TEST(DlirParserTest, RejectsFloatWithTwoDots) {
+  auto program = ParseProgram("f(1.2.3).");
+  ASSERT_FALSE(program.ok());
+  EXPECT_EQ(program.status().code(), StatusCode::kParseError);
+  EXPECT_NE(program.status().message().find("line 1, col 6"),
+            std::string::npos)
+      << program.status().ToString();
+}
+
 TEST(DlirParserTest, RejectsUnknownDirective) {
   EXPECT_FALSE(ParseProgram(".frobnicate r").ok());
 }

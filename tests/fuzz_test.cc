@@ -35,7 +35,7 @@ const char* const kTokenPool[] = {
     "3.5",    "\"x\"",  "$p",     "count",  "shortestPath", "IS",
     ".decl",  ".input", ".output", ":-",    "!",        "+",      "/",
     "number", "symbol", "@min",   "SELECT", "FROM",     "GRAPH_TABLE",
-    "COLUMNS", "AND",   "OR",     "NOT",
+    "COLUMNS", "AND",   "OR",     "NOT",    "99999999999999999999",
 };
 
 std::string RandomTokenSoup(std::mt19937* rng, int length) {

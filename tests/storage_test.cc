@@ -954,6 +954,31 @@ TEST(CsvTest, RejectsBadNumber) {
   EXPECT_EQ(st.code(), StatusCode::kParseError);
 }
 
+// Out-of-range fields fail instead of saturating to INT64_MAX or inf.
+TEST(CsvTest, RejectsOutOfRangeFields) {
+  Database db;
+  Relation* rel = *db.CreateRelation(EdgeSchema());
+  Status st = LoadDelimitedText(&db, rel, "1\t99999999999999999999\n");
+  ASSERT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_NE(st.message().find("line 1, column 3"), std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.message().find("'99999999999999999999'"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(rel->size(), 0u);
+
+  RelationSchema s;
+  s.name = "f";
+  s.columns = {{"x", ValueType::kFloat}};
+  Relation* floats = *db.CreateRelation(s);
+  EXPECT_EQ(LoadDelimitedText(&db, floats, "1e999\n").code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(LoadDelimitedText(&db, floats, "-1e999\n").code(),
+            StatusCode::kParseError);
+  // Underflow is not an error: the value rounds towards zero.
+  ASSERT_TRUE(LoadDelimitedText(&db, floats, "1e-999\n").ok());
+  EXPECT_EQ(floats->ValueAt(0, 0).AsFloat(), 0.0);
+}
+
 TEST(CsvTest, ReportsLineColumnAndTokenOfBadField) {
   Database db;
   Relation* rel = *db.CreateRelation(EdgeSchema());
