@@ -1,5 +1,5 @@
-// Optimizer ablation (the per-pass benches DESIGN.md's experiment index
-// calls out): contribution of each §5 pass on the Table 1 queries, the
+// Optimizer ablation (docs/benchmarks.md lists it with the other
+// targets): contribution of each §5 pass on the Table 1 queries, the
 // magic-set transformation on bound recursion, and engine-level ablations
 // (semi-naive vs naive evaluation, greedy vs written join order).
 

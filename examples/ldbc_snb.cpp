@@ -167,6 +167,6 @@ int main(int argc, char** argv) {
 
   std::cout << "\nsame rows on every engine: " << (agree ? "yes" : "NO")
             << "\n(absolute numbers are substrate-specific; compare shapes "
-               "with Table 1 of the paper — see EXPERIMENTS.md)\n";
+               "with Table 1 of the paper — see docs/benchmarks.md)\n";
   return agree ? 0 : 1;
 }

@@ -20,10 +20,12 @@
 // Exit codes: 0 success, 2 usage, and one distinct code per failure kind
 // (see ExitCodeFor) so scripts can tell a parse error from a budget trip.
 
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -117,6 +119,17 @@ raqlet::Result<raqlet::dlir::Constant> ParseConstant(const std::string& text) {
   }
   RAQLET_ASSIGN_OR_RETURN(int64_t num, raqlet::ParseInt(text));
   return raqlet::dlir::Constant::Number(num);
+}
+
+constexpr int64_t kMaxFlag = std::numeric_limits<int64_t>::max();
+
+// The value of a numeric flag: all of `text` must read as a base-10
+// integer (ParseInt) in [min, max]; anything else is a usage error.
+std::optional<int64_t> FlagValue(const char* text, int64_t min, int64_t max) {
+  if (text == nullptr) return std::nullopt;
+  raqlet::Result<int64_t> value = raqlet::ParseInt(text);
+  if (!value.ok() || *value < min || *value > max) return std::nullopt;
+  return *value;
 }
 
 // One distinct exit code per failure kind, so scripts (and the CI smoke
@@ -293,29 +306,26 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage();
       options.delta_path = v;
     } else if (arg == "--opt") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.opt_level = std::atoi(v);
+      std::optional<int64_t> v = FlagValue(next(), 0, 2);
+      if (!v.has_value()) return Usage();
+      options.opt_level = static_cast<int>(*v);
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.threads = std::atoi(v);
-      if (options.threads < 1) return Usage();
+      std::optional<int64_t> v =
+          FlagValue(next(), 1, std::numeric_limits<int>::max());
+      if (!v.has_value()) return Usage();
+      options.threads = static_cast<int>(*v);
     } else if (arg == "--timeout-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.timeout_ms = std::atoll(v);
-      if (options.timeout_ms <= 0) return Usage();
+      std::optional<int64_t> v = FlagValue(next(), 1, kMaxFlag);
+      if (!v.has_value()) return Usage();
+      options.timeout_ms = *v;
     } else if (arg == "--max-rows") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.max_rows = std::atoll(v);
-      if (options.max_rows <= 0) return Usage();
+      std::optional<int64_t> v = FlagValue(next(), 1, kMaxFlag);
+      if (!v.has_value()) return Usage();
+      options.max_rows = *v;
     } else if (arg == "--max-bytes") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.max_bytes = std::atoll(v);
-      if (options.max_bytes <= 0) return Usage();
+      std::optional<int64_t> v = FlagValue(next(), 1, kMaxFlag);
+      if (!v.has_value()) return Usage();
+      options.max_bytes = *v;
     } else if (arg == "--param") {
       const char* v = next();
       if (v == nullptr) return Usage();

@@ -3,8 +3,8 @@
 
 // Bottom-up Datalog engine executing DLIR programs against a Database.
 //
-// This is Raqlet's stand-in for Soufflé (see DESIGN.md §2): stratified
-// semi-naive evaluation over indexed relations.
+// This is Raqlet's stand-in for Soufflé (see docs/architecture.md):
+// stratified semi-naive evaluation over indexed relations.
 //
 //  * Strata are the SCCs of the predicate dependency graph in topological
 //    order; negation and aggregation may not cross into their own SCC

@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <tuple>
 #include <type_traits>
 #include <unordered_map>
@@ -81,6 +82,16 @@ struct Projection {
   std::vector<const Expr*> exprs;
   std::vector<size_t> carried;
   int agg = -1;
+};
+
+// A node pattern's pin: the one id its node can have for the WHERE right
+// after the MATCH to hold, read from a top-level conjunct `v.id = literal`.
+// The WHERE compares with Value::operator==, as CheckCmp's kEq does, and a
+// bound node is a Number, so a Float, string, bool or NULL literal, or two
+// different ids, admit no node.
+struct Pin {
+  bool admits = true;
+  int64_t id = 0;
 };
 
 dlir::CmpOp ToCmpOp(BinOp op) {
@@ -878,15 +889,18 @@ class Execution {
         guard_(guard), table_(store, db), trav_(store, stats, metrics, guard) {}
 
   Result<ResultTable> Run(const PgirQuery& query) {
-    int64_t clause_index = 0;
-    for (const pgir::Op& op : query.ops) {
+    for (size_t k = 0; k < query.ops.size(); ++k) {
+      const pgir::Op& op = query.ops[k];
       if (guard_ != nullptr) RAQLET_RETURN_IF_ERROR(PollGuard());
-      obs::TraceScope clause_span("graph.clause", clause_index++);
+      obs::TraceScope clause_span("graph.clause", static_cast<int64_t>(k));
       table_.BeginClause();
       const char* kind = "";
       if (const auto* match = std::get_if<MatchOp>(&op)) {
         kind = "match";
-        RAQLET_RETURN_IF_ERROR(ExecMatch(*match));
+        const WhereOp* where = k + 1 < query.ops.size()
+                                   ? std::get_if<WhereOp>(&query.ops[k + 1])
+                                   : nullptr;
+        RAQLET_RETURN_IF_ERROR(ExecMatch(*match, where));
       } else if (const auto* where = std::get_if<WhereOp>(&op)) {
         kind = "where";
         RAQLET_RETURN_IF_ERROR(ExecWhere(*where));
@@ -927,7 +941,12 @@ class Execution {
     return Status::OK();
   }
 
-  Status ExecMatch(const MatchOp& match) {
+  // The WHERE still runs in full after the MATCH: its pins only narrow
+  // the candidates, so the MATCH emits the subset of its bindings that the
+  // WHERE could keep, in the same order.
+  Status ExecMatch(const MatchOp& match, const WhereOp* where) {
+    pins_.clear();
+    if (where != nullptr) CollectPins(where->predicate);
     for (const EdgePat& edge : match.edges) {
       if (edge.variable_length || edge.shortest) {
         RAQLET_RETURN_IF_ERROR(ExpandPath(edge));
@@ -941,15 +960,52 @@ class Execution {
     return Status::OK();
   }
 
-  // The candidates for an unbound node pattern: every node with its label,
-  // or with `schema_label` when the pattern has none.
-  const std::vector<int64_t>& ScanNodes(
-      const NodePat& node, const std::string& schema_label = "") const {
-    return store_.NodesWithLabel(node.label.empty() ? schema_label
-                                                    : node.label);
+  // Pins each variable that a top-level AND conjunct `v.id = literal`
+  // (literal on either side) of `predicate` names. Only the MATCH's node
+  // patterns look their variable up (FindPin).
+  void CollectPins(const Expr& predicate) {
+    if (predicate.kind != ExprKind::kBinary) return;
+    if (predicate.bin_op == BinOp::kAnd) {
+      CollectPins(predicate.children[0]);
+      CollectPins(predicate.children[1]);
+      return;
+    }
+    if (predicate.bin_op != BinOp::kEq) return;
+    const Expr* prop = &predicate.children[0];
+    const Expr* literal = &predicate.children[1];
+    if (prop->kind == ExprKind::kLiteral) std::swap(prop, literal);
+    if (prop->kind != ExprKind::kProperty || prop->property != "id" ||
+        literal->kind != ExprKind::kLiteral) {
+      return;
+    }
+    const Pin pin{literal->literal.type == ValueType::kNumber,
+                  literal->literal.num};
+    auto [it, fresh] = pins_.emplace(prop->var, pin);
+    if (!fresh && (!pin.admits || it->second.id != pin.id)) {
+      it->second.admits = false;
+    }
   }
 
-  bool EndpointOk(const NodePat& node, int64_t id) const {
+  // The pin of `node`, or null; an expansion looks it up once.
+  const Pin* FindPin(const NodePat& node) const {
+    auto it = pins_.find(node.id);
+    return it == pins_.end() ? nullptr : &it->second;
+  }
+
+  // The candidates for an unbound node pattern, in scan order: every node
+  // with its label (or with `schema_label` when the pattern has none), or,
+  // when the pattern is pinned, a seek of the pinned id.
+  std::span<const int64_t> ScanNodes(
+      const NodePat& node, const Pin* pin,
+      const std::string& schema_label = "") const {
+    const std::string& label = node.label.empty() ? schema_label : node.label;
+    if (pin == nullptr) return store_.NodesWithLabel(label);
+    if (!pin->admits) return {};
+    return store_.NodesWithId(label, pin->id);
+  }
+
+  bool EndpointOk(const NodePat& node, const Pin* pin, int64_t id) const {
+    if (pin != nullptr && (!pin->admits || pin->id != id)) return false;
     return node.label.empty() || store_.HasLabel(node.label, id);
   }
 
@@ -968,20 +1024,21 @@ class Execution {
   Status ExpandNode(const NodePat& node) {
     bool known = false;
     RAQLET_RETURN_IF_ERROR(CheckNode(node, &known));
+    const Pin* pin = FindPin(node);
     if (known) {
-      // Label filter on the existing binding.
-      if (node.label.empty()) return Status::OK();
+      // Label and pin filter on the existing binding.
+      if (node.label.empty() && pin == nullptr) return Status::OK();
       const size_t col = static_cast<size_t>(table_.layout.Find(node.id));
       std::vector<char> keep(table_.size());
       for (size_t i = 0; i < keep.size(); ++i) {
-        keep[i] = store_.HasLabel(node.label, table_.NumberAt(col, i));
+        keep[i] = EndpointOk(node, pin, table_.NumberAt(col, i));
       }
       table_.Compact(keep);
       return Status::OK();
     }
     table_.layout.Add(node.id, {ColumnMeta::kNode, node.label, -1});
     table_.BeginExpansion();
-    const std::vector<int64_t>& ids = ScanNodes(node);
+    const std::span<const int64_t> ids = ScanNodes(node, pin);
     for (size_t i = 0, n = table_.size(); i < n; ++i) {
       for (int64_t id : ids) {
         NewValues v;
@@ -1031,13 +1088,20 @@ class Execution {
     if (bind_edge) {
       RAQLET_ASSIGN_OR_RETURN(edge_ids, store_.EdgeColumn(upper, id_prop_col));
     }
+    const Pin* src_pin = FindPin(edge.src);
+    const Pin* dst_pin = FindPin(edge.dst);
+    const std::span<const int64_t> sources =
+        src_known || dst_known
+            ? std::span<const int64_t>()
+            : ScanNodes(edge.src, src_pin, info->src_label);
 
     table_.BeginExpansion();
     std::set<uint32_t> loops;  // self-loops an undirected walk meets twice
     for (size_t i = 0, n = table_.size(); i < n; ++i) {
       auto emit = [&](int64_t src_id, int64_t dst_id,
                       uint32_t edge_row) -> Status {
-        if (!EndpointOk(edge.src, src_id) || !EndpointOk(edge.dst, dst_id)) {
+        if (!EndpointOk(edge.src, src_pin, src_id) ||
+            !EndpointOk(edge.dst, dst_pin, dst_id)) {
           return Status::OK();
         }
         NewValues v;
@@ -1083,7 +1147,7 @@ class Execution {
             walk(table_.NumberAt(static_cast<size_t>(dst_col), i),
                  std::nullopt, /*reverse=*/true));
       } else {
-        for (int64_t from : ScanNodes(edge.src, info->src_label)) {
+        for (int64_t from : sources) {
           RAQLET_RETURN_IF_ERROR(
               walk(from, std::nullopt, /*reverse=*/false));
         }
@@ -1118,10 +1182,17 @@ class Execution {
     }
 
     const std::string upper = schema::ToUpperSnake(edge.label);
+    const Pin* src_pin = FindPin(edge.src);
+    const Pin* dst_pin = FindPin(edge.dst);
+    const std::span<const int64_t> sources =
+        src_known || dst_known
+            ? std::span<const int64_t>()
+            : ScanNodes(edge.src, src_pin, info->src_label);
     table_.BeginExpansion();
     for (size_t i = 0, n = table_.size(); i < n; ++i) {
       auto emit = [&](int64_t src_id, int64_t dst_id, int64_t len) -> Status {
-        if (!EndpointOk(edge.src, src_id) || !EndpointOk(edge.dst, dst_id)) {
+        if (!EndpointOk(edge.src, src_pin, src_id) ||
+            !EndpointOk(edge.dst, dst_pin, dst_id)) {
           return Status::OK();
         }
         NewValues v;
@@ -1148,7 +1219,7 @@ class Execution {
             edge, upper, /*reverse=*/true, to,
             [&](int64_t node, int64_t len) { return emit(node, to, len); }));
       } else {
-        for (int64_t from : ScanNodes(edge.src, info->src_label)) {
+        for (int64_t from : sources) {
           RAQLET_RETURN_IF_ERROR(trav_.Reach(
               edge, upper, /*reverse=*/false, from,
               [&](int64_t node, int64_t len) {
@@ -1296,6 +1367,7 @@ class Execution {
   Table table_;
   Traversals trav_;
   size_t unpaid_ = 0;  // emitted bindings not yet charged to the guard
+  std::map<std::string, Pin> pins_;  // the current MATCH's, by variable
 };
 
 }  // namespace

@@ -4,7 +4,7 @@
 // Graph engine: interprets PGIR directly over the adjacency-list
 // GraphStore, Neo4j-style — a binding table grows clause by clause, edge
 // patterns expand via pointer traversal, variable-length and shortest
-// paths run BFS. This is the Table 1 "Neo4j" stand-in (DESIGN.md §2).
+// paths run BFS. This is the Table 1 "Neo4j" stand-in (docs/architecture.md).
 //
 // One execution drives every query: the clause loop (guard poll,
 // graph.clause span, per-clause metrics), the pattern matcher with one
@@ -13,7 +13,13 @@
 // once, over the traversal machinery (adjacency walks, BFS, and the
 // memoized reachability closure). Every expander scans unbound endpoints
 // through one helper and hands each match — a source row plus the values
-// it binds — to the binding table. The two modes differ only in that
+// it binds — to the binding table. That helper seeks a node pattern that
+// the MATCH's WHERE pins with a top-level conjunct `v.id = literal`
+// (GraphStore::NodesWithId) instead of scanning its label, and every
+// expansion drops a binding whose pinned endpoint differs, as Neo4j's
+// NodeUniqueIndexSeek starts from the one node. The WHERE still runs in
+// full, so the seek only narrows the candidates and the rows and their
+// order stay those of the scan. The two modes differ only in the binding
 // table, the axis the paper's per-binding-interpreter critique is about:
 //
 //  * kColumnBatch (default): one Value column per bound variable. A MATCH

@@ -27,7 +27,11 @@ Result<GraphStore> GraphStore::Build(const schema::DlSchema& dl,
     for (uint32_t i = 0; i < rel->size(); ++i) {
       int64_t id = ids.at(i).AsNumber();
       data.node_ids.push_back(id);
-      data.row_of.emplace(id, i);
+      if (!data.row_of.emplace(id, i).second) {
+        std::vector<int64_t>& copies = data.repeated[id];
+        if (copies.empty()) copies.push_back(id);  // the first row's copy
+        copies.push_back(id);
+      }
     }
     store.total_nodes_ += rel->size();
     store.labels_.emplace(label, std::move(data));
@@ -71,6 +75,18 @@ const std::vector<int64_t>& GraphStore::NodesWithLabel(
     const std::string& label) const {
   auto it = labels_.find(label);
   return it == labels_.end() ? EmptyNodes() : it->second.node_ids;
+}
+
+std::span<const int64_t> GraphStore::NodesWithId(const std::string& label,
+                                                 int64_t id) const {
+  auto it = labels_.find(label);
+  if (it == labels_.end()) return {};
+  const LabelData& data = it->second;
+  auto row = data.row_of.find(id);
+  if (row == data.row_of.end()) return {};
+  auto copies = data.repeated.find(id);
+  if (copies != data.repeated.end()) return copies->second;
+  return {&data.node_ids[row->second], 1};
 }
 
 bool GraphStore::HasLabel(const std::string& label, int64_t node) const {

@@ -4,7 +4,7 @@
 // In-memory property-graph store: label-partitioned nodes with property
 // lookup by id, and forward/backward adjacency lists per edge type. Built
 // from the same Database the other engines query, so all three paradigms
-// see identical data (DESIGN.md §2: Neo4j stand-in substrate).
+// see identical data (the Neo4j stand-in's substrate, docs/architecture.md).
 //
 // The store is immutable after Build and holds no locks: the graph
 // executor (either binding-table mode, see engine/graph/executor.h) only
@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -52,6 +53,12 @@ class GraphStore {
   /// unbound node patterns, load-bearing for determinism like the above).
   const std::vector<int64_t>& NodesWithLabel(const std::string& label) const;
 
+  /// The ids of `label` equal to `id`, in the same order: `id` once per
+  /// node row that holds it, so usually once and empty when no node has
+  /// it. An O(1) seek, the scan of a node pattern pinned to one id.
+  std::span<const int64_t> NodesWithId(const std::string& label,
+                                       int64_t id) const;
+
   bool HasLabel(const std::string& label, int64_t node) const;
 
   /// Property of a node, or error if the node/property is unknown.
@@ -77,7 +84,9 @@ class GraphStore {
     const schema::NodeRelationInfo* info = nullptr;
     const Relation* relation = nullptr;
     std::vector<int64_t> node_ids;
-    std::unordered_map<int64_t, uint32_t> row_of;  // node id -> row index
+    std::unordered_map<int64_t, uint32_t> row_of;  // node id -> first row
+    // Ids that more than one row holds -> one copy of the id per row.
+    std::unordered_map<int64_t, std::vector<int64_t>> repeated;
   };
   struct EdgeData {
     const schema::EdgeRelationInfo* info = nullptr;

@@ -3,7 +3,8 @@
 
 // Runtime value operations shared by the Datalog, SQL and graph engines,
 // so that all three paradigms agree on comparison and arithmetic
-// semantics (a prerequisite for differential testing, DESIGN.md §5).
+// semantics (a prerequisite for differential testing; see "The
+// determinism invariant" in docs/architecture.md).
 
 #include <set>
 #include <string>

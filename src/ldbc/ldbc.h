@@ -1,8 +1,8 @@
 #ifndef RAQLET_LDBC_LDBC_H_
 #define RAQLET_LDBC_LDBC_H_
 
-// LDBC SNB-like workload substrate (DESIGN.md §2): the schema the paper's
-// running example embeds (§3), a deterministic scale-factor data
+// LDBC SNB-like workload substrate (docs/benchmarks.md): the schema the
+// paper's running example embeds (§3), a deterministic scale-factor data
 // generator standing in for the LDBC SNB datasets, and the benchmark
 // queries of Table 1 (short query 1, complex query 2) plus the classic
 // recursive queries used by the §2 crossover benchmarks.

@@ -8,7 +8,7 @@
 // heads. Node/edge patterns map to the EDBs of the DL-Schema; node
 // identifiers stand for node ids (first EDB column). Variable-length
 // patterns expand into recursive auxiliary predicates; shortestPath
-// expands into a @min lattice distance predicate (DESIGN.md).
+// expands into a @min lattice distance predicate (docs/architecture.md).
 
 #include <string>
 

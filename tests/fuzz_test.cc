@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <random>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "cypher/parser.h"
 #include "dlir/parser.h"
 #include "engine/datalog/incremental.h"
+#include "gql/parser.h"
 #include "opt/pass_manager.h"
 #include "raqlet/compiler.h"
 #include "runtime/query_guard.h"
@@ -69,6 +72,49 @@ std::string Mutate(const std::string& input, std::mt19937* rng) {
   return out;
 }
 
+// Values a literal's conversion must check: past int64, past double, a
+// negative zero, past int32 (a hop bound's type), and a string where a
+// number goes.
+const char* const kLiteralPool[] = {"99999999999999999999", "1e999", "-0.0",
+                                    "3000000000", "\"x\""};
+
+// Replaces one literal or hop bound of `input` with a kLiteralPool value.
+// A literal is a quoted string or a run of digits (with its fraction) that
+// does not continue an identifier.
+std::string MutateLiteral(const std::string& input, std::mt19937* rng) {
+  auto is_word = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+  };
+  auto is_digit = [](char c) {
+    return std::isdigit(static_cast<unsigned char>(c)) != 0;
+  };
+  std::vector<std::pair<size_t, size_t>> literals;  // [begin, end)
+  for (size_t i = 0; i < input.size();) {
+    size_t end = i + 1;
+    if (input[i] == '"') {
+      end = std::min(input.find('"', i + 1), input.size() - 1) + 1;
+      literals.emplace_back(i, end);
+    } else if (is_digit(input[i])) {
+      while (end < input.size() &&
+             (is_digit(input[end]) ||
+              (input[end] == '.' && end + 1 < input.size() &&
+               is_digit(input[end + 1])))) {
+        ++end;
+      }
+      literals.emplace_back(i, end);
+    } else if (is_word(input[i])) {
+      while (end < input.size() && is_word(input[end])) ++end;
+    }
+    i = end;
+  }
+  if (literals.empty()) return input;
+  std::uniform_int_distribution<size_t> pick(0, literals.size() - 1);
+  std::uniform_int_distribution<size_t> value(0, std::size(kLiteralPool) - 1);
+  const auto [begin, end] = literals[pick(*rng)];
+  return input.substr(0, begin) + kLiteralPool[value(*rng)] +
+         input.substr(end);
+}
+
 class ParserFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParserFuzzTest, TokenSoupNeverCrashes) {
@@ -103,6 +149,40 @@ TEST_P(ParserFuzzTest, MutatedValidInputsNeverCrash) {
     (void)dlir::ParseProgram(Mutate(valid_datalog, &rng));
     (void)schema::ParsePgSchema(Mutate(valid_schema, &rng));
     (void)sqlpgq::ParseQuery(Mutate(valid_pgq, &rng));
+  }
+  SUCCEED();
+}
+
+// Token soups and character edits rarely put a token where a literal is
+// parsed, so this mutation swaps one literal or hop bound of a valid text
+// for a value whose conversion must be checked.
+TEST_P(ParserFuzzTest, LiteralMutationsNeverCrash) {
+  std::mt19937 rng(static_cast<unsigned>(GetParam()) * 61 + 3);
+  const std::string valid_cypher =
+      "MATCH (n:Person {id: 42})-[:KNOWS*1..3]->(m:Person) WHERE m.age > 10 "
+      "AND m.name <> \"Ada\" AND m.score < 2.5 "
+      "RETURN DISTINCT m.name AS name, count(n) AS c";
+  const std::string valid_gql =
+      "MATCH (n:Person)-[:KNOWS*2..4]->(m:Person) FILTER n.id = 7 AND "
+      "m.name = \"Bob\" AND m.score >= 0.5 RETURN DISTINCT m.id AS id";
+  const std::string valid_pgq =
+      "SELECT * FROM GRAPH_TABLE (g, MATCH (n IS A WHERE n.id = 1)-[IS rel]->"
+      "{1,3}(m IS A) WHERE m.name = \"x\" AND m.score < 1.5 "
+      "COLUMNS (n.id AS id))";
+  const std::string valid_datalog =
+      ".decl e(x: number, y: number)\n.input e\n.decl t(x: number, y: "
+      "number)\n.output t\n.decl w(x: number, s: symbol, f: float)\n"
+      "e(1, 2).\nw(3, \"x\", 0.25).\nt(x, y) :- e(x, y), x < 100.\n"
+      "t(x, y) :- t(x, z), e(z, y).";
+  ASSERT_TRUE(cypher::ParseQuery(valid_cypher).ok());
+  ASSERT_TRUE(gql::ParseQuery(valid_gql).ok());
+  ASSERT_TRUE(sqlpgq::ParseQuery(valid_pgq).ok());
+  ASSERT_TRUE(dlir::ParseProgram(valid_datalog).ok());
+  for (int i = 0; i < 50; ++i) {
+    (void)cypher::ParseQuery(MutateLiteral(valid_cypher, &rng));
+    (void)gql::ParseQuery(MutateLiteral(valid_gql, &rng));
+    (void)sqlpgq::ParseQuery(MutateLiteral(valid_pgq, &rng));
+    (void)dlir::ParseProgram(MutateLiteral(valid_datalog, &rng));
   }
   SUCCEED();
 }

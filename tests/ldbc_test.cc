@@ -144,6 +144,68 @@ INSTANTIATE_TEST_SUITE_P(Queries, LdbcQueryAgreementTest,
                            }
                          });
 
+// The agreement above for every person at SF 0.1, not only the sample:
+// both graph modes (same rows in the same order), Datalog at opt level 2
+// and, where the backend takes the template, SQL return the same row set.
+// FriendMessageCounts is left out: the undirected hop lowers to a set of
+// node pairs, so Datalog and SQL count a reciprocal KNOWS pair once where
+// the graph engine counts each edge, and 53 of the 100 persons get other
+// rows from the graph engine (ROADMAP, cross-engine agreement).
+struct SweepTemplate {
+  const char* name;
+  const char* query;
+  bool sql;  // SQL rejects the lattice recursion of ShortestPath
+};
+
+void PrintTo(const SweepTemplate& t, std::ostream* os) { *os << t.name; }
+
+class LdbcEveryPersonAgreementTest
+    : public ::testing::TestWithParam<SweepTemplate> {};
+
+TEST_P(LdbcEveryPersonAgreementTest, AllEnginesAgree) {
+  Workload w(0.1);
+  auto store = w.compiler.BuildGraphStore(w.db);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  engine::GraphOptions row_mode;
+  row_mode.mode = engine::GraphMode::kRowBinding;
+  for (int64_t person = 1; person <= w.options.persons(); ++person) {
+    CompileOptions opts = w.Params();
+    opts.parameters["personId"] = dlir::Constant::Number(person);
+    opts.opt_level = 2;
+    auto unit = w.compiler.CompileCypher(GetParam().query, opts);
+    ASSERT_TRUE(unit.ok()) << unit.status().ToString();
+
+    auto graph = w.compiler.RunOnGraph(unit->pgir, *store, &w.db);
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    auto graph_rows =
+        w.compiler.RunOnGraph(unit->pgir, *store, &w.db, nullptr, row_mode);
+    ASSERT_TRUE(graph_rows.ok()) << graph_rows.status().ToString();
+    EXPECT_EQ(graph->rows, graph_rows->rows) << "person " << person;
+
+    auto datalog = w.compiler.RunOnDatalog(unit->optimized, &w.db);
+    ASSERT_TRUE(datalog.ok()) << datalog.status().ToString();
+    auto rows = datalog->ToStringSet(w.db.symbols());
+    EXPECT_EQ(graph->ToStringSet(w.db.symbols()), rows) << "person " << person;
+
+    if (GetParam().sql) {
+      auto sql = w.compiler.RunOnSql(unit->optimized, &w.db);
+      ASSERT_TRUE(sql.ok()) << sql.status().ToString();
+      EXPECT_EQ(sql->ToStringSet(w.db.symbols()), rows) << "person " << person;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Templates, LdbcEveryPersonAgreementTest,
+    ::testing::Values(SweepTemplate{"ShortQuery1", ShortQuery1(), true},
+                      SweepTemplate{"ComplexQuery2", ComplexQuery2(), true},
+                      SweepTemplate{"Reachability", ReachabilityQuery(), true},
+                      SweepTemplate{"ThreeHops", FriendsWithinThreeHops(),
+                                    true},
+                      SweepTemplate{"ShortestPath", ShortestPathQuery(),
+                                    false}),
+    [](const auto& info) { return std::string(info.param.name); });
+
 TEST(LdbcEmissionTest, Sq1EmitsSqlAndSouffle) {
   Workload w(0.05);
   auto unit = w.compiler.CompileCypher(ShortQuery1(), w.Params());
