@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 namespace raqlet::analysis {
 
@@ -39,45 +40,50 @@ MutualRecursionResult AnalyzeMutualRecursion(const DependencyGraph& graph) {
 StratificationResult AnalyzeStratification(const dlir::Program& program,
                                            const DependencyGraph& graph) {
   StratificationResult result;
-  for (const dlir::Rule& rule : program.rules) {
+  for (size_t r = 0; r < program.rules.size(); ++r) {
+    const dlir::Rule& rule = program.rules[r];
     int head_scc = graph.SccOf(rule.head.predicate);
     bool head_recursive = graph.IsRecursiveScc(head_scc);
     for (const dlir::Atom& atom : rule.body) {
-      if (atom.negated && graph.SccOf(atom.predicate) == head_scc) {
-        result.stratified = false;
-        result.violation = "negation of '" + atom.predicate +
-                           "' inside its own recursive component: " +
-                           rule.ToString();
-      }
-      if (rule.agg.has_value() && head_recursive &&
-          graph.SccOf(atom.predicate) == head_scc) {
-        result.stratified = false;
-        result.violation = "aggregation over '" + atom.predicate +
-                           "' inside its own recursive component: " +
-                           rule.ToString();
-      }
+      if (graph.SccOf(atom.predicate) != head_scc) continue;
+      if (!atom.negated && !(rule.agg.has_value() && head_recursive)) continue;
+      result.violations.push_back(
+          {static_cast<int>(r), atom.predicate, atom.negated});
     }
+  }
+  if (!result.violations.empty()) {
+    const StratificationViolation& first = result.violations.front();
+    result.stratified = false;
+    result.violation =
+        (first.negation ? "negation of '" : "aggregation over '") +
+        first.predicate + "' inside its own recursive component" +
+        (first.negation ? "" : " (use a lattice relation for monotone "
+                               "min/max recursion)") +
+        ": " + program.rules[static_cast<size_t>(first.rule_index)].ToString();
+    return result;
   }
 
   // Strata: per SCC in topological order, 1 + max stratum below a
-  // negation/aggregation boundary, else max stratum of dependencies.
-  if (result.stratified) {
-    const auto& sccs = graph.SccsInTopologicalOrder();
-    std::vector<int> scc_stratum(sccs.size(), 0);
-    for (size_t i = 0; i < sccs.size(); ++i) {
-      int stratum = 0;
-      for (const DependencyEdge& e : graph.edges()) {
-        if (graph.SccOf(e.to) != static_cast<int>(i)) continue;
-        int from_scc = graph.SccOf(e.from);
-        if (from_scc == static_cast<int>(i)) continue;
-        int through = scc_stratum[static_cast<size_t>(from_scc)] +
-                      ((e.negated || e.aggregated) ? 1 : 0);
-        stratum = std::max(stratum, through);
-      }
-      scc_stratum[i] = stratum;
-      for (const std::string& pred : sccs[i]) {
-        result.strata[pred] = stratum;
-      }
+  // negation/aggregation boundary, else max stratum of dependencies. An
+  // edge always leaves an SCC earlier in that order, whose stratum is
+  // final by then.
+  const auto& sccs = graph.SccsInTopologicalOrder();
+  std::vector<std::vector<std::pair<int, int>>> incoming(sccs.size());
+  for (const DependencyEdge& e : graph.edges()) {
+    int from = graph.SccOf(e.from);
+    int to = graph.SccOf(e.to);
+    if (from == to) continue;
+    incoming[static_cast<size_t>(to)].emplace_back(
+        from, (e.negated || e.aggregated) ? 1 : 0);
+  }
+  std::vector<int> scc_stratum(sccs.size(), 0);
+  for (size_t i = 0; i < sccs.size(); ++i) {
+    for (const auto& [from, step] : incoming[i]) {
+      scc_stratum[i] = std::max(
+          scc_stratum[i], scc_stratum[static_cast<size_t>(from)] + step);
+    }
+    for (const std::string& pred : sccs[i]) {
+      result.strata.emplace(pred, scc_stratum[i]);
     }
   }
   return result;
@@ -158,7 +164,11 @@ TerminationResult AnalyzeTermination(const dlir::Program& program,
 }
 
 AnalysisReport Analyze(const dlir::Program& program) {
-  DependencyGraph graph = DependencyGraph::Build(program);
+  return Analyze(program, DependencyGraph::Build(program));
+}
+
+AnalysisReport Analyze(const dlir::Program& program,
+                       const DependencyGraph& graph) {
   AnalysisReport report;
   report.linearity = AnalyzeLinearity(program, graph);
   report.mutual = AnalyzeMutualRecursion(graph);

@@ -31,12 +31,26 @@ struct MutualRecursionResult {
   std::vector<std::vector<std::string>> mutual_groups;
 };
 
+/// One body atom negated, or aggregated over, inside its own recursive
+/// component.
+struct StratificationViolation {
+  int rule_index = -1;    // index into Program::rules
+  std::string predicate;  // the atom's predicate
+  bool negation = true;   // false: the rule aggregates over the atom
+};
+
 /// Stratification (§4): negation/aggregation must not occur inside its own
-/// recursive component. `strata` maps each predicate to its stratum (0 for
-/// EDBs and predicates with no negation/aggregation below them).
+/// recursive component. This is the one stratification rule: the Datalog
+/// engine, EXPLAIN, CheckBackendSupport and the RQ020 check all read it.
+/// `strata` maps each predicate to its stratum (0 for EDBs and predicates
+/// with no negation/aggregation below them); it is filled only when the
+/// program is stratified.
 struct StratificationResult {
   bool stratified = true;
-  std::string violation;  // human-readable, empty when stratified
+  /// Every violating (rule, body atom) pair once, in program order. A
+  /// negated atom counts as a negation even when its rule aggregates.
+  std::vector<StratificationViolation> violations;
+  std::string violation;  // the first one, human-readable; empty if none
   std::map<std::string, int> strata;
 };
 
@@ -75,8 +89,11 @@ MonotonicityResult AnalyzeMonotonicity(const dlir::Program& program);
 TerminationResult AnalyzeTermination(const dlir::Program& program,
                                      const DependencyGraph& graph);
 
-/// Runs every analysis.
+/// Runs every analysis, over `graph` when the caller has already built the
+/// program's dependency graph.
 AnalysisReport Analyze(const dlir::Program& program);
+AnalysisReport Analyze(const dlir::Program& program,
+                       const DependencyGraph& graph);
 
 /// Target query-execution paradigms (docs/architecture.md maps them to
 /// engines).

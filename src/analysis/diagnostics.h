@@ -2,11 +2,12 @@
 #define RAQLET_ANALYSIS_DIAGNOSTICS_H_
 
 // Multi-diagnostic accumulation for the DLIR static analyzer (typecheck.h,
-// lints.h). Unlike Program::Validate(), which stops at the first structural
-// violation, a DiagnosticEngine collects every finding of a checking pass —
-// the way a production compiler reports all errors in a translation unit —
-// with a stable code per finding class so tests, scripts, and CI can match
-// on `RQ0xx` instead of message text.
+// lints.h). A DiagnosticEngine collects every finding of a checking pass,
+// never stopping at the first — the way a production compiler reports all
+// errors in a translation unit — with a stable code per finding class so
+// tests, scripts, and CI can match on `RQ0xx` instead of message text.
+// Even the engines' entry check (analysis::VerifyStructure) folds the
+// full list into its Status.
 //
 // Code ranges (the full catalogue lives in docs/diagnostics.md):
 //   RQ001-RQ009  structural errors (declarations, arity, safety)

@@ -9,133 +9,17 @@
 
 #include "analysis/analyses.h"
 #include "analysis/dependency_graph.h"
-#include "analysis/typecheck.h"
+#include "dlir/fold.h"
 
 namespace raqlet::analysis {
 namespace {
 
 using dlir::Atom;
-using dlir::CmpOp;
-using dlir::Constant;
 using dlir::Constraint;
 using dlir::Program;
 using dlir::RelationDecl;
 using dlir::Rule;
 using dlir::Term;
-using dlir::TermKind;
-
-// ---------------------------------------------------------------------------
-// Constant folding (RQ107)
-// ---------------------------------------------------------------------------
-
-/// Folds a ground term to a constant. Arithmetic follows the engines'
-/// semantics (value_ops.h): integer ops while both sides are integers,
-/// float promotion otherwise; division by zero and float modulo do not
-/// fold (the engine errors there at runtime).
-std::optional<Constant> FoldTerm(const Term& term) {
-  switch (term.kind) {
-    case TermKind::kConstant:
-      return term.constant;
-    case TermKind::kBinary: {
-      auto lhs = FoldTerm(term.children[0]);
-      auto rhs = FoldTerm(term.children[1]);
-      if (!lhs || !rhs) return std::nullopt;
-      bool lhs_num = lhs->type == ValueType::kNumber;
-      bool rhs_num = rhs->type == ValueType::kNumber;
-      bool lhs_float = lhs->type == ValueType::kFloat;
-      bool rhs_float = rhs->type == ValueType::kFloat;
-      if ((!lhs_num && !lhs_float) || (!rhs_num && !rhs_float)) {
-        return std::nullopt;  // non-numeric arithmetic: RQ013 territory
-      }
-      if (lhs_num && rhs_num) {
-        int64_t a = lhs->num;
-        int64_t b = rhs->num;
-        switch (term.op) {
-          case dlir::ArithOp::kAdd:
-            return Constant::Number(a + b);
-          case dlir::ArithOp::kSub:
-            return Constant::Number(a - b);
-          case dlir::ArithOp::kMul:
-            return Constant::Number(a * b);
-          case dlir::ArithOp::kDiv:
-            if (b == 0) return std::nullopt;
-            return Constant::Number(a / b);
-          case dlir::ArithOp::kMod:
-            if (b == 0) return std::nullopt;
-            return Constant::Number(a % b);
-        }
-        return std::nullopt;
-      }
-      double a = lhs_float ? lhs->fval : static_cast<double>(lhs->num);
-      double b = rhs_float ? rhs->fval : static_cast<double>(rhs->num);
-      switch (term.op) {
-        case dlir::ArithOp::kAdd:
-          return Constant::Float(a + b);
-        case dlir::ArithOp::kSub:
-          return Constant::Float(a - b);
-        case dlir::ArithOp::kMul:
-          return Constant::Float(a * b);
-        case dlir::ArithOp::kDiv:
-          if (b == 0.0) return std::nullopt;
-          return Constant::Float(a / b);
-        case dlir::ArithOp::kMod:
-          return std::nullopt;  // float modulo is a runtime error
-      }
-      return std::nullopt;
-    }
-    default:
-      return std::nullopt;
-  }
-}
-
-/// Evaluates a comparison between folded constants when the engines define
-/// it: numeric vs numeric, symbol vs symbol, bool equality. Mixed classes
-/// return nullopt (the type checker reports RQ012 for those).
-std::optional<bool> FoldCmp(CmpOp op, const Constant& lhs,
-                            const Constant& rhs) {
-  auto cls = [](const Constant& c) { return TypeClassOf(c.type); };
-  if (cls(lhs) != cls(rhs)) return std::nullopt;
-  int cmp = 0;
-  switch (cls(lhs)) {
-    case TypeClass::kNumeric: {
-      if (lhs.type == ValueType::kNumber && rhs.type == ValueType::kNumber) {
-        cmp = lhs.num < rhs.num ? -1 : (lhs.num > rhs.num ? 1 : 0);
-      } else {
-        double a = lhs.type == ValueType::kFloat ? lhs.fval
-                                                 : static_cast<double>(lhs.num);
-        double b = rhs.type == ValueType::kFloat ? rhs.fval
-                                                 : static_cast<double>(rhs.num);
-        cmp = a < b ? -1 : (a > b ? 1 : 0);
-      }
-      break;
-    }
-    case TypeClass::kSymbol:
-      cmp = lhs.str.compare(rhs.str);
-      cmp = cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
-      break;
-    case TypeClass::kBool:
-      if (op != CmpOp::kEq && op != CmpOp::kNe) return std::nullopt;
-      cmp = lhs.bval == rhs.bval ? 0 : 1;
-      break;
-    default:
-      return std::nullopt;
-  }
-  switch (op) {
-    case CmpOp::kEq:
-      return cmp == 0;
-    case CmpOp::kNe:
-      return cmp != 0;
-    case CmpOp::kLt:
-      return cmp < 0;
-    case CmpOp::kLe:
-      return cmp <= 0;
-    case CmpOp::kGt:
-      return cmp > 0;
-    case CmpOp::kGe:
-      return cmp >= 0;
-  }
-  return std::nullopt;
-}
 
 // ---------------------------------------------------------------------------
 // Join connectivity (RQ104)
@@ -340,11 +224,12 @@ void LintProgram(const Program& program, DiagnosticEngine* diags) {
       std::set<std::string> cvars;
       c.CollectVars(&cvars);
       if (!cvars.empty()) continue;
-      auto lhs = FoldTerm(c.lhs);
-      auto rhs = FoldTerm(c.rhs);
-      if (!lhs || !rhs) continue;
-      auto verdict = FoldCmp(c.op, *lhs, *rhs);
-      if (!verdict) continue;
+      const Term lhs = dlir::FoldConstants(c.lhs);
+      const Term rhs = dlir::FoldConstants(c.rhs);
+      if (!lhs.is_const() || !rhs.is_const()) continue;
+      std::optional<bool> verdict =
+          dlir::FoldComparison(c.op, lhs.constant, rhs.constant);
+      if (!verdict.has_value()) continue;
       Diagnostic& d = diags->Warning(
           "RQ107", "constraint " + c.ToString() + " is always " +
                        (*verdict ? "true (redundant)" : "false"));

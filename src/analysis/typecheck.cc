@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "analysis/analyses.h"
 #include "analysis/dependency_graph.h"
 
 namespace raqlet::analysis {
@@ -50,6 +51,113 @@ using dlir::Rule;
 using dlir::Term;
 using dlir::TermKind;
 
+using DeclIndex = std::unordered_map<std::string, const RelationDecl*>;
+
+/// The first declaration of each relation name.
+DeclIndex IndexDecls(const Program& program) {
+  DeclIndex by_name;
+  by_name.reserve(program.decls.size());
+  for (const RelationDecl& decl : program.decls) {
+    by_name.emplace(decl.name, &decl);
+  }
+  return by_name;
+}
+
+/// The declaration `atom` resolves to, or nullptr when its predicate is
+/// undeclared or its arity differs (the structural check reports those).
+const RelationDecl* Resolve(const DeclIndex& decls, const Atom& atom) {
+  auto it = decls.find(atom.predicate);
+  if (it == decls.end() || it->second->arity() != atom.args.size()) {
+    return nullptr;
+  }
+  return it->second;
+}
+
+bool AggPosInRange(const Rule& rule) {
+  return rule.agg_result_pos >= 0 &&
+         rule.agg_result_pos < static_cast<int>(rule.head.args.size());
+}
+
+/// Adds the variables of `term` that are not in `bound` to `unbound`.
+void CollectUnbound(const Term& term, const std::set<std::string>& bound,
+                    std::set<std::string>* unbound) {
+  if (term.kind == TermKind::kVariable) {
+    if (bound.count(term.var) == 0) unbound->insert(term.var);
+  } else if (term.kind == TermKind::kBinary) {
+    for (const Term& child : term.children) {
+      CollectUnbound(child, bound, unbound);
+    }
+  }
+}
+
+/// Structural checks of one rule: every atom resolves (RQ002, RQ003), the
+/// aggregate result position is in range (RQ005), and every variable the
+/// rule reads is bound (RQ004).
+void CheckRuleStructure(const DeclIndex& decls, int rule_index,
+                        const Rule& rule, DiagnosticEngine* diags) {
+  auto check_atom = [&](const Atom& atom) {
+    auto it = decls.find(atom.predicate);
+    if (it == decls.end()) {
+      diags->Error("RQ002", "undeclared predicate '" + atom.predicate + "'")
+          .AtRule(rule_index, rule)
+          .AtPredicate(atom.predicate);
+    } else if (it->second->arity() != atom.args.size()) {
+      diags
+          ->Error("RQ003", "arity mismatch for '" + atom.predicate +
+                               "': declared " +
+                               std::to_string(it->second->arity()) +
+                               ", used with " +
+                               std::to_string(atom.args.size()))
+          .AtRule(rule_index, rule)
+          .AtPredicate(atom.predicate);
+    }
+  };
+  for (const Atom& atom : rule.body) {
+    if (!atom.negated) check_atom(atom);
+  }
+  for (const Atom& atom : rule.body) {
+    if (atom.negated) check_atom(atom);
+  }
+  check_atom(rule.head);
+  if (rule.agg.has_value() && !AggPosInRange(rule)) {
+    diags
+        ->Error("RQ005", "aggregate result position " +
+                             std::to_string(rule.agg_result_pos) +
+                             " out of range for head of arity " +
+                             std::to_string(rule.head.args.size()))
+        .AtRule(rule_index, rule);
+  }
+
+  // Range restriction: the head, negated atoms, constraints and the
+  // aggregate input read only variables that positive atoms bind, or that
+  // the binding rule defines from them; the aggregate result variable is
+  // bound by the aggregation itself.
+  std::set<std::string> bound = rule.PositiveBodyVars();
+  rule.BindThroughEqualities(&bound);
+  if (rule.agg.has_value() && AggPosInRange(rule)) {
+    const Term& result =
+        rule.head.args[static_cast<size_t>(rule.agg_result_pos)];
+    if (result.is_var()) bound.insert(result.var);
+  }
+  std::set<std::string> unbound;
+  for (const Term& arg : rule.head.args) CollectUnbound(arg, bound, &unbound);
+  for (const Atom& atom : rule.body) {
+    if (!atom.negated) continue;
+    for (const Term& arg : atom.args) CollectUnbound(arg, bound, &unbound);
+  }
+  for (const Constraint& c : rule.constraints) {
+    CollectUnbound(c.lhs, bound, &unbound);
+    CollectUnbound(c.rhs, bound, &unbound);
+  }
+  if (rule.agg.has_value()) CollectUnbound(rule.agg->arg, bound, &unbound);
+  for (const std::string& v : unbound) {
+    diags
+        ->Error("RQ004", "unsafe rule: variable '" + v +
+                             "' is not bound by any positive body atom")
+        .AtRule(rule_index, rule);
+  }
+}
+
 /// Inferred class of one rule variable plus where the class came from, so
 /// a conflict can name both binding sites.
 struct VarInfo {
@@ -57,18 +165,13 @@ struct VarInfo {
   std::string origin;
 };
 
-/// Checks one rule: structural atom checks, variable class inference and
-/// unification, constraint/arithmetic classes, safety, aggregates.
-class RuleChecker {
+/// Type-checks one rule: variable class inference and unification over
+/// the atoms that resolve, constraint/arithmetic classes, aggregates.
+class RuleTypeChecker {
  public:
-  RuleChecker(const Program& program,
-              const std::unordered_map<std::string, const RelationDecl*>& decls,
-              int rule_index, const Rule& rule, DiagnosticEngine* diags)
-      : program_(program),
-        decls_(decls),
-        rule_index_(rule_index),
-        rule_(rule),
-        diags_(diags) {}
+  RuleTypeChecker(const DeclIndex& decls, int rule_index, const Rule& rule,
+                  DiagnosticEngine* diags)
+      : decls_(decls), rule_index_(rule_index), rule_(rule), diags_(diags) {}
 
   void Check() {
     // Body atoms first (they define variable classes), positives before
@@ -83,7 +186,6 @@ class RuleChecker {
     for (const Constraint& c : rule_.constraints) CheckConstraint(c);
     CheckAtom(rule_.head);
     CheckAggregate();
-    CheckSafety();
   }
 
  private:
@@ -97,26 +199,8 @@ class RuleChecker {
            ValueTypeToString(decl.columns[i].type) + ")";
   }
 
-  /// Structural checks for one atom; returns its decl when arity-correct.
-  const RelationDecl* ResolveAtom(const Atom& atom) {
-    auto it = decls_.find(atom.predicate);
-    if (it == decls_.end()) {
-      Error("RQ002", "undeclared predicate '" + atom.predicate + "'")
-          .AtPredicate(atom.predicate);
-      return nullptr;
-    }
-    if (it->second->arity() != atom.args.size()) {
-      Error("RQ003", "arity mismatch for '" + atom.predicate + "': declared " +
-                         std::to_string(it->second->arity()) +
-                         ", used with " + std::to_string(atom.args.size()))
-          .AtPredicate(atom.predicate);
-      return nullptr;
-    }
-    return it->second;
-  }
-
   void CheckAtom(const Atom& atom) {
-    const RelationDecl* decl = ResolveAtom(atom);
+    const RelationDecl* decl = Resolve(decls_, atom);
     if (decl == nullptr) return;
     for (size_t i = 0; i < atom.args.size(); ++i) {
       const Term& term = atom.args[i];
@@ -138,16 +222,14 @@ class RuleChecker {
         case TermKind::kVariable:
           UnifyVar(term.var, want, ColumnOrigin(*decl, i));
           break;
-        case TermKind::kBinary: {
-          TypeClass got = TermClass(term);
+        case TermKind::kBinary:
+          TermClass(term);  // reports RQ013 for non-numeric operands
           if (want == TypeClass::kSymbol || want == TypeClass::kBool) {
             Error("RQ013", "arithmetic expression " + term.ToString() +
                                " used at non-numeric " + ColumnOrigin(*decl, i))
                 .AtPredicate(atom.predicate);
           }
-          (void)got;
           break;
-        }
       }
     }
   }
@@ -250,15 +332,7 @@ class RuleChecker {
   }
 
   void CheckAggregate() {
-    if (!rule_.agg.has_value()) return;
-    if (rule_.agg_result_pos < 0 ||
-        rule_.agg_result_pos >= static_cast<int>(rule_.head.args.size())) {
-      Error("RQ005", "aggregate result position " +
-                         std::to_string(rule_.agg_result_pos) +
-                         " out of range for head of arity " +
-                         std::to_string(rule_.head.args.size()));
-      return;
-    }
+    if (!rule_.agg.has_value() || !AggPosInRange(rule_)) return;
     if (rule_.agg->func != dlir::AggFunc::kCount) {
       TypeClass arg = TermClass(rule_.agg->arg);
       if (arg == TypeClass::kSymbol || arg == TypeClass::kBool) {
@@ -269,69 +343,19 @@ class RuleChecker {
                   " value; aggregation is defined over numbers");
       }
     }
-    auto it = decls_.find(rule_.head.predicate);
-    if (it != decls_.end() &&
-        it->second->arity() == rule_.head.args.size()) {
+    if (const RelationDecl* decl = Resolve(decls_, rule_.head)) {
       size_t pos = static_cast<size_t>(rule_.agg_result_pos);
-      TypeClass result = TypeClassOf(it->second->columns[pos].type);
+      TypeClass result = TypeClassOf(decl->columns[pos].type);
       if (result == TypeClass::kSymbol || result == TypeClass::kBool) {
         Error("RQ015",
               std::string(dlir::AggFuncToString(rule_.agg->func)) +
-                  " result flows into non-numeric " +
-                  ColumnOrigin(*it->second, pos))
+                  " result flows into non-numeric " + ColumnOrigin(*decl, pos))
             .AtPredicate(rule_.head.predicate);
       }
     }
   }
 
-  /// Range restriction, faithful to Program::Validate() but reporting every
-  /// unbound variable — and additionally covering aggregate input terms,
-  /// which Validate() never looked at (the engines surface those as a
-  /// runtime Status today).
-  void CheckSafety() {
-    std::set<std::string> bound = rule_.PositiveBodyVars();
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (const Constraint& c : rule_.constraints) {
-        if (c.op != dlir::CmpOp::kEq) continue;
-        auto try_bind = [&](const Term& target, const Term& source) {
-          if (!target.is_var() || bound.count(target.var) > 0) return;
-          std::set<std::string> src_vars;
-          source.CollectVars(&src_vars);
-          for (const std::string& v : src_vars) {
-            if (bound.count(v) == 0) return;
-          }
-          bound.insert(target.var);
-          changed = true;
-        };
-        try_bind(c.lhs, c.rhs);
-        try_bind(c.rhs, c.lhs);
-      }
-    }
-    if (rule_.agg.has_value() && rule_.agg_result_pos >= 0 &&
-        rule_.agg_result_pos < static_cast<int>(rule_.head.args.size()) &&
-        rule_.head.args[static_cast<size_t>(rule_.agg_result_pos)].is_var()) {
-      bound.insert(
-          rule_.head.args[static_cast<size_t>(rule_.agg_result_pos)].var);
-    }
-    std::set<std::string> required;
-    rule_.head.CollectVars(&required);
-    for (const Atom& atom : rule_.body) {
-      if (atom.negated) atom.CollectVars(&required);
-    }
-    for (const Constraint& c : rule_.constraints) c.CollectVars(&required);
-    if (rule_.agg.has_value()) rule_.agg->arg.CollectVars(&required);
-    for (const std::string& v : required) {
-      if (bound.count(v) == 0) {
-        Error("RQ004", "unsafe rule: variable '" + v +
-                           "' is not bound by any positive body atom");
-      }
-    }
-  }
-
-  const Program& program_;
-  const std::unordered_map<std::string, const RelationDecl*>& decls_;
+  const DeclIndex& decls_;
   int rule_index_;
   const Rule& rule_;
   DiagnosticEngine* diags_;
@@ -373,49 +397,45 @@ std::vector<std::string> SccPath(const DependencyGraph& graph,
   return path;
 }
 
+/// RQ020 for every violation AnalyzeStratification finds, with the cycle
+/// it closes as a note.
 void CheckStratification(const Program& program, DiagnosticEngine* diags) {
   DependencyGraph graph = DependencyGraph::Build(program);
-  for (size_t i = 0; i < program.rules.size(); ++i) {
-    const Rule& rule = program.rules[i];
-    int head_scc = graph.SccOf(rule.head.predicate);
-    bool head_recursive = graph.IsRecursiveScc(head_scc);
-    for (const Atom& atom : rule.body) {
-      if (graph.SccOf(atom.predicate) != head_scc) continue;
-      const bool negation = atom.negated;
-      const bool aggregation = !negation && rule.agg.has_value() &&
-                               head_recursive;
-      if (!negation && !aggregation) continue;
-      Diagnostic& d =
-          diags
-              ->Error("RQ020",
-                      std::string(negation ? "negation of '" : "aggregation over '") +
-                          atom.predicate +
-                          "' inside its own recursive component (the program "
-                          "is not stratifiable)")
-              .AtRule(static_cast<int>(i), rule)
-              .AtPredicate(atom.predicate);
-      // The full cycle: head derives ... derives the offending predicate,
-      // which feeds back into head through the negation/aggregation.
-      std::vector<std::string> path =
-          SccPath(graph, rule.head.predicate, atom.predicate, head_scc);
-      std::string cycle;
-      for (const std::string& node : path) {
-        if (!cycle.empty()) cycle += " -> ";
-        cycle += node;
-      }
-      cycle += negation ? " --(negated)--> " : " --(aggregated)--> ";
-      cycle += rule.head.predicate;
-      d.Note((negation ? "negation cycle: " : "aggregation cycle: ") + cycle);
+  StratificationResult strat = AnalyzeStratification(program, graph);
+  for (const StratificationViolation& v : strat.violations) {
+    const Rule& rule = program.rules[static_cast<size_t>(v.rule_index)];
+    Diagnostic& d =
+        diags
+            ->Error("RQ020",
+                    std::string(v.negation ? "negation of '"
+                                           : "aggregation over '") +
+                        v.predicate +
+                        "' inside its own recursive component (the program "
+                        "is not stratifiable)")
+            .AtRule(v.rule_index, rule)
+            .AtPredicate(v.predicate);
+    // The full cycle: head derives ... derives the offending predicate,
+    // which feeds back into head through the negation/aggregation.
+    std::vector<std::string> path =
+        SccPath(graph, rule.head.predicate, v.predicate,
+                graph.SccOf(rule.head.predicate));
+    std::string cycle;
+    for (const std::string& node : path) {
+      if (!cycle.empty()) cycle += " -> ";
+      cycle += node;
     }
+    cycle += v.negation ? " --(negated)--> " : " --(aggregated)--> ";
+    cycle += rule.head.predicate;
+    d.Note((v.negation ? "negation cycle: " : "aggregation cycle: ") + cycle);
   }
 }
 
 }  // namespace
 
-void CheckProgram(const Program& program, DiagnosticEngine* diags) {
-  std::unordered_map<std::string, const RelationDecl*> by_name;
+void CheckStructure(const Program& program, DiagnosticEngine* diags) {
+  const DeclIndex by_name = IndexDecls(program);
   for (const RelationDecl& decl : program.decls) {
-    if (!by_name.emplace(decl.name, &decl).second) {
+    if (by_name.at(decl.name) != &decl) {
       diags->Error("RQ001", "duplicate declaration of relation '" + decl.name +
                                 "'")
           .AtPredicate(decl.name);
@@ -441,10 +461,28 @@ void CheckProgram(const Program& program, DiagnosticEngine* diags) {
     }
   }
   for (size_t i = 0; i < program.rules.size(); ++i) {
-    RuleChecker(program, by_name, static_cast<int>(i), program.rules[i], diags)
+    CheckRuleStructure(by_name, static_cast<int>(i), program.rules[i], diags);
+  }
+}
+
+void CheckTypes(const Program& program, DiagnosticEngine* diags) {
+  const DeclIndex by_name = IndexDecls(program);
+  for (size_t i = 0; i < program.rules.size(); ++i) {
+    RuleTypeChecker(by_name, static_cast<int>(i), program.rules[i], diags)
         .Check();
   }
+}
+
+void CheckProgram(const Program& program, DiagnosticEngine* diags) {
+  CheckStructure(program, diags);
+  CheckTypes(program, diags);
   CheckStratification(program, diags);
+}
+
+Status VerifyStructure(const Program& program, const std::string& context) {
+  DiagnosticEngine diags;
+  CheckStructure(program, &diags);
+  return diags.ToStatus(context);
 }
 
 Status VerifyProgram(const Program& program, const std::string& context) {

@@ -1,18 +1,24 @@
 #ifndef RAQLET_ANALYSIS_TYPECHECK_H_
 #define RAQLET_ANALYSIS_TYPECHECK_H_
 
-// DLIR static checking: the MLIR-style verifier every optimizer pass
-// boundary and every frontend lowering is held to.
+// DLIR static checking: the one place that decides whether a DLIR program
+// is well formed. Every check accumulates all of its findings (never
+// stopping at the first) with a stable code per finding class.
 //
-// CheckProgram accumulates *errors* — structural violations (the checks
-// Program::Validate() performs, re-reported with stable codes and without
-// first-error-wins), type errors (a type checker that infers each
-// variable's type class from the columns, literals, constraints and
-// arithmetic it flows through), and stratification violations reported
-// with the full negation cycle. Programs that pass CheckProgram execute on
-// the engines without tripping the runtime Status paths that used to be
-// the only line of defence (or worse, producing NaN-boxed garbage from a
-// symbol fed into arithmetic).
+//   * CheckStructure (RQ001-RQ006): declarations, arities, safety and
+//     aggregate/lattice shapes. Every engine and translation entry point
+//     (Datalog RunProgram, TranslateToSqir, TranslateToDlir, magic sets,
+//     EXPLAIN) runs it, folded to a Status by VerifyStructure.
+//   * CheckTypes (RQ010-RQ015): a type checker that infers each variable's
+//     type class from the columns, literals, constraints and arithmetic it
+//     flows through. It costs several times the structural check, so only
+//     CheckProgram runs it.
+//   * CheckProgram: both, plus the stratification violations that
+//     AnalyzeStratification finds (RQ020), each with its negation cycle.
+//     It is the verifier every optimizer pass boundary and `--check` are
+//     held to. Programs that pass it execute on the engines without
+//     tripping their runtime Status paths (or producing NaN-boxed garbage
+//     from a symbol fed into arithmetic).
 //
 // Error codes reported here (catalogue: docs/diagnostics.md):
 //   RQ001 duplicate relation declaration
@@ -46,9 +52,21 @@ enum class TypeClass { kUnknown, kNumeric, kSymbol, kBool };
 const char* TypeClassName(TypeClass c);
 TypeClass TypeClassOf(ValueType type);
 
-/// Runs every structural, type, and stratification check over `program`,
-/// accumulating all findings (never stopping at the first) into `diags`.
+/// The structural check (RQ001-RQ006) over `program`, into `diags`.
+void CheckStructure(const dlir::Program& program, DiagnosticEngine* diags);
+
+/// The type check (RQ010-RQ015) over `program`, into `diags`. Atoms that do
+/// not resolve to a declaration of their arity are left to CheckStructure.
+void CheckTypes(const dlir::Program& program, DiagnosticEngine* diags);
+
+/// CheckStructure, CheckTypes and the stratification check (RQ020).
 void CheckProgram(const dlir::Program& program, DiagnosticEngine* diags);
+
+/// CheckStructure folded to a Status: OK when error-free, otherwise an
+/// InvalidArgument carrying the rendered findings (prefixed with `context`
+/// when non-empty). The entry check of every engine and translation.
+Status VerifyStructure(const dlir::Program& program,
+                       const std::string& context = "");
 
 /// CheckProgram folded to a Status: OK when error-free, otherwise an
 /// InvalidArgument carrying the full rendered diagnostic list (prefixed

@@ -1,7 +1,9 @@
 #include "common/str_util.h"
 
+#include <array>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
@@ -105,6 +107,19 @@ Result<double> ParseFloat(const std::string& text) {
     return Status::ParseError("float out of range: '" + text + "'");
   }
   return value;
+}
+
+std::string FormatFloat(double value) {
+  // Fixed notation spells out the exponent: up to 309 integral digits, or
+  // a fraction of up to 324 places for the smallest subnormal.
+  std::array<char, 400> buf;
+  auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), value,
+                                 std::chars_format::fixed);
+  std::string out(buf.data(), ec == std::errc() ? end : buf.data());
+  if (std::isfinite(value) && out.find('.') == std::string::npos) {
+    out += ".0";
+  }
+  return out;
 }
 
 }  // namespace raqlet

@@ -39,6 +39,12 @@ std::string Indent(const std::string& text, int spaces);
 Result<int64_t> ParseInt(const std::string& text);
 Result<double> ParseFloat(const std::string& text);
 
+/// The one rendering of a float literal, for the DLIR and SQL printers:
+/// the shortest digits that read back (ParseFloat) as the same double, in
+/// fixed notation and always with a decimal point, so `2.0` stays a float
+/// and no exponent appears. Infinities and NaN render as `inf`/`nan`.
+std::string FormatFloat(double value);
+
 }  // namespace raqlet
 
 #endif  // RAQLET_COMMON_STR_UTIL_H_

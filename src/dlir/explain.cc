@@ -5,6 +5,7 @@
 
 #include "analysis/analyses.h"
 #include "analysis/dependency_graph.h"
+#include "analysis/typecheck.h"
 #include "common/str_util.h"
 
 namespace raqlet::dlir {
@@ -154,9 +155,8 @@ void RenderRule(const Rule& rule, int delta_atom, int indent,
 // non-null, annotates each stratum with the SccMetrics slot of the same
 // topological SCC index.
 Result<std::string> Explain(const Program& program,
-                            const ExplainOptions& options,
                             const obs::QueryMetrics* metrics) {
-  RAQLET_RETURN_IF_ERROR(program.Validate());
+  RAQLET_RETURN_IF_ERROR(analysis::VerifyStructure(program));
   analysis::DependencyGraph graph = analysis::DependencyGraph::Build(program);
   analysis::StratificationResult strat =
       analysis::AnalyzeStratification(program, graph);
@@ -236,11 +236,7 @@ Result<std::string> Explain(const Program& program,
         ++positive_index;
       }
       if (recursive_atoms.empty()) continue;
-      if (options.seminaive) {
-        for (int delta : recursive_atoms) RenderRule(rule, delta, 4, &os);
-      } else {
-        RenderRule(rule, -1, 4, &os);
-      }
+      for (int delta : recursive_atoms) RenderRule(rule, delta, 4, &os);
     }
   }
   return os.str();
@@ -248,16 +244,13 @@ Result<std::string> Explain(const Program& program,
 
 }  // namespace
 
-Result<std::string> ExplainProgram(const Program& program,
-                                   const ExplainOptions& options) {
-  return Explain(program, options, nullptr);
+Result<std::string> ExplainProgram(const Program& program) {
+  return Explain(program, nullptr);
 }
 
 Result<std::string> ExplainAnalyzeProgram(const Program& program,
-                                          const obs::QueryMetrics& metrics,
-                                          const ExplainOptions& options) {
-  RAQLET_ASSIGN_OR_RETURN(std::string plan,
-                          Explain(program, options, &metrics));
+                                          const obs::QueryMetrics& metrics) {
+  RAQLET_ASSIGN_OR_RETURN(std::string plan, Explain(program, &metrics));
   std::ostringstream os;
   os << plan;
   std::string report = metrics.ToString();

@@ -25,16 +25,11 @@
 
 namespace raqlet::dlir {
 
-struct ExplainOptions {
-  /// Show the semi-naive delta variants (one per recursive body atom);
-  /// when false, recursive rules are shown once with the full relation.
-  bool seminaive = true;
-};
-
-/// Renders the procedural evaluation plan for `program`. Fails if the
-/// program does not validate or is unstratifiable.
-Result<std::string> ExplainProgram(const Program& program,
-                                   const ExplainOptions& options = {});
+/// Renders the procedural evaluation plan for `program`, with one
+/// semi-naive delta variant per recursive body atom. Fails (InvalidArgument)
+/// if the program fails the structural check (analysis::VerifyStructure),
+/// and (Unsupported) if it is unstratifiable.
+Result<std::string> ExplainProgram(const Program& program);
 
 /// EXPLAIN ANALYZE: the same plan annotated with the runtime counters a
 /// prior execution recorded into `metrics` — per-stratum fixpoint rounds,
@@ -44,8 +39,7 @@ Result<std::string> ExplainProgram(const Program& program,
 /// Strata without a recorded slot render unannotated, so the plan of one
 /// engine can be shown alongside another engine's metrics.
 Result<std::string> ExplainAnalyzeProgram(const Program& program,
-                                          const obs::QueryMetrics& metrics,
-                                          const ExplainOptions& options = {});
+                                          const obs::QueryMetrics& metrics);
 
 }  // namespace raqlet::dlir
 

@@ -1,7 +1,7 @@
 #include "dlir/program.h"
 
 #include <sstream>
-#include <unordered_map>
+#include <utility>
 
 #include "common/str_util.h"
 
@@ -62,11 +62,8 @@ std::string Constant::ToString() const {
   switch (type) {
     case ValueType::kNumber:
       return std::to_string(num);
-    case ValueType::kFloat: {
-      std::ostringstream os;
-      os << fval;
-      return os.str();
-    }
+    case ValueType::kFloat:
+      return FormatFloat(fval);
     case ValueType::kSymbol:
       return "\"" + str + "\"";
     case ValueType::kBool:
@@ -252,6 +249,40 @@ std::set<std::string> Rule::PositiveBodyVars() const {
   return vars;
 }
 
+namespace {
+
+bool AllVarsIn(const Term& term, const std::set<std::string>& vars) {
+  switch (term.kind) {
+    case TermKind::kVariable:
+      return vars.count(term.var) > 0;
+    case TermKind::kBinary:
+      return AllVarsIn(term.children[0], vars) &&
+             AllVarsIn(term.children[1], vars);
+    default:
+      return true;
+  }
+}
+
+}  // namespace
+
+void Rule::BindThroughEqualities(std::set<std::string>* bound) const {
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (const Constraint& c : constraints) {
+      if (c.op != CmpOp::kEq) continue;
+      for (const auto& [target, source] :
+           {std::pair{&c.lhs, &c.rhs}, std::pair{&c.rhs, &c.lhs}}) {
+        if (target->is_var() && bound->count(target->var) == 0 &&
+            AllVarsIn(*source, *bound)) {
+          bound->insert(target->var);
+          changed = true;
+        }
+      }
+    }
+  }
+}
+
 std::set<std::string> Rule::AllVars() const {
   std::set<std::string> vars;
   head.CollectVars(&vars);
@@ -335,86 +366,6 @@ std::set<std::string> Program::IdbPredicates() const {
   std::set<std::string> out;
   for (const Rule& rule : rules) out.insert(rule.head.predicate);
   return out;
-}
-
-Status Program::Validate() const {
-  std::unordered_map<std::string, const RelationDecl*> by_name;
-  for (const RelationDecl& d : decls) {
-    if (!by_name.emplace(d.name, &d).second) {
-      return Status::InvalidArgument("duplicate declaration: " + d.name);
-    }
-  }
-  for (const Rule& rule : rules) {
-    auto check_atom = [&](const Atom& atom) -> Status {
-      auto it = by_name.find(atom.predicate);
-      if (it == by_name.end()) {
-        return Status::NotFound("undeclared predicate '" + atom.predicate +
-                                "' in rule: " + rule.ToString());
-      }
-      if (it->second->arity() != atom.args.size()) {
-        return Status::InvalidArgument(
-            "arity mismatch for '" + atom.predicate + "': declared " +
-            std::to_string(it->second->arity()) + ", used with " +
-            std::to_string(atom.args.size()) + " in rule: " + rule.ToString());
-      }
-      return Status::OK();
-    };
-    RAQLET_RETURN_IF_ERROR(check_atom(rule.head));
-    for (const Atom& atom : rule.body) RAQLET_RETURN_IF_ERROR(check_atom(atom));
-
-    if (rule.agg.has_value()) {
-      if (rule.agg_result_pos < 0 ||
-          rule.agg_result_pos >= static_cast<int>(rule.head.args.size())) {
-        return Status::InvalidArgument(
-            "aggregate result position out of range in rule: " +
-            rule.ToString());
-      }
-    }
-
-    // Safety / range restriction: every variable in the head, in negated
-    // atoms, and in constraints must be bound by a positive body atom —
-    // except variables definable by an equality constraint whose other
-    // side is bound (the frontend emits `p = cityId` bindings, Fig. 3c)
-    // and the aggregate result variable.
-    std::set<std::string> bound = rule.PositiveBodyVars();
-    // Fixpoint over binding equalities v = <expr over bound vars>.
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (const Constraint& c : rule.constraints) {
-        if (c.op != CmpOp::kEq) continue;
-        auto try_bind = [&](const Term& target, const Term& source) {
-          if (!target.is_var() || bound.count(target.var) > 0) return;
-          std::set<std::string> src_vars;
-          source.CollectVars(&src_vars);
-          for (const std::string& v : src_vars) {
-            if (bound.count(v) == 0) return;
-          }
-          bound.insert(target.var);
-          changed = true;
-        };
-        try_bind(c.lhs, c.rhs);
-        try_bind(c.rhs, c.lhs);
-      }
-    }
-    if (rule.agg.has_value() &&
-        rule.head.args[static_cast<size_t>(rule.agg_result_pos)].is_var()) {
-      bound.insert(rule.head.args[static_cast<size_t>(rule.agg_result_pos)].var);
-    }
-    std::set<std::string> required;
-    rule.head.CollectVars(&required);
-    for (const Atom& atom : rule.body) {
-      if (atom.negated) atom.CollectVars(&required);
-    }
-    for (const Constraint& c : rule.constraints) c.CollectVars(&required);
-    for (const std::string& v : required) {
-      if (bound.count(v) == 0) {
-        return Status::InvalidArgument("unsafe rule, unbound variable '" + v +
-                                       "': " + rule.ToString());
-      }
-    }
-  }
-  return Status::OK();
 }
 
 std::string Program::ToString() const {

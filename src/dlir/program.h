@@ -133,6 +133,11 @@ struct Rule {
 
   /// Variables appearing in positive body atoms (the range-restricted set).
   std::set<std::string> PositiveBodyVars() const;
+  /// The binding rule: extends `bound`, to a fixpoint, with each variable
+  /// `v` of an equality `v = expr` whose `expr` mentions only bound
+  /// variables (the frontend emits `p = cityId` bindings, Fig. 3c). Safety
+  /// checking and magic-set sideways information passing both use it.
+  void BindThroughEqualities(std::set<std::string>* bound) const;
   /// All variables anywhere in the rule.
   std::set<std::string> AllVars() const;
   /// True if `predicate` occurs in the (positive or negated) body.
@@ -178,15 +183,6 @@ struct Program {
   std::vector<std::string> InputRelations() const;
   /// Predicates that appear in some rule head (the IDBs).
   std::set<std::string> IdbPredicates() const;
-
-  /// Structural well-formedness: every used predicate is declared with
-  /// matching arity, rules are range-restricted (safe), aggregate specs
-  /// are consistent, and negation/aggregation do not target undeclared
-  /// relations. Returns the first violation found. The engines call this
-  /// per run; for all findings at once (plus type and stratification
-  /// checks, with stable diagnostic codes) use analysis::CheckProgram /
-  /// analysis::VerifyProgram in analysis/typecheck.h.
-  Status Validate() const;
 
   /// Whole program in Datalog-like text (see also SoufflePrinter for the
   /// exact Soufflé dialect).

@@ -65,14 +65,14 @@ std::string RenderRule(const Rule& rule) {
 
 }  // namespace
 
-std::string ToSouffle(const Program& program, const SouffleOptions& options) {
+std::string ToSouffle(const Program& program) {
   std::ostringstream os;
   for (const RelationDecl& decl : program.decls) {
     std::vector<std::string> cols;
     for (const Column& c : decl.columns) {
       cols.push_back(c.name + ": " + SouffleType(c.type));
     }
-    if (decl.lattice != LatticeKind::kNone && options.emit_comments) {
+    if (decl.lattice != LatticeKind::kNone) {
       os << "// lattice relation: last column merged with "
          << (decl.lattice == LatticeKind::kMin ? "min" : "max")
          << " (Soufflé equivalent: subsumptive clause below)\n";
@@ -97,7 +97,7 @@ std::string ToSouffle(const Program& program, const SouffleOptions& options) {
       os << decl.name << "(" << Join(vars1, ", ") << ") <= " << decl.name
          << "(" << Join(vars2, ", ") << ") :- v1 " << cmp << " v2.\n";
     }
-    if (decl.is_input && options.emit_io_directives) {
+    if (decl.is_input) {
       os << ".input " << decl.name << "\n";
     }
   }
@@ -106,7 +106,7 @@ std::string ToSouffle(const Program& program, const SouffleOptions& options) {
     os << RenderRule(rule) << "\n";
   }
   for (const RelationDecl& decl : program.decls) {
-    if (decl.is_output && options.emit_io_directives) {
+    if (decl.is_output) {
       os << ".output " << decl.name << "\n";
     }
   }

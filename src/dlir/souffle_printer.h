@@ -13,15 +13,9 @@
 
 namespace raqlet::dlir {
 
-struct SouffleOptions {
-  /// Emit `.input R(IO=file)` style directives for input relations.
-  bool emit_io_directives = true;
-  /// Emit the per-rule provenance comments (`// from <stage>`).
-  bool emit_comments = true;
-};
-
-/// Renders `program` in Soufflé's concrete syntax.
-std::string ToSouffle(const Program& program, const SouffleOptions& options = {});
+/// Renders `program` in Soufflé's concrete syntax, with `.input`/`.output`
+/// directives for its input and output relations.
+std::string ToSouffle(const Program& program);
 
 }  // namespace raqlet::dlir
 

@@ -11,7 +11,9 @@
 #include <unordered_set>
 #include <vector>
 
+#include "analysis/analyses.h"
 #include "analysis/dependency_graph.h"
+#include "analysis/typecheck.h"
 #include "engine/datalog/evaluator.h"
 #include "engine/value_ops.h"
 #include "obs/trace.h"
@@ -291,8 +293,8 @@ Result<VariantPlan> PlanVariant(const CompiledRule& rule, int delta_atom,
     --positive_remaining;
   }
 
-  // Anything left is a stratification/safety violation that Validate()
-  // should have caught.
+  // Anything left is a safety violation that the entry check
+  // (analysis::VerifyStructure) should have caught.
   for (size_t i = 0; i < rule.constraints.size(); ++i) {
     if (!constraint_done[i]) {
       return Status::Internal("constraint never became evaluable in rule: " +
@@ -1165,30 +1167,6 @@ Status PrepareRelations(const Program& program, Database* db,
   return Status::OK();
 }
 
-Status CheckStratification(const Program& program,
-                           const analysis::DependencyGraph& graph) {
-  for (const Rule& rule : program.rules) {
-    int head_scc = graph.SccOf(rule.head.predicate);
-    for (const Atom& atom : rule.body) {
-      if (atom.negated && graph.SccOf(atom.predicate) == head_scc) {
-        return Status::Unsupported(
-            "program is not stratifiable: negation of '" + atom.predicate +
-            "' inside its own recursive component (rule: " + rule.ToString() +
-            ")");
-      }
-      if (rule.agg.has_value() && graph.SccOf(atom.predicate) == head_scc &&
-          graph.IsRecursiveScc(head_scc)) {
-        return Status::Unsupported(
-            "program is not stratifiable: aggregation over '" +
-            atom.predicate + "' inside its own recursive component (rule: " +
-            rule.ToString() + "); use a lattice relation for monotone "
-            "min/max recursion");
-      }
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status RunProgram(const Program& program, Database* db,
@@ -1197,12 +1175,17 @@ Status RunProgram(const Program& program, Database* db,
                   const runtime::QueryGuard* guard, EvalStats* stats,
                   obs::DatalogMetrics* metrics) {
   obs::TraceScope run_span("datalog.run");
-  RAQLET_RETURN_IF_ERROR(program.Validate());
+  RAQLET_RETURN_IF_ERROR(analysis::VerifyStructure(program));
   std::unordered_map<std::string, Relation*> relations;
   RAQLET_RETURN_IF_ERROR(PrepareRelations(program, db, &relations));
 
   analysis::DependencyGraph graph = analysis::DependencyGraph::Build(program);
-  RAQLET_RETURN_IF_ERROR(CheckStratification(program, graph));
+  analysis::StratificationResult strat =
+      analysis::AnalyzeStratification(program, graph);
+  if (!strat.stratified) {
+    return Status::Unsupported("program is not stratifiable: " +
+                               strat.violation);
+  }
 
   // Compile every SCC's rules upfront, single-threaded: rule compilation
   // interns constants into the shared symbol table and resolves relation

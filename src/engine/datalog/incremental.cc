@@ -322,7 +322,8 @@ Status IncrementalView::Impl::Initialize(const dlir::Program& prog,
     context = std::make_unique<runtime::ExecutionContext>(options.num_threads);
   }
 
-  // From-scratch evaluation (also validates and checks stratification).
+  // From-scratch evaluation (also runs the structural entry check and
+  // checks stratification).
   RAQLET_RETURN_IF_ERROR(RunProgram(program, db, eval_options(), context.get(),
                                     guard, eval_stats, nullptr));
 

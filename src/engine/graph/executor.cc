@@ -929,9 +929,12 @@ class Execution {
  private:
   // ---- MATCH ----
 
-  Status CheckNode(const NodePat& node, bool* known) const {
+  // `repeated`: the pattern's other endpoint, checked first, introduces
+  // the same identifier, so it needs no label here.
+  Status CheckNode(const NodePat& node, bool* known,
+                   bool repeated = false) const {
     *known = table_.layout.Find(node.id) >= 0;
-    if (!*known && node.label.empty()) {
+    if (!*known && !repeated && node.label.empty()) {
       return Status::Unsupported("unlabeled node pattern introduces '" +
                                  node.id + "'");
     }
@@ -1055,15 +1058,15 @@ class Execution {
     if (info == nullptr) {
       return Status::NotFound("no edge type with label '" + edge.label + "'");
     }
+    // (a)-[:X]->(a): the repeated identifier needs a self-loop.
+    const bool self = edge.dst.id == edge.src.id;
     bool src_known = false;
     bool dst_known = false;
     RAQLET_RETURN_IF_ERROR(CheckNode(edge.src, &src_known));
-    RAQLET_RETURN_IF_ERROR(CheckNode(edge.dst, &dst_known));
+    RAQLET_RETURN_IF_ERROR(CheckNode(edge.dst, &dst_known, self));
     Layout& layout = table_.layout;
     const int src_col = layout.Find(edge.src.id);
     const int dst_col = layout.Find(edge.dst.id);
-    // (a)-[:X]->(a): the repeated identifier needs a self-loop.
-    const bool self = edge.dst.id == edge.src.id;
 
     // New columns for unbound endpoints and the edge binding.
     if (!src_known) {
@@ -1162,10 +1165,12 @@ class Execution {
     if (info == nullptr) {
       return Status::NotFound("no edge type with label '" + edge.label + "'");
     }
+    // (a)-[:X*]->(a): the repeated identifier needs a walk back to itself.
+    const bool self = edge.dst.id == edge.src.id;
     bool src_known = false;
     bool dst_known = false;
     RAQLET_RETURN_IF_ERROR(CheckNode(edge.src, &src_known));
-    RAQLET_RETURN_IF_ERROR(CheckNode(edge.dst, &dst_known));
+    RAQLET_RETURN_IF_ERROR(CheckNode(edge.dst, &dst_known, self));
     Layout& layout = table_.layout;
     const int src_col = layout.Find(edge.src.id);
     const int dst_col = layout.Find(edge.dst.id);
@@ -1173,7 +1178,7 @@ class Execution {
     if (!src_known) {
       layout.Add(edge.src.id, {ColumnMeta::kNode, edge.src.label, -1});
     }
-    if (!dst_known) {
+    if (!dst_known && !self) {
       layout.Add(edge.dst.id, {ColumnMeta::kNode, edge.dst.label, -1});
     }
     const bool bind_len = edge.shortest && !edge.path_id.empty();
@@ -1191,13 +1196,14 @@ class Execution {
     table_.BeginExpansion();
     for (size_t i = 0, n = table_.size(); i < n; ++i) {
       auto emit = [&](int64_t src_id, int64_t dst_id, int64_t len) -> Status {
-        if (!EndpointOk(edge.src, src_pin, src_id) ||
+        if ((self && src_id != dst_id) ||
+            !EndpointOk(edge.src, src_pin, src_id) ||
             !EndpointOk(edge.dst, dst_pin, dst_id)) {
           return Status::OK();
         }
         NewValues v;
         if (!src_known) v.Push(Value::Number(src_id));
-        if (!dst_known) v.Push(Value::Number(dst_id));
+        if (!dst_known && !self) v.Push(Value::Number(dst_id));
         if (bind_len) v.Push(Value::Number(len));
         return Emit(i, v);
       };

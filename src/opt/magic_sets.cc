@@ -5,6 +5,7 @@
 #include <set>
 
 #include "analysis/dependency_graph.h"
+#include "analysis/typecheck.h"
 #include "opt/rewrite_util.h"
 
 namespace raqlet::opt {
@@ -52,31 +53,6 @@ std::string AtomAdornment(const Atom& atom, const std::set<std::string>& bound) 
   return ad;
 }
 
-// Extends `bound` with variables derivable from equality constraints whose
-// other side is already bound (mirrors Program::Validate's binding rule).
-void PropagateConstraintBindings(const Rule& rule,
-                                 std::set<std::string>* bound) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const dlir::Constraint& c : rule.constraints) {
-      if (c.op != dlir::CmpOp::kEq) continue;
-      auto try_bind = [&](const Term& target, const Term& source) {
-        if (!target.is_var() || bound->count(target.var) > 0) return;
-        std::set<std::string> vars;
-        source.CollectVars(&vars);
-        for (const std::string& v : vars) {
-          if (bound->count(v) == 0) return;
-        }
-        bound->insert(target.var);
-        changed = true;
-      };
-      try_bind(c.lhs, c.rhs);
-      try_bind(c.rhs, c.lhs);
-    }
-  }
-}
-
 struct AdornedPred {
   std::string pred;
   std::string adornment;
@@ -90,7 +66,6 @@ struct AdornedPred {
 Result<Program> ApplyMagicSetsTo(const Program& program,
                                  const std::string& query_predicate,
                                  const std::string& adornment) {
-  analysis::DependencyGraph graph = analysis::DependencyGraph::Build(program);
   std::set<std::string> idbs = program.IdbPredicates();
 
   const RelationDecl* query_decl = program.FindDecl(query_predicate);
@@ -216,7 +191,7 @@ Result<Program> ApplyMagicSetsTo(const Program& program,
         rule.head.args[i].CollectVars(&bound);
       }
       adorned.body.push_back(magic_guard);
-      PropagateConstraintBindings(rule, &bound);
+      rule.BindThroughEqualities(&bound);
 
       // Left-to-right sideways information passing.
       for (const Atom& atom : rule.body) {
@@ -265,7 +240,7 @@ Result<Program> ApplyMagicSetsTo(const Program& program,
           adorned.body.push_back(atom);
         }
         atom.CollectVars(&bound);
-        PropagateConstraintBindings(rule, &bound);
+        rule.BindThroughEqualities(&bound);
       }
       generated.push_back(std::move(adorned));
     }
@@ -292,9 +267,9 @@ Result<Program> ApplyMagicSetsTo(const Program& program,
 
   for (Rule& rule : generated) out.rules.push_back(std::move(rule));
 
-  // Safety net: if the rewrite produced an invalid program, keep the
-  // original (conservative bail-out).
-  if (!out.Validate().ok()) return program;
+  // Safety net: if the rewrite produced a structurally invalid program,
+  // keep the original (conservative bail-out).
+  if (!analysis::VerifyStructure(out).ok()) return program;
   return out;
 }
 

@@ -10,10 +10,11 @@
 // — turning whole-graph transitive closure into single-source reachability.
 //
 // Sideways information passing: left-to-right over body atoms, with
-// equality constraints contributing bindings. The transformation bails out
-// (returning the program unchanged) when the query region uses negation,
-// aggregation, or lattice relations, and verifies the rewritten program
-// with Program::Validate() before committing.
+// equality constraints contributing bindings (dlir::Rule's binding rule,
+// BindThroughEqualities). The transformation bails out (returning the
+// program unchanged) when the query region uses negation, aggregation, or
+// lattice relations, or when the rewritten program fails the structural
+// check (analysis::VerifyStructure).
 
 #include <string>
 

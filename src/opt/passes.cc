@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "analysis/dependency_graph.h"
+#include "dlir/fold.h"
 #include "opt/rewrite_util.h"
 
 namespace raqlet::opt {
@@ -217,12 +219,12 @@ Result<Program> PushdownConstants(const Program& program) {
       changed = false;
       // Fold constants everywhere first.
       for (Atom& atom : rule.body) {
-        for (Term& arg : atom.args) arg = FoldConstants(arg);
+        for (Term& arg : atom.args) arg = dlir::FoldConstants(arg);
       }
-      for (Term& arg : rule.head.args) arg = FoldConstants(arg);
+      for (Term& arg : rule.head.args) arg = dlir::FoldConstants(arg);
       for (Constraint& c : rule.constraints) {
-        c.lhs = FoldConstants(c.lhs);
-        c.rhs = FoldConstants(c.rhs);
+        c.lhs = dlir::FoldConstants(c.lhs);
+        c.rhs = dlir::FoldConstants(c.rhs);
       }
 
       // Find one rewritable constraint, apply it, and restart the sweep
@@ -231,10 +233,10 @@ Result<Program> PushdownConstants(const Program& program) {
         const Constraint& c = rule.constraints[ci];
         // Decide constant comparisons.
         if (c.lhs.is_const() && c.rhs.is_const()) {
-          int verdict =
-              EvalConstComparison(c.op, c.lhs.constant, c.rhs.constant);
-          if (verdict < 0) continue;  // incomparable kinds: leave as is
-          if (verdict == 0) feasible = false;
+          std::optional<bool> verdict =
+              dlir::FoldComparison(c.op, c.lhs.constant, c.rhs.constant);
+          if (!verdict.has_value()) continue;  // undecided: leave as is
+          if (!*verdict) feasible = false;
           rule.constraints.erase(rule.constraints.begin() +
                                  static_cast<long>(ci));
           changed = true;

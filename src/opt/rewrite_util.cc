@@ -3,8 +3,6 @@
 namespace raqlet::opt {
 
 using dlir::Atom;
-using dlir::CmpOp;
-using dlir::Constant;
 using dlir::Rule;
 using dlir::Term;
 using dlir::TermKind;
@@ -52,83 +50,6 @@ Rule RenameRuleVars(const Rule& rule, dlir::VarGen* gen) {
     subst[var] = Term::Var(gen->Fresh(var));
   }
   return SubstituteRule(rule, subst);
-}
-
-Term FoldConstants(const Term& term) {
-  if (term.kind != TermKind::kBinary) return term;
-  Term folded = term;
-  folded.children[0] = FoldConstants(term.children[0]);
-  folded.children[1] = FoldConstants(term.children[1]);
-  const Term& lhs = folded.children[0];
-  const Term& rhs = folded.children[1];
-  if (!lhs.is_const() || !rhs.is_const()) return folded;
-  const Constant& a = lhs.constant;
-  const Constant& b = rhs.constant;
-  if (a.type == ValueType::kNumber && b.type == ValueType::kNumber) {
-    int64_t x = a.num;
-    int64_t y = b.num;
-    switch (folded.op) {
-      case dlir::ArithOp::kAdd:
-        return Term::Num(x + y);
-      case dlir::ArithOp::kSub:
-        return Term::Num(x - y);
-      case dlir::ArithOp::kMul:
-        return Term::Num(x * y);
-      case dlir::ArithOp::kDiv:
-        if (y == 0) return folded;
-        return Term::Num(x / y);
-      case dlir::ArithOp::kMod:
-        if (y == 0) return folded;
-        return Term::Num(x % y);
-    }
-  }
-  if (a.type == ValueType::kFloat && b.type == ValueType::kFloat) {
-    double x = a.fval;
-    double y = b.fval;
-    switch (folded.op) {
-      case dlir::ArithOp::kAdd:
-        return Term::Const(Constant::Float(x + y));
-      case dlir::ArithOp::kSub:
-        return Term::Const(Constant::Float(x - y));
-      case dlir::ArithOp::kMul:
-        return Term::Const(Constant::Float(x * y));
-      case dlir::ArithOp::kDiv:
-        if (y == 0.0) return folded;
-        return Term::Const(Constant::Float(x / y));
-      case dlir::ArithOp::kMod:
-        return folded;
-    }
-  }
-  return folded;
-}
-
-int EvalConstComparison(CmpOp op, const Constant& lhs, const Constant& rhs) {
-  if (op == CmpOp::kEq) return lhs == rhs ? 1 : 0;
-  if (op == CmpOp::kNe) return lhs == rhs ? 0 : 1;
-  // Ordering only for same-kind numeric or string constants.
-  int cmp = 0;
-  if (lhs.type == ValueType::kNumber && rhs.type == ValueType::kNumber) {
-    cmp = lhs.num < rhs.num ? -1 : (lhs.num > rhs.num ? 1 : 0);
-  } else if (lhs.type == ValueType::kFloat && rhs.type == ValueType::kFloat) {
-    cmp = lhs.fval < rhs.fval ? -1 : (lhs.fval > rhs.fval ? 1 : 0);
-  } else if (lhs.type == ValueType::kSymbol && rhs.type == ValueType::kSymbol) {
-    cmp = lhs.str.compare(rhs.str);
-    cmp = cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
-  } else {
-    return -1;
-  }
-  switch (op) {
-    case CmpOp::kLt:
-      return cmp < 0 ? 1 : 0;
-    case CmpOp::kLe:
-      return cmp <= 0 ? 1 : 0;
-    case CmpOp::kGt:
-      return cmp > 0 ? 1 : 0;
-    case CmpOp::kGe:
-      return cmp >= 0 ? 1 : 0;
-    default:
-      return -1;
-  }
 }
 
 }  // namespace raqlet::opt

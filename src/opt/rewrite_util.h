@@ -22,15 +22,6 @@ dlir::Rule SubstituteRule(const dlir::Rule& rule, const Subst& subst);
 /// (used before inlining a rule body into another rule).
 dlir::Rule RenameRuleVars(const dlir::Rule& rule, dlir::VarGen* gen);
 
-/// Constant-folds a term (e.g. (2 + 3) -> 5). Division by zero is left
-/// unfolded (the engine reports it at runtime).
-dlir::Term FoldConstants(const dlir::Term& term);
-
-/// Evaluates `lhs op rhs` over two IR constants when both are numeric or
-/// both symbolic; returns -1 unknown, 0 false, 1 true.
-int EvalConstComparison(dlir::CmpOp op, const dlir::Constant& lhs,
-                        const dlir::Constant& rhs);
-
 }  // namespace raqlet::opt
 
 #endif  // RAQLET_OPT_REWRITE_UTIL_H_

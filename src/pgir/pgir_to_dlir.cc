@@ -4,6 +4,7 @@
 #include <optional>
 #include <set>
 
+#include "analysis/typecheck.h"
 #include "common/str_util.h"
 
 namespace raqlet::pgir {
@@ -32,9 +33,8 @@ struct Binding {
 
 class Translator {
  public:
-  Translator(const PgirQuery& query, const schema::DlSchema& dl,
-             const TranslateOptions& options)
-      : query_(query), dl_(dl), options_(options) {}
+  Translator(const PgirQuery& query, const schema::DlSchema& dl)
+      : query_(query), dl_(dl) {}
 
   Result<Program> Run() {
     program_.decls = dl_.edbs;
@@ -52,15 +52,15 @@ class Translator {
             TranslateProjection(with->items, "With" +
                                 std::to_string(++with_counter_), false));
       } else if (const auto* ret = std::get_if<ReturnOp>(&op)) {
-        RAQLET_RETURN_IF_ERROR(TranslateProjection(
-            ret->items, options_.output_relation, true));
+        RAQLET_RETURN_IF_ERROR(
+            TranslateProjection(ret->items, "Return", true));
         saw_return = true;
       }
     }
     if (!saw_return) {
       return Status::InvalidArgument("PGIR query lacks a RETURN construct");
     }
-    RAQLET_RETURN_IF_ERROR(program_.Validate());
+    RAQLET_RETURN_IF_ERROR(analysis::VerifyStructure(program_));
     return std::move(program_);
   }
 
@@ -897,7 +897,6 @@ class Translator {
 
   const PgirQuery& query_;
   const schema::DlSchema& dl_;
-  const TranslateOptions& options_;
 
   Program program_;
   std::vector<std::string> frontier_;
@@ -916,9 +915,8 @@ class Translator {
 }  // namespace
 
 Result<dlir::Program> TranslateToDlir(const PgirQuery& query,
-                                      const schema::DlSchema& dl,
-                                      const TranslateOptions& options) {
-  Translator translator(query, dl, options);
+                                      const schema::DlSchema& dl) {
+  Translator translator(query, dl);
   return translator.Run();
 }
 

@@ -10,8 +10,6 @@
 // patterns expand into recursive auxiliary predicates; shortestPath
 // expands into a @min lattice distance predicate (docs/architecture.md).
 
-#include <string>
-
 #include "common/status.h"
 #include "dlir/program.h"
 #include "pgir/pgir.h"
@@ -19,16 +17,12 @@
 
 namespace raqlet::pgir {
 
-struct TranslateOptions {
-  /// Name of the output relation (paper: "Return").
-  std::string output_relation = "Return";
-};
-
 /// Translates a PGIR query into a DLIR program over `dl`'s EDBs. The
-/// resulting program validates and carries one is_output relation.
+/// resulting program passes the structural check
+/// (analysis::VerifyStructure) and carries one is_output relation,
+/// `Return`.
 Result<dlir::Program> TranslateToDlir(const PgirQuery& query,
-                                      const schema::DlSchema& dl,
-                                      const TranslateOptions& options = {});
+                                      const schema::DlSchema& dl);
 
 }  // namespace raqlet::pgir
 

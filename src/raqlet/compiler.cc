@@ -90,7 +90,7 @@ Result<CompiledQuery> Compiler::CompileGraphQuery(
 
 Result<dlir::Program> Compiler::CompileDatalog(const std::string& text) const {
   RAQLET_ASSIGN_OR_RETURN(dlir::Program program, dlir::ParseProgram(text));
-  // Full static analysis instead of the first-violation Validate(): one
+  // The full checker, not just the engines' structural entry check: one
   // compile reports every structural/type/stratification error.
   RAQLET_RETURN_IF_ERROR(analysis::VerifyProgram(program));
   return program;

@@ -5,6 +5,7 @@
 
 #include "analysis/analyses.h"
 #include "analysis/dependency_graph.h"
+#include "analysis/typecheck.h"
 
 namespace raqlet::sqir {
 
@@ -222,12 +223,11 @@ class RuleTranslator {
 
 }  // namespace
 
-Result<SqirProgram> TranslateToSqir(const Program& program,
-                                    const SqirOptions& options) {
-  RAQLET_RETURN_IF_ERROR(program.Validate());
-  analysis::AnalysisReport report = analysis::Analyze(program);
+Result<SqirProgram> TranslateToSqir(const Program& program) {
+  RAQLET_RETURN_IF_ERROR(analysis::VerifyStructure(program));
+  analysis::DependencyGraph graph = analysis::DependencyGraph::Build(program);
   RAQLET_RETURN_IF_ERROR(analysis::CheckBackendSupport(
-      program, report, analysis::Backend::kSql));
+      program, analysis::Analyze(program, graph), analysis::Backend::kSql));
 
   std::vector<std::string> outputs = program.OutputRelations();
   if (outputs.size() != 1) {
@@ -236,7 +236,6 @@ Result<SqirProgram> TranslateToSqir(const Program& program,
         std::to_string(outputs.size()));
   }
 
-  analysis::DependencyGraph graph = analysis::DependencyGraph::Build(program);
   std::set<std::string> idbs = program.IdbPredicates();
 
   // CTE order: SCC topological order restricted to IDBs.
@@ -249,8 +248,7 @@ Result<SqirProgram> TranslateToSqir(const Program& program,
 
   std::map<std::string, std::string> cte_names;
   for (size_t i = 0; i < cte_order.size(); ++i) {
-    cte_names[cte_order[i]] =
-        options.use_v_names ? "V" + std::to_string(i + 1) : cte_order[i];
+    cte_names[cte_order[i]] = "V" + std::to_string(i + 1);
   }
 
   SqirProgram out;

@@ -16,14 +16,8 @@
 
 namespace raqlet::sqir {
 
-struct SqirOptions {
-  /// Name CTEs V1, V2, ... in dependency order (paper style). When false,
-  /// CTEs keep their DLIR predicate names.
-  bool use_v_names = true;
-};
-
-Result<SqirProgram> TranslateToSqir(const dlir::Program& program,
-                                    const SqirOptions& options = {});
+/// CTEs are named V1, V2, ... in dependency order (paper style).
+Result<SqirProgram> TranslateToSqir(const dlir::Program& program);
 
 }  // namespace raqlet::sqir
 

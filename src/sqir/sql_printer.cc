@@ -13,11 +13,8 @@ std::string SqlConstant(const dlir::Constant& c) {
     case ValueType::kNumber: {
       return std::to_string(c.num);
     }
-    case ValueType::kFloat: {
-      std::ostringstream os;
-      os << c.fval;
-      return os.str();
-    }
+    case ValueType::kFloat:
+      return FormatFloat(c.fval);
     case ValueType::kSymbol: {
       // Single quotes, doubled for escaping.
       std::string out = "'";
@@ -120,7 +117,7 @@ std::string RenderSelect(const Select& sel, int indent_spaces) {
 
 }  // namespace
 
-std::string ToSql(const SqirProgram& program, const SqlPrintOptions& options) {
+std::string ToSql(const SqirProgram& program) {
   std::ostringstream os;
   bool any_recursive = false;
   for (const Cte& cte : program.ctes) any_recursive |= cte.recursive;
@@ -130,13 +127,9 @@ std::string ToSql(const SqirProgram& program, const SqlPrintOptions& options) {
     for (size_t i = 0; i < program.ctes.size(); ++i) {
       const Cte& cte = program.ctes[i];
       if (i > 0) os << ", ";
-      if (options.emit_comments) {
-        os << "\n-- " << cte.name << " implements " << cte.source_predicate
-           << "\n";
-      }
       os << cte.name << "(" << Join(cte.columns, ", ") << ") AS (\n";
       for (size_t b = 0; b < cte.branches.size(); ++b) {
-        if (b > 0) os << (options.union_all ? "  UNION ALL\n" : "  UNION\n");
+        if (b > 0) os << "  UNION\n";
         os << RenderSelect(cte.branches[b], 2);
       }
       os << ")";

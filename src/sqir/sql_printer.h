@@ -11,15 +11,9 @@
 
 namespace raqlet::sqir {
 
-struct SqlPrintOptions {
-  /// Emit `-- CTE <name> implements <predicate>` comments.
-  bool emit_comments = false;
-  /// UNION (distinct, SQL:1999 recursive semantics) vs UNION ALL.
-  bool union_all = false;
-};
-
-std::string ToSql(const SqirProgram& program,
-                  const SqlPrintOptions& options = {});
+/// Branches of a CTE combine with UNION (distinct, SQL:1999 recursive
+/// semantics).
+std::string ToSql(const SqirProgram& program);
 
 }  // namespace raqlet::sqir
 

@@ -322,7 +322,73 @@ TEST_P(CrossEngineTest, TracingEnabledIsResultNeutral) {
   EXPECT_GT(session.event_count(), 0u);
 }
 
+// A repeated identifier whose second occurrence has no label is bound by
+// the first: (a)-[..]->(a) keeps the walks that return to their start.
+TEST_P(CrossEngineTest, RepeatedEndpointOneHop) {
+  ExpectAllAgree("MATCH (a:Person)-[:KNOWS]->(a) RETURN DISTINCT a.id AS id");
+}
+
+TEST_P(CrossEngineTest, RepeatedEndpointVariableLength) {
+  ExpectAllAgree(
+      "MATCH (a:Person)-[:KNOWS*1..2]->(a) RETURN DISTINCT a.id AS id");
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, CrossEngineTest, ::testing::Range(0, 6));
+
+// The random graphs above have no self-loops. Here KNOWS holds the
+// self-loop 1->1, the 2-cycle 2->3->2 and the tail 3->4: one hop returns
+// to 1 only, up to two hops to 1, 2 and 3 — on Datalog, both SQL modes
+// and both graph modes.
+TEST(RepeatedEndpointTest, SelfLoopAndTwoCycle) {
+  Compiler compiler;
+  ASSERT_TRUE(compiler.LoadPgSchema(kSchema).ok());
+  Database db;
+  ASSERT_TRUE(compiler.CreateEdbs(&db).ok());
+  Relation* person = *db.GetRelation("Person");
+  for (int i = 1; i <= 4; ++i) {
+    ASSERT_TRUE(person->Insert({Value::Number(i), db.Str("p"),
+                                Value::Number(30)})
+                    .ok());
+  }
+  Relation* knows = *db.GetRelation("Person_KNOWS_Person");
+  const std::pair<int, int> kEdges[] = {{1, 1}, {2, 3}, {3, 2}, {3, 4}};
+  int edge_id = 0;
+  for (auto [from, to] : kEdges) {
+    ASSERT_TRUE(knows->Insert({Value::Number(from), Value::Number(to),
+                               Value::Number(++edge_id)})
+                    .ok());
+  }
+  auto store = compiler.BuildGraphStore(db);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+
+  const std::pair<const char*, std::set<std::string>> kCases[] = {
+      {"MATCH (a:Person)-[:KNOWS]->(a) RETURN DISTINCT a.id AS id", {"(1)"}},
+      {"MATCH (a:Person)-[:KNOWS*1..2]->(a) RETURN DISTINCT a.id AS id",
+       {"(1)", "(2)", "(3)"}},
+  };
+  for (const auto& [query, want] : kCases) {
+    auto unit = compiler.CompileCypher(query);
+    ASSERT_TRUE(unit.ok()) << unit.status().ToString();
+    auto datalog = compiler.RunOnDatalog(unit->dlir, &db);
+    ASSERT_TRUE(datalog.ok()) << datalog.status().ToString();
+    EXPECT_EQ(datalog->ToStringSet(db.symbols()), want) << query;
+    for (engine::SqlMode mode :
+         {engine::SqlMode::kVectorized, engine::SqlMode::kTuplePipeline}) {
+      auto sql = compiler.RunOnSql(unit->dlir, &db, mode);
+      ASSERT_TRUE(sql.ok()) << sql.status().ToString();
+      EXPECT_EQ(sql->ToStringSet(db.symbols()), want) << query;
+    }
+    for (engine::GraphMode mode :
+         {engine::GraphMode::kColumnBatch, engine::GraphMode::kRowBinding}) {
+      engine::GraphOptions options;
+      options.mode = mode;
+      auto graph =
+          compiler.RunOnGraph(unit->pgir, *store, &db, nullptr, options);
+      ASSERT_TRUE(graph.ok()) << query << ": " << graph.status().ToString();
+      EXPECT_EQ(graph->ToStringSet(db.symbols()), want) << query;
+    }
+  }
+}
 
 // An undirected edge pattern meets a self-loop once from each endpoint
 // list; the walk must bind it once whichever end is already bound. With

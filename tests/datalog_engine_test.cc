@@ -165,6 +165,46 @@ p(x) :- a(x), !p(x).
   EXPECT_NE(st.message().find("stratifiable"), std::string::npos);
 }
 
+// The engine's entry check is the analyzer's structural check: every
+// finding is InvalidArgument with its RQ code, before anything runs.
+TEST(DatalogEngineTest, EntryCheckRejectsStructuralFindings) {
+  const struct {
+    const char* program;
+    const char* code;
+  } kCases[] = {
+      // An unbound aggregate input once failed mid-evaluation (Internal).
+      {R"(
+.decl edge(x: number, y: number)
+.input edge
+.decl total(s: number)
+total(sum(z)) :- edge(x, _).
+)",
+       "RQ004"},
+      // A @min lattice over a symbol column once ran.
+      {R"(
+.decl edge(x: number, y: number)
+.input edge
+.decl best(x: number, name: symbol) @min
+best(x, "a") :- edge(x, _).
+)",
+       "RQ006"},
+      // An undeclared predicate was once NotFound.
+      {R"(
+.decl edge(x: number, y: number)
+.input edge
+.decl out(x: number)
+out(x) :- ghost(x).
+)",
+       "RQ002"},
+  };
+  for (const auto& c : kCases) {
+    Database db = MakeGraphDb({{1, 2}});
+    Status st = DatalogEngine().Run(Parse(c.program), &db);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find(c.code), std::string::npos) << st.ToString();
+  }
+}
+
 TEST(DatalogEngineTest, CountAggregate) {
   constexpr char kDegree[] = R"(
 .decl edge(x: number, y: number)

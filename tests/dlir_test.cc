@@ -1,13 +1,23 @@
-// Unit tests for dlir/: AST helpers, parser, validation, printers.
+// Unit tests for dlir/: AST helpers, parser, the structural entry check
+// (analysis::VerifyStructure), printers.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
+
+#include "analysis/typecheck.h"
+#include "dlir/fold.h"
 #include "dlir/parser.h"
 #include "dlir/program.h"
 #include "dlir/souffle_printer.h"
+#include "engine/value_ops.h"
 
 namespace raqlet::dlir {
 namespace {
+
+using analysis::VerifyStructure;
 
 constexpr char kTcProgram[] = R"(
 .decl edge(x: number, y: number)
@@ -27,7 +37,7 @@ TEST(DlirParserTest, ParsesTransitiveClosure) {
   EXPECT_TRUE(program->FindDecl("edge")->is_input);
   EXPECT_TRUE(program->FindDecl("tc")->is_output);
   EXPECT_EQ(program->rules[1].body.size(), 2u);
-  EXPECT_TRUE(program->Validate().ok());
+  EXPECT_TRUE(VerifyStructure(*program).ok());
 }
 
 TEST(DlirParserTest, ParsesConstraintsAndArithmetic) {
@@ -42,7 +52,7 @@ b(x, y) :- a(x), y = x * 2 + 1, x != 3, x <= 10.
   EXPECT_EQ(rule.constraints.size(), 3u);
   EXPECT_EQ(rule.constraints[0].op, CmpOp::kEq);
   EXPECT_EQ(rule.constraints[0].rhs.kind, TermKind::kBinary);
-  EXPECT_TRUE(program->Validate().ok());
+  EXPECT_TRUE(VerifyStructure(*program).ok());
 }
 
 TEST(DlirParserTest, ParsesNegationAndWildcards) {
@@ -74,7 +84,7 @@ total(region, sum(amount)) :- sale(region, amount).
   ASSERT_TRUE(rule.agg.has_value());
   EXPECT_EQ(rule.agg->func, AggFunc::kSum);
   EXPECT_EQ(rule.agg_result_pos, 1);
-  EXPECT_TRUE(program->Validate().ok());
+  EXPECT_TRUE(VerifyStructure(*program).ok());
 }
 
 TEST(DlirParserTest, ParsesLatticeAnnotation) {
@@ -142,8 +152,9 @@ TEST(DlirValidateTest, RejectsArityMismatch) {
 b(x) :- a(x, x).
 )");
   ASSERT_TRUE(program.ok());
-  Status st = program->Validate();
+  Status st = VerifyStructure(*program);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("RQ003"), std::string::npos) << st.ToString();
 }
 
 TEST(DlirValidateTest, RejectsUndeclaredPredicate) {
@@ -152,7 +163,9 @@ TEST(DlirValidateTest, RejectsUndeclaredPredicate) {
 b(x) :- ghost(x).
 )");
   ASSERT_TRUE(program.ok());
-  EXPECT_EQ(program->Validate().code(), StatusCode::kNotFound);
+  Status st = VerifyStructure(*program);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("RQ002"), std::string::npos) << st.ToString();
 }
 
 TEST(DlirValidateTest, RejectsUnsafeRule) {
@@ -162,9 +175,10 @@ TEST(DlirValidateTest, RejectsUnsafeRule) {
 b(x, y) :- a(x).
 )");
   ASSERT_TRUE(program.ok());
-  Status st = program->Validate();
+  Status st = VerifyStructure(*program);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.message().find("unsafe"), std::string::npos);
+  EXPECT_NE(st.message().find("RQ004"), std::string::npos);
 }
 
 TEST(DlirValidateTest, AcceptsBindingConstraintChains) {
@@ -175,7 +189,8 @@ TEST(DlirValidateTest, AcceptsBindingConstraintChains) {
 b(x, y) :- a(x), z = x + 1, y = z * 2.
 )");
   ASSERT_TRUE(program.ok());
-  EXPECT_TRUE(program->Validate().ok()) << program->Validate().ToString();
+  EXPECT_TRUE(VerifyStructure(*program).ok())
+      << VerifyStructure(*program).ToString();
 }
 
 TEST(DlirValidateTest, RejectsVarOnlyBoundByNegation) {
@@ -186,17 +201,50 @@ TEST(DlirValidateTest, RejectsVarOnlyBoundByNegation) {
 b(x) :- a(x), !n(x, y).
 )");
   ASSERT_TRUE(program.ok());
-  EXPECT_FALSE(program->Validate().ok());
+  Status st = VerifyStructure(*program);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("variable 'y'"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(DlirPrintTest, RuleRoundTripsThroughParser) {
-  auto program = ParseProgram(kTcProgram);
-  ASSERT_TRUE(program.ok());
-  std::string text = program->ToString();
-  auto reparsed = ParseProgram(text);
-  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString() << "\n" << text;
-  EXPECT_EQ(reparsed->rules.size(), program->rules.size());
-  EXPECT_EQ(reparsed->ToString(), text);
+  // The second program's floats once printed as `2` and `0.123457`: the
+  // text re-printed unchanged, but it read back as other constants.
+  for (const char* source : {kTcProgram, R"(
+.decl edge(x: number, y: number)
+.input edge
+.decl out(x: number, z: float, u: float, w: float)
+.output out
+out(x, z, u, w) :- edge(x, _), z = 2.0, u = 0.1, w = 0.1234567, 1 = 1.0.
+)"}) {
+    auto program = ParseProgram(source);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    std::string text = program->ToString();
+    auto reparsed = ParseProgram(text);
+    ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString() << "\n" << text;
+    ASSERT_EQ(reparsed->rules.size(), program->rules.size());
+    EXPECT_EQ(reparsed->ToString(), text);
+    for (size_t r = 0; r < program->rules.size(); ++r) {
+      const Rule& before = program->rules[r];
+      const Rule& after = reparsed->rules[r];
+      // Constant::operator== compares kind and value.
+      EXPECT_EQ(after.head.args, before.head.args) << text;
+      ASSERT_EQ(after.body.size(), before.body.size());
+      for (size_t a = 0; a < before.body.size(); ++a) {
+        EXPECT_EQ(after.body[a], before.body[a]) << text;
+      }
+      EXPECT_EQ(after.constraints, before.constraints) << text;
+    }
+  }
+}
+
+TEST(DlirPrintTest, FloatsPrintShortestFixedWithDecimalPoint) {
+  EXPECT_EQ(Constant::Float(2.0).ToString(), "2.0");
+  EXPECT_EQ(Constant::Float(0.1).ToString(), "0.1");
+  EXPECT_EQ(Constant::Float(0.1234567).ToString(), "0.1234567");
+  EXPECT_EQ(Constant::Float(-2.5).ToString(), "-2.5");
+  EXPECT_EQ(Constant::Float(1e21).ToString(), "1000000000000000000000.0");
+  EXPECT_EQ(Constant::Float(1.5e-7).ToString(), "0.00000015");
 }
 
 TEST(DlirPrintTest, AggregateRuleRendersFunction) {
@@ -261,6 +309,73 @@ TEST(TermTest, EqualityIsStructural) {
   Term c = Term::Binary(ArithOp::kAdd, Term::Var("x"), Term::Num(2));
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
+}
+
+// The folder behind constant pushdown and the RQ107 lint must decide a
+// ground expression exactly as the engines evaluate it: wherever it gives
+// an answer, engine::EvalArith / engine::CheckCmp give the same one.
+TEST(DlirFoldTest, AgreesWithEngineValueOps) {
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  std::vector<Constant> grid;
+  for (int64_t v : {int64_t{-7}, int64_t{-1}, int64_t{0}, int64_t{1},
+                    int64_t{2}, int64_t{3}, kMax, kMin}) {
+    grid.push_back(Constant::Number(v));
+  }
+  for (double v : {-2.5, -0.0, 0.0, 0.5, 1.0, 2.0, 3.5, 1e300}) {
+    grid.push_back(Constant::Float(v));
+  }
+  for (const char* v : {"", "a", "b", "ab"}) {
+    grid.push_back(Constant::String(v));
+  }
+  grid.push_back(Constant::Bool(false));
+  grid.push_back(Constant::Bool(true));
+
+  SymbolTable symbols;
+  int folded_arith = 0;
+  int folded_cmp = 0;
+  for (const Constant& a : grid) {
+    for (const Constant& b : grid) {
+      const Value va = engine::ConstantToValue(a, &symbols);
+      const Value vb = engine::ConstantToValue(b, &symbols);
+      for (ArithOp op : {ArithOp::kAdd, ArithOp::kSub, ArithOp::kMul,
+                         ArithOp::kDiv, ArithOp::kMod}) {
+        const Term folded =
+            FoldConstants(Term::Binary(op, Term::Const(a), Term::Const(b)));
+        if (!folded.is_const()) continue;
+        ++folded_arith;
+        const std::string what = a.ToString() + " " + ArithOpToString(op) +
+                                 " " + b.ToString();
+        Result<Value> want = engine::EvalArith(op, va, vb);
+        ASSERT_TRUE(want.ok()) << what << ": " << want.status().ToString();
+        const Value got = engine::ConstantToValue(folded.constant, &symbols);
+        EXPECT_EQ(got.kind(), want->kind()) << what;
+        EXPECT_EQ(got.RawBits(), want->RawBits()) << what;
+      }
+      for (CmpOp op : {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt, CmpOp::kLe,
+                       CmpOp::kGt, CmpOp::kGe}) {
+        std::optional<bool> verdict = FoldComparison(op, a, b);
+        if (!verdict.has_value()) continue;
+        ++folded_cmp;
+        EXPECT_EQ(*verdict, engine::CheckCmp(op, va, vb, symbols))
+            << a.ToString() << " " << CmpOpToString(op) << " "
+            << b.ToString();
+      }
+    }
+  }
+  // The folder does answer: mixed number/float arithmetic and ordering,
+  // symbol ordering, and equality across every kind.
+  EXPECT_GT(folded_arith, 300);
+  EXPECT_GT(folded_cmp, 1500);
+  EXPECT_EQ(FoldComparison(CmpOp::kEq, Constant::Number(1),
+                           Constant::Float(1.0)),
+            std::optional<bool>(false));
+  EXPECT_EQ(FoldComparison(CmpOp::kLt, Constant::Number(1),
+                           Constant::Float(2.5)),
+            std::optional<bool>(true));
+  EXPECT_EQ(FoldComparison(CmpOp::kLt, Constant::Bool(false),
+                           Constant::Bool(true)),
+            std::nullopt);
 }
 
 }  // namespace

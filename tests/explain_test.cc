@@ -36,14 +36,6 @@ TEST(ExplainTest, TcShowsSemiNaiveLoop) {
   EXPECT_NE(text->find("INSERT (x, y) INTO tc"), std::string::npos);
 }
 
-TEST(ExplainTest, NaiveModeOmitsDelta) {
-  ExplainOptions options;
-  options.seminaive = false;
-  auto text = ExplainProgram(Parse(kTc), options);
-  ASSERT_TRUE(text.ok());
-  EXPECT_EQ(text->find("DELTA"), std::string::npos);
-}
-
 TEST(ExplainTest, ConstantsBecomeIndexProbes) {
   auto text = ExplainProgram(Parse(R"(
 .decl person(id: number, name: symbol)

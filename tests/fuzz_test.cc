@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/analyses.h"
 #include "analysis/diagnostics.h"
 #include "analysis/lints.h"
 #include "analysis/typecheck.h"
@@ -292,22 +293,30 @@ TEST_P(AnalyzerFuzzTest, AnalyzerNeverCrashesOnParsedGarbage) {
 }
 
 TEST_P(AnalyzerFuzzTest, AnalyzerSubsumesValidateOnRandomPrograms) {
-  // The analyzer is the verifier the optimizer trusts, so it must be at
-  // least as strict as Program::Validate(): anything it calls clean has to
-  // execute past the engines' own validation. And on the wild shapes the
-  // generator emits, analysis + lints must never crash.
+  // The engines' entry check and CheckProgram share one structural check,
+  // and RQ020 and the engines share one stratification rule: on the wild
+  // shapes the generator emits, each pair must agree exactly (and
+  // analysis + lints must never crash).
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 157 + 11);
+  auto is_structural = [](const analysis::Diagnostic& d) {
+    return d.code >= "RQ001" && d.code <= "RQ006";
+  };
   for (int i = 0; i < 200; ++i) {
     dlir::Program program = RandomProgram(&rng);
     analysis::DiagnosticEngine diags;
     analysis::CheckProgram(program, &diags);
     analysis::LintProgram(program, &diags);
-    if (!diags.has_errors()) {
-      EXPECT_TRUE(program.Validate().ok())
-          << "analyzer passed a program Validate() rejects:\n"
-          << program.ToString() << "\n"
-          << program.Validate().ToString();
-    }
+    const auto& found = diags.diagnostics();
+    const bool structural_finding =
+        std::any_of(found.begin(), found.end(), is_structural);
+    EXPECT_EQ(analysis::VerifyStructure(program).ok(), !structural_finding)
+        << program.ToString() << "\n" << diags.Render();
+    const bool stratified =
+        analysis::AnalyzeStratification(
+            program, analysis::DependencyGraph::Build(program))
+            .stratified;
+    EXPECT_EQ(stratified, !diags.HasCode("RQ020"))
+        << program.ToString() << "\n" << diags.Render();
   }
 }
 

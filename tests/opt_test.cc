@@ -6,6 +6,7 @@
 
 #include <random>
 
+#include "analysis/typecheck.h"
 #include "engine/datalog/engine.h"
 #include "dlir/parser.h"
 #include "opt/magic_sets.h"
@@ -235,6 +236,27 @@ out(y) :- a(x), y = x, 1 + 2 < 4.
   }
 }
 
+// Pushdown folds with the engines' semantics (dlir/fold.h): arithmetic
+// mixing a number and a float promotes to float, ordering compares them
+// numerically, and `1 = 1.0` is false because `=` compares kinds.
+TEST(PushdownTest, FoldsMixedNumberAndFloat) {
+  auto program = Parse(R"(
+.decl a(x: number)
+.input a
+.decl out(x: number, z: float)
+.output out
+out(x, z) :- a(x), z = 1 + 2.5, 1 < 2.5.
+out(x, 0.0) :- a(x), 1 = 1.0.
+)");
+  auto pushed = PushdownConstants(program);
+  ASSERT_TRUE(pushed.ok());
+  ASSERT_EQ(pushed->rules.size(), 1u) << pushed->ToString();
+  const dlir::Rule& rule = pushed->rules[0];
+  EXPECT_TRUE(rule.constraints.empty()) << rule.ToString();
+  ASSERT_TRUE(rule.head.args[1].is_const()) << rule.ToString();
+  EXPECT_EQ(rule.head.args[1].constant, dlir::Constant::Float(3.5));
+}
+
 TEST(PushdownTest, DropsInfeasibleRules) {
   auto program = Parse(R"(
 .decl a(x: number)
@@ -345,8 +367,9 @@ TEST(MagicSetsTest, TransformsBoundTcAndPreservesResults) {
   // in the Aggressive pipeline.
   auto magic = EliminateDeadRules(*transformed);
   ASSERT_TRUE(magic.ok());
-  ASSERT_TRUE(magic->Validate().ok()) << magic->Validate().ToString()
-                                      << "\n" << magic->ToString();
+  ASSERT_TRUE(analysis::VerifyStructure(*magic).ok())
+      << analysis::VerifyStructure(*magic).ToString() << "\n"
+      << magic->ToString();
   // Adorned + magic predicates exist.
   EXPECT_NE(magic->FindDecl("tc_bf"), nullptr);
   EXPECT_NE(magic->FindDecl("m_tc_bf"), nullptr);
@@ -453,7 +476,8 @@ TEST(MagicSetsTest, ManyAdornedPredicatesSurviveDeclReallocation) {
   auto program = Parse(MakeDeepChainProgram(11));
   auto magic = ApplyMagicSets(program);
   ASSERT_TRUE(magic.ok()) << magic.status().ToString();
-  ASSERT_TRUE(magic->Validate().ok()) << magic->Validate().ToString();
+  ASSERT_TRUE(analysis::VerifyStructure(*magic).ok())
+      << analysis::VerifyStructure(*magic).ToString();
   // All twelve predicates got adorned + magic decls with intact columns.
   for (int i = 0; i <= 11; ++i) {
     const std::string name = "p" + std::to_string(i);

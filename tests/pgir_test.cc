@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/typecheck.h"
 #include "cypher/parser.h"
 #include "engine/datalog/engine.h"
 #include "pgir/pgir.h"
@@ -168,7 +169,8 @@ TEST(TranslateTest, Sq1ProducesPaperRuleChain) {
   EXPECT_EQ(ret->columns[0].type, ValueType::kSymbol);
   EXPECT_EQ(ret->columns[1].name, "cityId");
 
-  EXPECT_TRUE(program.Validate().ok()) << program.Validate().ToString();
+  EXPECT_TRUE(analysis::VerifyStructure(program).ok())
+      << analysis::VerifyStructure(program).ToString();
 }
 
 Database PaperDb(const schema::DlSchema& dl) {

@@ -1,14 +1,10 @@
-// Tests for unparser options and explicit optimizer entry points not
-// covered elsewhere: Soufflé printer flags, SQL printer flags, and the
-// explicit magic-set API.
+// Tests for explicit entry points not covered elsewhere: the explicit
+// magic-set API and DLIR parser error reporting.
 
 #include <gtest/gtest.h>
 
 #include "dlir/parser.h"
-#include "dlir/souffle_printer.h"
 #include "opt/magic_sets.h"
-#include "sqir/dlir_to_sqir.h"
-#include "sqir/sql_printer.h"
 
 namespace raqlet {
 namespace {
@@ -27,45 +23,6 @@ constexpr char kTc[] = R"(
 tc(x, y) :- edge(x, y).
 tc(x, y) :- tc(x, z), edge(z, y).
 )";
-
-TEST(SoufflePrinterOptionsTest, IoDirectivesCanBeSuppressed) {
-  dlir::SouffleOptions options;
-  options.emit_io_directives = false;
-  std::string text = dlir::ToSouffle(Parse(kTc), options);
-  EXPECT_EQ(text.find(".input"), std::string::npos);
-  EXPECT_EQ(text.find(".output"), std::string::npos);
-  EXPECT_NE(text.find(".decl edge"), std::string::npos);
-}
-
-TEST(SoufflePrinterOptionsTest, CommentsCanBeSuppressed) {
-  dlir::SouffleOptions options;
-  options.emit_comments = false;
-  std::string text = dlir::ToSouffle(Parse(R"(
-.decl d(x: number, v: number) @min
-)"), options);
-  EXPECT_EQ(text.find("lattice relation"), std::string::npos);
-  // The subsumption clause itself is still emitted (it is semantics, not
-  // commentary).
-  EXPECT_NE(text.find("<="), std::string::npos);
-}
-
-TEST(SqlPrinterOptionsTest, CommentsNameSourcePredicates) {
-  auto sqir = sqir::TranslateToSqir(Parse(kTc));
-  ASSERT_TRUE(sqir.ok());
-  sqir::SqlPrintOptions options;
-  options.emit_comments = true;
-  std::string sql = sqir::ToSql(*sqir, options);
-  EXPECT_NE(sql.find("-- V1 implements tc"), std::string::npos);
-}
-
-TEST(SqlPrinterOptionsTest, UnionAllMode) {
-  auto sqir = sqir::TranslateToSqir(Parse(kTc));
-  ASSERT_TRUE(sqir.ok());
-  sqir::SqlPrintOptions options;
-  options.union_all = true;
-  std::string sql = sqir::ToSql(*sqir, options);
-  EXPECT_NE(sql.find("UNION ALL"), std::string::npos);
-}
 
 TEST(MagicSetsApiTest, RejectsBadAdornment) {
   auto program = Parse(kTc);

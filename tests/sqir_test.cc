@@ -162,12 +162,20 @@ out(x) :- person(x, name), name = "O'Brien".
   EXPECT_NE(sql.find("'O''Brien'"), std::string::npos);
 }
 
-TEST(SqirTest, PredicateNamesWhenVNamesDisabled) {
-  SqirOptions options;
-  options.use_v_names = false;
-  auto sqir = TranslateToSqir(Parse(kTc), options);
-  ASSERT_TRUE(sqir.ok());
-  EXPECT_EQ(sqir->ctes[0].name, "tc");
+// TranslateToSqir runs the engines' structural entry check, which covers
+// aggregate inputs.
+TEST(SqirTest, UnboundAggregateInputRejectedAtEntry) {
+  auto sqir = TranslateToSqir(Parse(R"(
+.decl edge(x: number, y: number)
+.input edge
+.decl total(s: number)
+.output total
+total(sum(z)) :- edge(x, _).
+)"));
+  ASSERT_FALSE(sqir.ok());
+  EXPECT_EQ(sqir.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(sqir.status().message().find("RQ004"), std::string::npos)
+      << sqir.status().ToString();
 }
 
 TEST(SqirTest, MultipleOutputsRejected) {
